@@ -12,7 +12,11 @@
 // every removal is verified — the observables (step counts, RMR counts,
 // pending operations, phases, cache sets) of all remaining processes must be
 // unchanged by the removal, which is the operational reading of invariants
-// I3/I4/I9. A removal that fails verification is rolled back and handled
+// I3/I4/I9. Observables are compared as plain values: a pending operation by
+// its cell's allocation id and the operation's code, arguments and name,
+// and the cache sets of all active processes at once by
+// sim.Machine.CachesAgree, one word operation per cell per 64 processes.
+// A removal that fails verification is rolled back and handled
 // conservatively (the process is run to completion instead), so the
 // construction never reports rounds it did not actually force.
 //
@@ -239,6 +243,12 @@ type Adversary struct {
 	report     Report
 	lastViable viable
 	tm         advTelemetry
+
+	// replay and cacheMask are buildWithout's retained buffers: the
+	// restricted schedule being replayed, and the active processes whose
+	// cache sets the replay must preserve.
+	replay    sim.Schedule
+	cacheMask word.Bitset
 }
 
 // advTelemetry holds the construction's live metric handles; all nil-safe
@@ -297,11 +307,12 @@ func New(cfg Config) (*Adversary, error) {
 	}
 	w.Instrument(cfg.Telemetry)
 	a := &Adversary{
-		cfg:     cfg,
-		worker:  w,
-		session: s,
-		status:  make([]Status, cfg.Session.Procs),
-		tm:      newAdvTelemetry(cfg.Telemetry),
+		cfg:       cfg,
+		worker:    w,
+		session:   s,
+		status:    make([]Status, cfg.Session.Procs),
+		tm:        newAdvTelemetry(cfg.Telemetry),
+		cacheMask: word.NewBitset(cfg.Session.Procs),
 	}
 	cfg.Telemetry.Gauge("adversary_max_rounds").Set(int64(cfg.MaxRounds))
 	cfg.Telemetry.Gauge("adversary_procs").Set(int64(cfg.Session.Procs))

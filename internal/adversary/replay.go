@@ -2,21 +2,25 @@ package adversary
 
 import (
 	"fmt"
-	"strings"
 
+	"rme/internal/memory"
 	"rme/internal/mutex"
 	"rme/internal/sim"
+	"rme/internal/word"
 )
 
 // procObservables captures everything about a process that the proof's
 // invariants require to be preserved when other processes are erased from
 // the schedule: its progress (I3), its membership in the finished set (I4),
-// its crash count (I6), and its phase (I7). For processes that are still
-// active, the observables additionally include the RMR counters (I10) and
-// — in the CC model — the set of valid cache copies (I9); a finished
-// process's RMR count may legitimately differ between table columns (an
-// erased process's non-read operation invalidates caches without changing
-// values), and the proof's invariants do not constrain it.
+// its crash count (I6), its phase (I7), and its pending operation. For
+// processes that are still active, the observables additionally include the
+// RMR counters (I10); their sets of valid cache copies (I9, CC model) are
+// compared for all active processes at once by sim.Machine.CachesAgree. A
+// finished process's RMR count may legitimately differ between table
+// columns (an erased process's non-read operation invalidates caches
+// without changing values), and the proof's invariants do not constrain it.
+//
+// Every field is a plain value, so two observations compare with ==.
 type procObservables struct {
 	done    bool
 	parked  bool
@@ -25,8 +29,20 @@ type procObservables struct {
 	rmrDSM  int
 	crashes int
 	tag     int
-	pending string
-	cached  string
+	pending pendingKey
+}
+
+// pendingKey identifies a pending operation by value: its target cell's
+// allocation id (cell labels are unique in every algorithm the adversary
+// runs, so the id names the same cell the label does) and the operation's
+// code, arguments and custom-op name. The zero key means no pending
+// operation (no real operation has code 0); a multi-cell wait has cell -1
+// and nothing else. Whether a read is a spin probe is not part of the key.
+type pendingKey struct {
+	cell      int
+	code      memory.OpCode
+	arg, arg2 word.Word
+	name      string
 }
 
 func observe(m *sim.Machine, p int, active bool) procObservables {
@@ -39,19 +55,20 @@ func observe(m *sim.Machine, p int, active bool) procObservables {
 	}
 	if po, ok := m.Pending(p); ok {
 		if po.Wait {
-			o.pending = "wait"
+			o.pending = pendingKey{cell: -1}
 		} else {
-			o.pending = fmt.Sprintf("%s %s", po.Cell.Label(), po.Op)
+			o.pending = pendingKey{
+				cell: po.Cell.CellID(),
+				code: po.Op.Code,
+				arg:  po.Op.Arg,
+				arg2: po.Op.Arg2,
+				name: po.Op.Name,
+			}
 		}
 	}
 	if active {
 		o.rmrCC = m.RMRsIn(sim.CC, p)
 		o.rmrDSM = m.RMRsIn(sim.DSM, p)
-		var b strings.Builder
-		for _, id := range m.CachedCells(p) {
-			fmt.Fprintf(&b, "%d,", id)
-		}
-		o.cached = b.String()
 	}
 	return o
 }
@@ -104,35 +121,48 @@ func (a *Adversary) verifyErasable(p int) bool {
 // spare from the previous audit), replays the current schedule restricted to
 // all processes except p, and verifies the observables of every process
 // other than p. On success the new session is returned; on failure it goes
-// back to the worker.
+// back to the worker. The restricted schedule and the mask of active
+// processes whose caches must agree live in buffers on the Adversary, so an
+// audit allocates nothing of its own.
 func (a *Adversary) buildWithout(p int) (*mutex.Session, bool) {
-	old := a.session.Machine()
-	restricted := old.Schedule().Restrict(func(q int) bool { return q != p })
+	a.replay = a.session.Machine().AppendSchedule(a.replay, func(q int) bool { return q != p })
 
 	fresh, err := a.worker.Session(a.cfg.Session)
 	if err != nil {
 		return nil, false
 	}
-	if err := applySchedule(fresh, restricted); err != nil {
+	if !a.replayMatches(fresh, p) {
 		a.worker.Release(fresh)
 		return nil, false
-	}
-	if len(fresh.Violations()) > 0 {
-		a.worker.Release(fresh)
-		return nil, false
-	}
-	nm := fresh.Machine()
-	for q := 0; q < a.cfg.Session.Procs; q++ {
-		if q == p || a.status[q] == Removed {
-			continue
-		}
-		active := a.status[q] == Active
-		if observe(old, q, active) != observe(nm, q, active) {
-			a.worker.Release(fresh)
-			return nil, false
-		}
 	}
 	return fresh, true
+}
+
+// replayMatches drives fresh through a.replay and reports whether the result
+// is safe and indistinguishable from the live execution to every process
+// other than p that has not been removed.
+func (a *Adversary) replayMatches(fresh *mutex.Session, p int) bool {
+	if err := applySchedule(fresh, a.replay); err != nil {
+		return false
+	}
+	if len(fresh.Violations()) > 0 {
+		return false
+	}
+	old, nm := a.session.Machine(), fresh.Machine()
+	a.cacheMask.ClearAll()
+	for q, st := range a.status {
+		if q == p || st == Removed {
+			continue
+		}
+		active := st == Active
+		if active {
+			a.cacheMask.Set(q)
+		}
+		if observe(old, q, active) != observe(nm, q, active) {
+			return false
+		}
+	}
+	return nm.CachesAgree(old, a.cacheMask)
 }
 
 // applySchedule drives a session through a schedule via the monitored

@@ -5,11 +5,12 @@
 // It contributes two things the callers used to hand-roll:
 //
 //   - Reuse. A Worker checks sessions out and back in; a released session
-//     whose configuration matches the next request is Reset (alloc-free cell
-//     rollback, sim.Machine.Reset) instead of rebuilt, which removes the
+//     whose configuration matches the next request is Reset (cells rolled
+//     back in place, sim.Machine.Reset) instead of rebuilt, which removes the
 //     dominant construction cost from replay-heavy workloads (the checker
 //     rebuilds the same configuration for every DFS branch, the adversary
-//     for every erasure audit).
+//     for every erasure audit). A reset still allocates one algorithm
+//     handle and one goroutine launch per process (mutex.Session.Reset).
 //
 //   - Parallelism with determinism. Run executes a batch of RunSpecs on a
 //     pool of workers — one live machine per worker — and merges results in
@@ -395,8 +396,9 @@ func (w *Worker) Instrument(reg *telemetry.Registry) {
 
 // Session checks out a session for cfg. If the worker holds a released
 // session with a compatible configuration it is Reset and handed back
-// (alloc-free); otherwise a new session is built. The caller must Release
-// or Close the returned session.
+// (no machine construction; see mutex.Session.Reset for what a reset still
+// allocates); otherwise a new session is built. The caller must Release or
+// Close the returned session.
 func (w *Worker) Session(cfg mutex.Config) (*mutex.Session, error) {
 	if s := w.spare; s != nil {
 		w.spare = nil

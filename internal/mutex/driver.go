@@ -3,6 +3,7 @@ package mutex
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"rme/internal/memory"
@@ -81,10 +82,18 @@ type Session struct {
 	inst     Instance
 	csCell   memory.Cell
 	bodies   []*driverBody
+	programs []sim.Program // the bodies as Programs, reused by every Start
 	lastTags []int
 	csOwner  int // process owning the CS (incl. crashed-in-CS holders), or -1
 	csOrder  []int
 	errs     []string
+	// The safety monitor's incremental state. Every tag write marks its
+	// process in tagDirty, so observe visits only processes whose tag may
+	// have changed; csTagged holds the processes whose last observed tag is
+	// TagCS, and inCS counts them.
+	tagDirty word.Bitset
+	csTagged word.Bitset
+	inCS     int
 	// sym is the instance's process-symmetry declaration (nil if none),
 	// extended with the session's own cs-witness cell. It is built lazily on
 	// the first Symmetry/CanonicalStateKey call so sessions that never ask
@@ -124,29 +133,48 @@ func NewSession(cfg Config) (*Session, error) {
 		inst:     inst,
 		csCell:   mach.NewCell("cs-witness", memory.Shared, 0),
 		bodies:   make([]*driverBody, cfg.Procs),
+		programs: make([]sim.Program, cfg.Procs),
 		lastTags: make([]int, cfg.Procs),
 		csOwner:  -1,
+		tagDirty: word.NewBitset(cfg.Procs),
+		csTagged: word.NewBitset(cfg.Procs),
 	}
-	programs := make([]sim.Program, cfg.Procs)
 	for i := 0; i < cfg.Procs; i++ {
 		b := &driverBody{s: s, id: i}
 		s.bodies[i] = b
-		programs[i] = b
+		s.programs[i] = b
 	}
-	if err := mach.Start(programs); err != nil {
+	if err := s.start(); err != nil {
 		mach.Close()
 		return nil, err
 	}
-	for i := range s.lastTags {
-		s.lastTags[i] = mach.Tag(i)
-	}
 	return s, nil
+}
+
+// start launches the bodies on the machine and takes the monitor's
+// baseline: the tags the bodies set before their first step are the
+// starting point, not transitions.
+func (s *Session) start() error {
+	if err := s.mach.Start(s.programs); err != nil {
+		return err
+	}
+	s.tagDirty.ClearAll()
+	s.csTagged.ClearAll()
+	s.inCS = 0
+	for p := range s.lastTags {
+		s.lastTags[p] = s.mach.Tag(p)
+		if s.lastTags[p] == TagCS {
+			s.csTagged.Set(p)
+			s.inCS++
+		}
+	}
+	return nil
 }
 
 // Machine exposes the underlying simulator (for adversaries and checkers).
 func (s *Session) Machine() *sim.Machine { return s.mach }
 
-// Reset returns the session to its initial state without reallocating: the
+// Reset returns the session to its initial state without rebuilding it: the
 // machine's cells revert to their initial values (sim.Machine.Reset), the
 // algorithm instance is reused (its mutable state lives entirely in cells,
 // per the Handle crash contract), the safety monitors clear, and the driver
@@ -154,24 +182,18 @@ func (s *Session) Machine() *sim.Machine { return s.mach }
 // observationally identical to a fresh NewSession with the same Config —
 // the engine's worker pool and the replay-heavy consumers (model checker,
 // adversary erasure verification) rely on this to avoid per-run machine
-// construction.
+// construction. What a Reset still allocates is one algorithm handle per
+// process (Instance.Bind in each body's Run) and the launch of one body
+// goroutine per process; DESIGN.md §6 gives the counts.
 func (s *Session) Reset() error {
 	s.mach.Reset()
 	s.csOwner = -1
 	s.csOrder = s.csOrder[:0]
 	s.errs = nil
-	programs := make([]sim.Program, s.cfg.Procs)
-	for i, b := range s.bodies {
+	for _, b := range s.bodies {
 		b.reset()
-		programs[i] = b
 	}
-	if err := s.mach.Start(programs); err != nil {
-		return err
-	}
-	for i := range s.lastTags {
-		s.lastTags[i] = s.mach.Tag(i)
-	}
-	return nil
+	return s.start()
 }
 
 // Compatible reports whether a session built for a can be reused via Reset
@@ -245,47 +267,70 @@ func (s *Session) CrashAllProcs() error {
 	return nil
 }
 
-// observe scans phase-tag transitions and maintains the mutual-exclusion /
-// critical-section-reentry monitor: ownership of the CS is taken when a
-// process's tag enters TagCS and released when it enters TagExit; a crashed
-// CS holder keeps ownership until it re-enters and exits (the CSR property).
+// observe processes phase-tag transitions and maintains the
+// mutual-exclusion / critical-section-reentry monitor: ownership of the CS
+// is taken when a process's tag enters TagCS and released when it enters
+// TagExit; a crashed CS holder keeps ownership until it re-enters and exits
+// (the CSR property). Only processes whose tag was written since the last
+// observe are visited, in ascending id order, so a step costs the monitor
+// time proportional to the tags it changed, not to n.
 func (s *Session) observe() {
-	for p := range s.lastTags {
-		cur := s.mach.Tag(p)
-		prev := s.lastTags[p]
-		if cur == prev {
-			continue
+	for wi, w := range s.tagDirty {
+		for w != 0 {
+			s.observeTag(wi*word.MaxBits + bits.TrailingZeros64(w))
+			w &= w - 1
 		}
-		switch {
-		case cur == TagCS:
-			if s.csOwner != -1 && s.csOwner != p {
-				s.fail(fmt.Sprintf("mutual exclusion violated: p%d entered the CS while p%d holds it (step %d)",
-					p, s.csOwner, s.mach.Steps()))
-			}
-			if s.csOwner != p {
-				s.csOrder = append(s.csOrder, p)
-			}
-			s.csOwner = p
-		case prev == TagCS && cur != TagRecover:
-			// Leaving the CS forward (exit/remainder) releases ownership; a
-			// crash (tag moves to TagRecover) keeps it, per the CSR property.
-			if s.csOwner == p {
-				s.csOwner = -1
-			}
-		}
-		s.lastTags[p] = cur
+		s.tagDirty[wi] = 0
 	}
-	// Direct occupancy check (belt and braces): at most one process tagged CS.
+	if s.inCS < 2 {
+		return
+	}
+	// Direct occupancy check (belt and braces): at most one process tagged
+	// CS; report each adjacent pair of occupants in ascending order.
 	in := -1
-	for p := range s.lastTags {
-		if s.mach.Tag(p) == TagCS {
-			if in != -1 {
-				s.fail(fmt.Sprintf("mutual exclusion violated: p%d and p%d tagged CS simultaneously (step %d)",
-					in, p, s.mach.Steps()))
-			}
-			in = p
+	s.csTagged.ForEach(func(p int) {
+		if in != -1 {
+			s.fail(fmt.Sprintf("mutual exclusion violated: p%d and p%d tagged CS simultaneously (step %d)",
+				in, p, s.mach.Steps()))
+		}
+		in = p
+	})
+}
+
+// observeTag applies p's tag transition, if its tag changed since the last
+// observation.
+func (s *Session) observeTag(p int) {
+	cur := s.mach.Tag(p)
+	prev := s.lastTags[p]
+	if cur == prev {
+		return
+	}
+	switch {
+	case cur == TagCS:
+		if s.csOwner != -1 && s.csOwner != p {
+			s.fail(fmt.Sprintf("mutual exclusion violated: p%d entered the CS while p%d holds it (step %d)",
+				p, s.csOwner, s.mach.Steps()))
+		}
+		if s.csOwner != p {
+			s.csOrder = append(s.csOrder, p)
+		}
+		s.csOwner = p
+	case prev == TagCS && cur != TagRecover:
+		// Leaving the CS forward (exit/remainder) releases ownership; a
+		// crash (tag moves to TagRecover) keeps it, per the CSR property.
+		if s.csOwner == p {
+			s.csOwner = -1
 		}
 	}
+	if prev == TagCS {
+		s.csTagged.Clear(p)
+		s.inCS--
+	}
+	if cur == TagCS {
+		s.csTagged.Set(p)
+		s.inCS++
+	}
+	s.lastTags[p] = cur
 }
 
 func (s *Session) fail(msg string) { s.errs = append(s.errs, msg) }
@@ -475,7 +520,7 @@ func (b *driverBody) Run(p *sim.Proc) {
 	for b.completed < b.s.cfg.Passes {
 		b.runSuper()
 	}
-	p.SetTag(TagRemainder)
+	b.setTag(TagRemainder)
 }
 
 // Recover is invoked by the machine after each crash step.
@@ -484,11 +529,11 @@ func (b *driverBody) Recover(p *sim.Proc) {
 	b.closeCrashedPassage()
 	if b.inSuper {
 		b.beginPassage(true)
-		p.SetTag(TagRecover)
+		b.setTag(TagRecover)
 		switch st := b.handle.Recover(); st {
 		case RecoverAcquired:
 			b.criticalSection()
-			b.p.SetTag(TagExit)
+			b.setTag(TagExit)
 			b.handle.Unlock()
 			b.finishSuper()
 		case RecoverReleased:
@@ -505,7 +550,7 @@ func (b *driverBody) Recover(p *sim.Proc) {
 		// Crash at a super-passage boundary: the algorithm must agree that
 		// nothing was in progress.
 		b.beginPassage(true)
-		p.SetTag(TagRecover)
+		b.setTag(TagRecover)
 		if st := b.handle.Recover(); st != RecoverIdle {
 			panic(fmt.Sprintf("mutex: recover at idle returned %v", st))
 		}
@@ -514,16 +559,24 @@ func (b *driverBody) Recover(p *sim.Proc) {
 	for b.completed < b.s.cfg.Passes {
 		b.runSuper()
 	}
-	p.SetTag(TagRemainder)
+	b.setTag(TagRemainder)
+}
+
+// setTag publishes the body's phase tag and marks the process for the
+// session's monitor. It runs on the body goroutine while the controller is
+// blocked at the step gate, which orders it before the next observe.
+func (b *driverBody) setTag(tag int) {
+	b.p.SetTag(tag)
+	b.s.tagDirty.Set(b.id)
 }
 
 func (b *driverBody) runSuper() {
 	b.beginPassage(false)
 	b.inSuper = true
-	b.p.SetTag(TagEntry)
+	b.setTag(TagEntry)
 	b.handle.Lock()
 	b.criticalSection()
-	b.p.SetTag(TagExit)
+	b.setTag(TagExit)
 	b.handle.Unlock()
 	b.finishSuper()
 }
@@ -531,7 +584,7 @@ func (b *driverBody) runSuper() {
 // criticalSection performs the single RMR-incurring step of assumption (A2),
 // plus any configured extra steps.
 func (b *driverBody) criticalSection() {
-	b.p.SetTag(TagCS)
+	b.setTag(TagCS)
 	b.p.Write(b.s.csCell, word.Word(b.id+1))
 	for i := 0; i < b.s.cfg.ExtraCSSteps; i++ {
 		b.p.Add(b.s.csCell, 0)
@@ -587,6 +640,6 @@ func (b *driverBody) finishSuper() {
 	b.closePassage(false)
 	b.inSuper = false
 	b.completed++
-	b.p.SetTag(TagRemainder)
+	b.setTag(TagRemainder)
 	b.p.Mark("super-passage-end")
 }

@@ -205,12 +205,16 @@ func (m *Machine) Start(programs []Program) error {
 	return nil
 }
 
-// Reset returns the machine to its post-construction, pre-Start state
-// without allocating: every cell reverts to its initial value with empty
-// cache/accessor/watcher sets, the trace and schedule buffers are truncated
-// in place, all counters clear, and process structures are retained for the
-// next Start. Live process goroutines are terminated first (as in Close),
-// so Reset is legal at any point, including mid-run and after Close.
+// Reset returns the machine to its post-construction, pre-Start state:
+// every cell reverts to its initial value with empty cache/accessor/watcher
+// sets, the trace and schedule buffers are truncated in place, all counters
+// clear, and process structures are retained for the next Start. Live
+// process goroutines are terminated first (as in Close), so Reset is legal
+// at any point, including mid-run and after Close.
+//
+// Reset itself allocates nothing. The Start that follows reuses the process
+// structures and gate channels and allocates only what launching one body
+// goroutine per process costs (see DESIGN.md §6 for the per-process count).
 //
 // Equivalence guarantee: a machine that is Reset and re-Started with an
 // identical construction replays byte-identical traces, schedules, and
@@ -246,11 +250,11 @@ func (m *Machine) Reset() {
 // next announcement), otherwise the process parks watching all cells.
 func (m *Machine) waitQuiescent(p *Proc) error {
 	for {
-		req := <-p.pendingCh
-		if req.fin {
+		p.slot = <-p.pendingCh
+		if p.slot.fin {
 			p.done = true
 		} else {
-			p.pending = &req
+			p.pending = &p.slot
 		}
 		if p.err != nil {
 			return fmt.Errorf("sim: process %d failed: %w", p.id, p.err)
@@ -564,22 +568,21 @@ func (m *Machine) Close() {
 	m.killLive()
 }
 
-// killLive terminates every live body goroutine. A live body is either
-// blocked on resumeCh awaiting a verdict, or (transiently) blocked sending
-// its fin announcement; the select covers both without deadlocking.
+// killLive terminates every live body goroutine. Every controller call ends
+// in waitQuiescent, so a body that is not done is blocked on resumeCh
+// awaiting a verdict; the kill unwinds it and it acknowledges with its fin
+// message. Any other acknowledgement means algorithm code swallowed the
+// kill sentinel and went on announcing steps, which no schedule can
+// account for, so it panics.
 func (m *Machine) killLive() {
 	for _, pr := range m.procs {
 		if pr.done {
 			continue
 		}
-		select {
-		case pr.resumeCh <- verdict{kill: true}:
-		case req := <-pr.pendingCh:
-			if !req.fin {
-				pr.resumeCh <- verdict{kill: true}
-			}
+		pr.resumeCh <- verdict{kill: true}
+		if ack := <-pr.pendingCh; !ack.fin {
+			panic(fmt.Sprintf("sim: process %d answered a kill with another operation, not fin", pr.id))
 		}
-		<-pr.doneCh
 		pr.done = true
 	}
 }
@@ -698,6 +701,20 @@ func (m *Machine) Steps() int { return len(m.schedule) }
 // Schedule returns a copy of the executed schedule.
 func (m *Machine) Schedule() Schedule { return m.schedule.Clone() }
 
+// AppendSchedule appends the executed schedule's actions by processes for
+// which keep returns true to buf[:0] and returns the extended slice — the
+// copy-free form of Schedule().Restrict(keep) for callers that replay
+// restricted schedules in a loop with a retained buffer.
+func (m *Machine) AppendSchedule(buf Schedule, keep func(proc int) bool) Schedule {
+	buf = buf[:0]
+	for _, a := range m.schedule {
+		if keep(a.Proc) {
+			buf = append(buf, a)
+		}
+	}
+	return buf
+}
+
 // Trace returns the retained trace (empty when NoTrace is set). The returned
 // slice is shared; callers must not modify it.
 func (m *Machine) Trace() []Event { return m.trace }
@@ -762,6 +779,27 @@ func (m *Machine) CachedCells(p int) []int {
 		}
 	}
 	return out
+}
+
+// CachesAgree reports whether every process in procs holds valid cache
+// copies of exactly the same cells on m and o, i.e. whether CachedCells(p)
+// is equal on both machines for each such p. The machines must share a
+// construction (the same cells in the same order; machines whose cell
+// counts differ never agree), and procs must have capacity for m's
+// processes. Each cell costs one XOR and mask per 64 processes.
+func (m *Machine) CachesAgree(o *Machine, procs word.Bitset) bool {
+	if len(m.cells) != len(o.cells) {
+		return false
+	}
+	for i, c := range m.cells {
+		oc := o.cells[i].cached
+		for wi, w := range c.cached {
+			if (w^oc[wi])&procs[wi] != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // own asserts that the cell belongs to this machine.

@@ -25,10 +25,12 @@ type Proc struct {
 	// blocks receiving a verdict on resumeCh.
 	pendingCh chan stepReq
 	resumeCh  chan verdict
-	doneCh    chan struct{}
 
 	// Controller-side state; only touched while the body is blocked.
+	// pending points at slot, where the controller receives each
+	// announcement, so announcing allocates nothing.
 	pending *stepReq
+	slot    stepReq
 	parked  bool
 	done    bool
 	err     error
@@ -54,10 +56,10 @@ type stepReq struct {
 	multiPred func([]word.Word) bool
 
 	// fin marks the body's last message: the program returned (or failed with
-	// p.err set) and no further operations follow. Delivering completion on
-	// the announcement channel keeps the controller's quiescence wait a plain
-	// channel receive instead of a two-way select — the step gate is the
-	// simulator's hottest path (see EXPERIMENTS.md E15).
+	// p.err set), or the body acknowledges a kill, and no further operations
+	// follow. Delivering completion on the announcement channel keeps every
+	// controller wait a plain channel receive instead of a two-way select —
+	// the step gate is the simulator's hottest path (see EXPERIMENTS.md E15).
 	fin bool
 }
 
@@ -78,23 +80,24 @@ var (
 	errKilled  = errors.New("sim: killed")
 )
 
+// newProc returns a process with no body goroutine, which counts as done
+// until launch.
 func newProc(m *Machine, id int) *Proc {
 	return &Proc{
 		id:        id,
 		m:         m,
 		pendingCh: make(chan stepReq),
 		resumeCh:  make(chan verdict),
+		done:      true,
 	}
 }
 
-// reset prepares the process for a (re-)launch: the program is installed,
-// all controller-side state and counters clear, and a fresh doneCh is made
-// (the previous one, if any, was closed when the body goroutine exited).
-// The unbuffered gate channels are reused: after kill/finish the body
-// goroutine holds neither, so they are guaranteed empty.
+// reset prepares the process for a (re-)launch: the program is installed
+// and all controller-side state and counters clear. The unbuffered gate
+// channels are reused: the previous body, if any, ended with its fin
+// message, so it holds neither and both are empty.
 func (p *Proc) reset(program Program) {
 	p.program = program
-	p.doneCh = make(chan struct{})
 	p.pending = nil
 	p.parked = false
 	p.done = false
@@ -107,57 +110,35 @@ func (p *Proc) reset(program Program) {
 }
 
 // launch starts the body goroutine. The controller must waitQuiescent
-// immediately after, so bodies never run concurrently. The done channel is
-// captured here: a finished body may still be between its fin announcement
-// and the deferred close when the controller already Resets and replaces
-// p.doneCh, and it must close the channel of its own launch, not the new one.
+// immediately after, so bodies never run concurrently.
 func (p *Proc) launch() {
-	go p.runLoop(p.doneCh)
+	go p.runLoop()
 }
-
-type bodyOutcome int
-
-const (
-	outcomeFinished bodyOutcome = iota + 1
-	outcomeCrashed
-	outcomeKilled
-)
 
 // runLoop runs the program, restarting with Recover after each crash step.
-// Normal completion (and body failure, with p.err set) is announced as a fin
-// message on the gate channel; a kill unwinds silently — the controller that
-// sent it waits on done instead.
-func (p *Proc) runLoop(done chan struct{}) {
-	defer close(done)
+// Its last act is always a fin message on the gate channel — after normal
+// completion, after a body failure (p.err set), and as the acknowledgement
+// of a kill — so the controller never waits on anything but pendingCh.
+func (p *Proc) runLoop() {
 	recovering := false
-	for {
-		switch p.runOnce(recovering) {
-		case outcomeFinished:
-			p.pendingCh <- stepReq{fin: true}
-			return
-		case outcomeKilled:
-			return
-		case outcomeCrashed:
-			recovering = true
-		}
+	for p.runOnce(recovering) {
+		recovering = true
 	}
+	p.pendingCh <- stepReq{fin: true}
 }
 
-// runOnce executes Run or Recover, translating the unwind sentinels.
-// Non-sentinel panics are recorded as process failures and surfaced by the
-// controller; they indicate bugs in algorithm code.
-func (p *Proc) runOnce(recovering bool) (outcome bodyOutcome) {
+// runOnce executes Run or Recover and reports whether it ended in a crash
+// step. A kill unwinds like a return. Non-sentinel panics are recorded as
+// process failures and surfaced by the controller; they indicate bugs in
+// algorithm code.
+func (p *Proc) runOnce(recovering bool) (crashed bool) {
 	defer func() {
-		r := recover()
-		switch r {
-		case nil:
+		switch r := recover(); r {
+		case nil, errKilled:
 		case errCrashed:
-			outcome = outcomeCrashed
-		case errKilled:
-			outcome = outcomeKilled
+			crashed = true
 		default:
 			p.err = fmt.Errorf("panic in process %d body: %v", p.id, r)
-			outcome = outcomeFinished
 		}
 	}()
 	if recovering {
@@ -165,7 +146,7 @@ func (p *Proc) runOnce(recovering bool) (outcome bodyOutcome) {
 	} else {
 		p.program.Run(p)
 	}
-	return outcomeFinished
+	return false
 }
 
 // announce parks the body at the step gate and returns the granted result.
