@@ -36,17 +36,8 @@ import (
 	"strings"
 	"time"
 
+	"rme"
 	"rme/internal/adversary"
-	"rme/internal/algorithms/clh"
-	"rme/internal/algorithms/grlock"
-	"rme/internal/algorithms/mcs"
-	"rme/internal/algorithms/qword"
-	"rme/internal/algorithms/rspin"
-	"rme/internal/algorithms/tas"
-	"rme/internal/algorithms/ticket"
-	"rme/internal/algorithms/tournament"
-	"rme/internal/algorithms/watree"
-	"rme/internal/algorithms/yatree"
 	"rme/internal/cliutil"
 	"rme/internal/engine"
 	"rme/internal/faults"
@@ -65,26 +56,9 @@ func main() {
 	}
 }
 
-func algorithms() map[string]mutex.Algorithm {
-	return map[string]mutex.Algorithm{
-		"tas":         tas.New(),
-		"ticket":      ticket.New(),
-		"mcs":         mcs.New(),
-		"clh":         clh.New(),
-		"tournament":  tournament.New(),
-		"yatree":      yatree.New(),
-		"grlock":      grlock.New(),
-		"rspin":       rspin.New(),
-		"watree":      watree.New(),
-		"watree2":     watree.New(watree.WithFanout(2)),
-		"watree-fast": watree.New(watree.WithFastPath()),
-		"qword":       qword.New(),
-	}
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("rmeadversary", flag.ContinueOnError)
-	algName := fs.String("alg", "watree", "algorithm: tas, ticket, mcs, clh, tournament, grlock, rspin, watree, watree2")
+	algName := fs.String("alg", "watree", "algorithm: "+strings.Join(rme.AlgorithmNames(), ", "))
 	n := fs.Int("n", 64, "number of processes")
 	w := fs.Int("w", 8, "word size in bits")
 	modelName := fs.String("model", "cc", "cost model: cc or dsm")
@@ -130,13 +104,13 @@ func run(args []string) error {
 	}
 	defer stopTele()
 
-	alg, ok := algorithms()[strings.ToLower(*algName)]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q", *algName)
+	alg, err := rme.NewAlgorithm(*algName)
+	if err != nil {
+		return err
 	}
-	model := sim.CC
-	if strings.EqualFold(*modelName, "dsm") {
-		model = sim.DSM
+	model, err := sim.ParseModel(*modelName)
+	if err != nil {
+		return err
 	}
 
 	if *seed != 0 {

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -55,5 +56,20 @@ func TestStdoutParityAcrossParallelism(t *testing.T) {
 	}
 	if len(one) == 0 {
 		t.Fatal("no output captured")
+	}
+}
+
+// TestNameFlags: -alg resolves case-insensitively through the shared
+// registry, and an unknown -model is an error naming the value rather than a
+// silent CC construction.
+func TestNameFlags(t *testing.T) {
+	if _, err := captureStdout(t, func() error {
+		return run([]string{"-alg", "WATree", "-n", "8", "-w", "4"})
+	}); err != nil {
+		t.Errorf("-alg WATree: %v", err)
+	}
+	err := run([]string{"-alg", "watree", "-n", "8", "-w", "4", "-model", "dms"})
+	if err == nil || !strings.Contains(err.Error(), `"dms"`) {
+		t.Fatalf("-model dms: err = %v; want an error naming the value", err)
 	}
 }

@@ -54,16 +54,7 @@ import (
 	"strings"
 	"time"
 
-	"rme/internal/algorithms/clh"
-	"rme/internal/algorithms/grlock"
-	"rme/internal/algorithms/mcs"
-	"rme/internal/algorithms/qword"
-	"rme/internal/algorithms/rspin"
-	"rme/internal/algorithms/tas"
-	"rme/internal/algorithms/ticket"
-	"rme/internal/algorithms/tournament"
-	"rme/internal/algorithms/watree"
-	"rme/internal/algorithms/yatree"
+	"rme"
 	"rme/internal/check"
 	"rme/internal/cliutil"
 	"rme/internal/mutex"
@@ -134,7 +125,7 @@ type jsonReport struct {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("rmecheck", flag.ContinueOnError)
-	algName := fs.String("alg", "watree", "algorithm: tas, ticket, mcs, clh, tournament, grlock, rspin, watree")
+	algName := fs.String("alg", "watree", "algorithm: "+strings.Join(rme.AlgorithmNames(), ", "))
 	n := fs.Int("n", 2, "number of processes")
 	w := fs.Int("w", 8, "word size in bits")
 	modelName := fs.String("model", "cc", "cost model: cc or dsm")
@@ -184,18 +175,13 @@ func run(args []string) error {
 	}
 	defer stopTele()
 
-	algs := map[string]mutex.Algorithm{
-		"tas": tas.New(), "ticket": ticket.New(), "mcs": mcs.New(), "clh": clh.New(),
-		"tournament": tournament.New(), "yatree": yatree.New(), "grlock": grlock.New(),
-		"rspin": rspin.New(), "watree": watree.New(), "qword": qword.New(),
+	alg, err := rme.NewAlgorithm(*algName)
+	if err != nil {
+		return err
 	}
-	alg, ok := algs[strings.ToLower(*algName)]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q", *algName)
-	}
-	model := sim.CC
-	if strings.EqualFold(*modelName, "dsm") {
-		model = sim.DSM
+	model, err := sim.ParseModel(*modelName)
+	if err != nil {
+		return err
 	}
 	cfg := check.Config{
 		Session: mutex.Config{

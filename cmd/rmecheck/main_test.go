@@ -199,3 +199,20 @@ func TestTextOutputSurfacesSearchStats(t *testing.T) {
 		t.Fatalf("plain run output unexpected:\n%s", plain)
 	}
 }
+
+// TestNameFlags: -alg resolves through the shared registry (case-insensitive,
+// so every name the registry knows is accepted), and an unknown -model is an
+// error naming the value rather than a silent CC run.
+func TestNameFlags(t *testing.T) {
+	for _, alg := range []string{"WATree", "watree-fast", "watree2"} {
+		if _, err := captureStdout(t, func() error {
+			return run([]string{"-alg", alg, "-n", "2", "-crashes", "0", "-stress", "0"})
+		}); err != nil {
+			t.Errorf("-alg %s: %v", alg, err)
+		}
+	}
+	err := run([]string{"-model", "dms", "-n", "2", "-stress", "0"})
+	if err == nil || !strings.Contains(err.Error(), `"dms"`) {
+		t.Fatalf("-model dms: err = %v; want an error naming the value", err)
+	}
+}

@@ -37,16 +37,7 @@ import (
 	"strings"
 	"time"
 
-	"rme/internal/algorithms/clh"
-	"rme/internal/algorithms/grlock"
-	"rme/internal/algorithms/mcs"
-	"rme/internal/algorithms/qword"
-	"rme/internal/algorithms/rspin"
-	"rme/internal/algorithms/tas"
-	"rme/internal/algorithms/ticket"
-	"rme/internal/algorithms/tournament"
-	"rme/internal/algorithms/watree"
-	"rme/internal/algorithms/yatree"
+	"rme"
 	"rme/internal/cliutil"
 	"rme/internal/faults"
 	"rme/internal/mutex"
@@ -78,7 +69,7 @@ func telemetryView() telemetry.View {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("rmefault", flag.ContinueOnError)
-	algName := fs.String("alg", "watree", "algorithm: tas, ticket, mcs, clh, tournament, yatree, grlock, rspin, qword, watree, watree2, broken")
+	algName := fs.String("alg", "watree", "algorithm: "+strings.Join(rme.AlgorithmNames(), ", ")+", or the crash-unsafe fixture broken")
 	n := fs.Int("n", 3, "number of processes")
 	w := fs.Int("w", 8, "word size in bits")
 	modelName := fs.String("model", "cc", "cost model: cc or dsm")
@@ -121,19 +112,15 @@ func run(args []string) error {
 	}
 	defer stopTele()
 
-	algs := map[string]mutex.Algorithm{
-		"tas": tas.New(), "ticket": ticket.New(), "mcs": mcs.New(), "clh": clh.New(),
-		"tournament": tournament.New(), "yatree": yatree.New(), "grlock": grlock.New(),
-		"rspin": rspin.New(), "watree": watree.New(), "watree2": watree.New(watree.WithFanout(2)),
-		"qword": qword.New(), "broken": faults.NewBroken(),
+	var alg mutex.Algorithm
+	if strings.EqualFold(*algName, "broken") {
+		alg = faults.NewBroken()
+	} else if alg, err = rme.NewAlgorithm(*algName); err != nil {
+		return err
 	}
-	alg, ok := algs[strings.ToLower(*algName)]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q", *algName)
-	}
-	model := sim.CC
-	if strings.EqualFold(*modelName, "dsm") {
-		model = sim.DSM
+	model, err := sim.ParseModel(*modelName)
+	if err != nil {
+		return err
 	}
 
 	sources, err := buildSources(*sourcesFlag, alg.Recoverable(), *seed, *runs)

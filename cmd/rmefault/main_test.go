@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -132,5 +133,14 @@ func TestJSONReportMachineReadable(t *testing.T) {
 	}
 	if rep.Failures[0].Shrunk == "" {
 		t.Fatal("failure carries no shrunk reproducer")
+	}
+}
+
+// TestUnknownModelRejected: an unknown -model is an error naming the value
+// rather than a silent CC campaign.
+func TestUnknownModelRejected(t *testing.T) {
+	err := run([]string{"-alg", "broken", "-n", "2", "-model", "dms"})
+	if err == nil || !strings.Contains(err.Error(), `"dms"`) {
+		t.Fatalf("-model dms: err = %v; want an error naming the value", err)
 	}
 }

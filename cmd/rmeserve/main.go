@@ -55,7 +55,7 @@ func run(args []string) error {
 	clients := fs.Int("clients", 1_000_000, "keyspace size (client records)")
 	passages := fs.Int64("passages", 10_000, "passage target; the run stops once reached")
 	dist := fs.String("dist", "zipf:1.1", "arrival distribution: uniform, zipf[:theta], bursty[:frac]")
-	algName := fs.String("alg", "watree", "lock algorithm every shard runs (see rme.Algorithms)")
+	algName := fs.String("alg", "watree", "lock algorithm every shard runs: "+strings.Join(rme.AlgorithmNames(), ", "))
 	modelName := fs.String("model", "cc", "RMR cost model: cc or dsm")
 	w := fs.Int("w", 8, "machine word size in bits")
 	slots := fs.Int("slots", 8, "per-shard batch width (processes per sim run)")
@@ -80,14 +80,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var model sim.Model
-	switch strings.ToLower(*modelName) {
-	case "cc":
-		model = sim.CC
-	case "dsm":
-		model = sim.DSM
-	default:
-		return fmt.Errorf("unknown model %q (want cc or dsm)", *modelName)
+	model, err := sim.ParseModel(*modelName)
+	if err != nil {
+		return err
 	}
 	d, err := service.ParseDist(*dist)
 	if err != nil {

@@ -24,7 +24,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"rme/internal/cliutil"
 	"rme/internal/perflog"
@@ -93,9 +92,9 @@ func runSummarize(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: rmetrace summarize [-model cc|dsm] [-top N] [-ledger FILE] FILE")
 	}
-	model := sim.CC
-	if strings.EqualFold(*modelName, "dsm") {
-		model = sim.DSM
+	model, err := sim.ParseModel(*modelName)
+	if err != nil {
+		return err
 	}
 	runs, err := readRuns(fs.Arg(0))
 	if err != nil {

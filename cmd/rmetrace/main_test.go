@@ -126,3 +126,12 @@ func TestBadArgs(t *testing.T) {
 		t.Error("missing file should fail")
 	}
 }
+
+// TestSummarizeUnknownModel: an unknown -model is an error naming the value
+// rather than a silent CC ranking.
+func TestSummarizeUnknownModel(t *testing.T) {
+	err := run([]string{"summarize", "-model", "dms", fixtureTrace(t)})
+	if err == nil || !strings.Contains(err.Error(), `"dms"`) {
+		t.Fatalf("-model dms: err = %v; want an error naming the value", err)
+	}
+}

@@ -31,8 +31,11 @@ type Config struct {
 	// Session is the algorithm/machine configuration (Passes defaults to 1).
 	Session mutex.Config
 	// MaxSchedules caps the number of complete schedules explored
-	// (default 50000). The budget is split evenly over the root branch set,
-	// so results are byte-identical at any Parallel value.
+	// (default 50000). Each wave of root branches starts from an even slice
+	// of the budget earlier waves left unspent, and redistribution rounds
+	// then hand unspent budget to capped branches (see Exhaustive). Budgets
+	// are pure functions of merged sub-results, so results are byte-identical
+	// at any Parallel value.
 	MaxSchedules int
 	// MaxDepth caps the schedule length (default 400).
 	MaxDepth int
@@ -175,8 +178,8 @@ type Result struct {
 	// shared visited set (a wave sealed earlier) rather than the branch's
 	// private set; 0 unless SharedVisited.
 	SharedPruned int
-	// Waves counts the search waves the shared-set orchestrator completed,
-	// waves restored by Resume included; 0 unless SharedVisited.
+	// Waves counts the shared-set waves the search sealed, waves restored by
+	// Resume included; 0 unless SharedVisited.
 	Waves int
 	// SleepPruned counts step branches skipped by the sleep-set reduction.
 	SleepPruned int
@@ -225,12 +228,16 @@ func (r *Result) merge(b *Result) {
 }
 
 // Exhaustive runs the bounded-exhaustive search with the configured
-// reductions. The root branch set is fanned out over engine workers
-// (Config.Parallel) with per-branch budget slices and per-branch visited
-// sets; sub-results merge in branch order, so the Result is byte-identical
-// at any parallelism level. Branch enumeration order matches
-// ExhaustiveReference exactly, so with Memo and POR off the two agree on
-// every field.
+// reductions. The root branch set runs over engine workers (Config.Parallel)
+// in waves: by default one wave holding every branch, each on a private
+// visited set; with SharedVisited, waves of WaveSize branches that read the
+// sets earlier waves sealed. Each wave starts from an even slice of the
+// unspent budget, and redistribution rounds rerun capped branches with the
+// budget the others left unspent (see searchWaves). Budgets, reruns and seals
+// are pure functions of merged sub-results, and sub-results merge in branch
+// order, so the Result is byte-identical at any parallelism level. Branch
+// enumeration order matches ExhaustiveReference exactly, so with Memo and
+// POR off the two agree on every field.
 func Exhaustive(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Session.Validate(); err != nil {
@@ -245,94 +252,240 @@ func Exhaustive(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Examine the root state once: branch set, footprints, and the degenerate
-	// verdicts (a machine that wedges or finishes before its first action).
+	branches, sleeps, res, err := expandRoot(cfg)
+	if err != nil || res != nil {
+		return res, err
+	}
+	return searchWaves(cfg, branches, sleeps)
+}
+
+// expandRoot examines the root state once: its branch set, the sleep mask
+// each branch's subtree starts with, and the degenerate verdicts (a machine
+// that wedges or finishes before its first action), which come back as a
+// final Result instead of branches.
+func expandRoot(cfg Config) ([]sim.Action, []uint64, *Result, error) {
 	root, err := mutex.NewSession(cfg.Session)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	res := &Result{}
+	defer root.Close()
 	if v := root.Violations(); len(v) > 0 {
-		res.Violations = append(res.Violations, fmt.Sprintf("%s [schedule ]", v[0]))
-		res.ViolationSchedules = append(res.ViolationSchedules, sim.Schedule{})
-		root.Close()
-		return res, nil
+		return nil, nil, &Result{
+			Violations:         []string{fmt.Sprintf("%s [schedule ]", v[0])},
+			ViolationSchedules: []sim.Schedule{{}},
+		}, nil
 	}
-	if root.Machine().AllDone() {
-		res.Complete = 1
-		root.Close()
-		return res, nil
+	m := root.Machine()
+	if m.AllDone() {
+		return nil, nil, &Result{Complete: 1}, nil
 	}
-	branches := enumerateBranches(cfg, root)
+	poised := m.PoisedProcs()
+	branches, _ := appendBranches(nil, m, poised, 0, crashLimit(cfg))
 	if len(branches) == 0 {
-		res.Deadlocks = append(res.Deadlocks, sim.Schedule{}.String())
-		res.DeadlockSchedules = append(res.DeadlockSchedules, sim.Schedule{})
-		root.Close()
-		return res, nil
+		return nil, nil, &Result{
+			Deadlocks:         []string{sim.Schedule{}.String()},
+			DeadlockSchedules: []sim.Schedule{{}},
+		}, nil
 	}
-	sleeps := rootSleepMasks(cfg, root, branches)
-	root.Close()
+	// The in-node propagation, applied at the root: the i-th step branch
+	// sleeps every earlier step branch's process whose pending step commutes
+	// with its own. Crash branches always start awake.
+	sleeps := make([]uint64, len(branches))
+	if porEnabled(cfg, root) {
+		var foots [maskProcs]mutex.StepFootprint
+		footOK := footprints(root, poised, &foots)
+		var taken uint64
+		for i, act := range branches {
+			if !act.Crash {
+				sleeps[i] = childSleepMask(act.Proc, taken, &foots, footOK, cfg.Session.Procs)
+				taken |= 1 << uint(act.Proc)
+			}
+		}
+	}
+	return branches, sleeps, nil, nil
+}
 
+// searchWaves is the checker's budget loop. Root branches run in waves:
+// without SharedVisited one wave holds every branch, each on a private
+// visited set, and nothing is sealed. With it, waves hold WaveSize branches;
+// a branch reads the visited sets sealed by strictly earlier waves and
+// writes only its private delta, so nothing a branch observes depends on
+// scheduling within its own wave. After a wave completes, each branch's
+// clean delta is sealed: a budget-truncated branch contributes only the
+// states whose subtrees it finished exploring before the cut (see
+// cleanVisited) — the claims a cut left unwitnessed would be unsound to
+// share.
+//
+// A wave's first visit slices the budget its predecessors left unspent
+// evenly across its branches; with one wave that is the even slice of the
+// global caps. Even slices starve hot branches on skewed trees, so
+// redistribution rounds then hand the globally unspent budget to
+// budget-capped branches. A branch reruns iff its budget grew or, under
+// sharing, its wave is resealed or it reads a resealed wave: a shared-mode
+// rerun changes what later branches observe, so a round rolls the run back
+// to the earliest grown wave and replays every wave from there, keeping the
+// final pass fully sealed. Depth-truncated branches never grow: MaxDepth
+// cuts are not a budget shortage. Everything is a pure function of the
+// configuration — byte-identical at any Parallel and across a
+// checkpoint/Resume split (the round counter is checkpointed too).
+func searchWaves(cfg Config, branches []sim.Action, sleeps []uint64) (*Result, error) {
+	nb := len(branches)
+	width := nb
+	var store *sharedStore
 	if cfg.SharedVisited {
-		return exhaustiveShared(cfg, branches, sleeps)
+		width = cfg.WaveSize
+		var err error
+		if store, err = newSharedStore(cfg); err != nil {
+			return nil, err
+		}
+		defer store.close()
 	}
+	nWaves := ceilDiv(nb, width)
 
-	subs := make([]*Result, len(branches))
-	scheduleSlice := ceilDiv(cfg.MaxSchedules, len(branches))
-	stateSlice := ceilDiv(cfg.MaxStates, len(branches))
-	schedBudget := make([]int, len(branches))
-	stateBudget := make([]int, len(branches))
-	for i := range branches {
-		schedBudget[i] = scheduleSlice
-		stateBudget[i] = stateSlice
+	subs := make([]*Result, nb)
+	// Budgets start at the -1 sentinel ("never assigned"): a wave slices
+	// budget on its first visit only, so budgets raised by a redistribution
+	// round survive the rerun passes.
+	schedBudget := make([]int, nb)
+	stateBudget := make([]int, nb)
+	for i := range schedBudget {
+		schedBudget[i], stateBudget[i] = -1, -1
 	}
+	// grown marks the branches whose budget grew since they last ran.
+	grown := make([]bool, nb)
 
 	// Budget gauges let a heartbeat render progress against the caps; the
-	// branches_done counter tracks root-branch fan-out completion. All
-	// nil-safe no-ops without a registry.
-	cfg.Telemetry.Gauge("check_branches").Set(int64(len(branches)))
+	// done counters track fan-out completion. All nil-safe no-ops without a
+	// registry.
+	cfg.Telemetry.Gauge("check_branches").Set(int64(nb))
 	cfg.Telemetry.Gauge("check_max_schedules").Set(int64(cfg.MaxSchedules))
-	schedGauge := cfg.Telemetry.Gauge("check_branch_schedule_budget")
-	stateGauge := cfg.Telemetry.Gauge("check_branch_state_budget")
-	schedGauge.Set(int64(scheduleSlice))
 	if cfg.Memo {
 		cfg.Telemetry.Gauge("check_max_states").Set(int64(cfg.MaxStates))
-		stateGauge.Set(int64(stateSlice))
+	}
+	schedGauge := cfg.Telemetry.Gauge("check_branch_schedule_budget")
+	stateGauge := cfg.Telemetry.Gauge("check_branch_state_budget")
+	showBudget := func(i int) {
+		schedGauge.Set(int64(schedBudget[i]))
+		if cfg.Memo {
+			stateGauge.Set(int64(stateBudget[i]))
+		}
 	}
 	branchesDone := cfg.Telemetry.Counter("check_branches_done")
 	budgetRounds := cfg.Telemetry.Counter("check_budget_rounds")
+	var wavesSealed *telemetry.Counter
+	if store != nil {
+		cfg.Telemetry.Gauge("check_waves").Set(int64(nWaves))
+		wavesSealed = cfg.Telemetry.Counter("check_waves_done")
+	}
 
-	runBranches := func(idx []int, countDone bool) error {
-		return engine.ForEach(len(idx), cfg.Parallel, func(k int) error {
-			i := idx[k]
+	// wavesDone counts sealed waves, so it stays 0 without sharing.
+	from, wavesDone, rounds := 0, 0, 0
+	if cfg.Resume {
+		man, err := loadManifest(cfg, nb)
+		if err != nil {
+			return nil, err
+		}
+		copy(subs, man.Subs)
+		copy(schedBudget, man.SchedBudget)
+		copy(stateBudget, man.StateBudget)
+		from, wavesDone, rounds = man.WavesDone, man.WavesDone, man.Rounds
+		if err := store.loadRuns(man); err != nil {
+			return nil, err
+		}
+		cfg.Telemetry.Gauge("check_resume_waves").Set(int64(from))
+		if man.Done {
+			// The checkpoint covers a finished run (all waves plus budget
+			// redistribution): the stored sub-results merge to the final
+			// Result with no re-exploration.
+			return mergeSubs(subs, wavesDone, false), nil
+		}
+	}
+	checkpoint := func(done bool) error {
+		if store == nil || cfg.SpillDir == "" {
+			return nil
+		}
+		return writeManifest(cfg, nb, wavesDone, rounds, done, subs, schedBudget, stateBudget, store)
+	}
+
+	// runWave runs wave w: on its first visit the whole remaining budget
+	// rolls forward to it and is sliced across its branches only; then every
+	// branch the rerun rule selects runs, and a shared wave is sealed and
+	// checkpointed.
+	runWave := func(w int) error {
+		lo, hi := w*width, min((w+1)*width, nb)
+		first := schedBudget[lo] < 0
+		if first {
+			// Shared-mode branch sizes depend on what earlier waves sealed,
+			// so reserving budget for later waves would starve hot early
+			// waves on work that later waves will never need to repeat. With
+			// WaveSize 1 this is exactly the reference's sequential global
+			// budget.
+			spentSched, spentStates := 0, 0
+			for _, sub := range subs[:lo] {
+				spentSched += sub.Complete
+				spentStates += sub.StatesVisited
+			}
+			sliceSched := ceilDiv(max(0, cfg.MaxSchedules-spentSched), hi-lo)
+			sliceState := ceilDiv(max(0, cfg.MaxStates-spentStates), hi-lo)
+			for i := lo; i < hi; i++ {
+				schedBudget[i], stateBudget[i] = sliceSched, sliceState
+				grown[i] = true
+			}
+			showBudget(lo)
+		}
+		var run []int
+		for i := lo; i < hi; i++ {
+			if grown[i] || store != nil {
+				run = append(run, i)
+			}
+		}
+		deltas := make([]map[sim.Fingerprint]uint64, len(run))
+		err := engine.ForEach(len(run), cfg.Parallel, func(k int) error {
+			i := run[k]
 			e := newExplorer(cfg, schedBudget[i], stateBudget[i])
 			defer e.close()
+			if store != nil {
+				e.shared = &sharedView{store: store, maxGen: w}
+			}
 			sub, err := e.run(branches[i], sleeps[i])
 			subs[i] = sub
-			if countDone {
+			if store != nil {
+				deltas[k] = e.cleanVisited()
+			}
+			if first {
 				branchesDone.Inc()
 			}
 			return err
 		})
+		if err != nil || store == nil {
+			return err
+		}
+		if err := store.seal(w, deltas); err != nil {
+			return err
+		}
+		wavesDone = w + 1
+		wavesSealed.Inc()
+		return checkpoint(false)
 	}
 
-	all := make([]int, len(branches))
-	for i := range all {
-		all[i] = i
-	}
-	if err := runBranches(all, true); err != nil {
-		return nil, err
-	}
-
-	// Even slices starve hot branches on skewed trees: the branch holding
-	// most of the schedule space truncates at its 1/len(branches) slice while
-	// siblings leave the global budget largely unspent. Redistribute the
-	// unspent budget to budget-capped branches in deterministic follow-up
-	// rounds (the redo set and the grown budgets are pure functions of the
-	// merged sub-results, so the final Result stays byte-identical at any
-	// Parallel). Depth-truncated branches are excluded: MaxDepth cuts are not
-	// a budget shortage and re-running them would change nothing.
-	for round := 0; round < maxBudgetRounds; round++ {
+	// Each pass runs waves [from, nWaves) in order: the initial pass, then
+	// one per redistribution round.
+	for {
+		for w := from; w < nWaves; w++ {
+			if cfg.MaxWaves > 0 && w >= cfg.MaxWaves {
+				// MaxWaves cut the run before every branch was explored; the
+				// merged result covers the completed waves only and is marked
+				// truncated. The per-wave checkpoints (if any) let Resume
+				// finish the job.
+				return mergeSubs(subs, wavesDone, true), nil
+			}
+			if err := runWave(w); err != nil {
+				return nil, err
+			}
+		}
+		if rounds >= maxBudgetRounds {
+			break
+		}
 		totalComplete, totalStates := 0, 0
 		for _, sub := range subs {
 			totalComplete += sub.Complete
@@ -340,65 +493,69 @@ func Exhaustive(cfg Config) (*Result, error) {
 		}
 		var capped []int
 		for i, sub := range subs {
-			if !sub.Truncated {
-				continue
-			}
-			if sub.Complete >= schedBudget[i] || (cfg.Memo && sub.StatesVisited >= stateBudget[i]) {
+			if sub.Truncated && (sub.Complete >= schedBudget[i] || cfg.Memo && sub.StatesVisited >= stateBudget[i]) {
 				capped = append(capped, i)
 			}
 		}
 		if len(capped) == 0 {
 			break
 		}
-		extraSched := (cfg.MaxSchedules - totalComplete) / len(capped)
+		extraSched := max(0, (cfg.MaxSchedules-totalComplete)/len(capped))
 		extraStates := 0
 		if cfg.Memo {
-			extraStates = (cfg.MaxStates - totalStates) / len(capped)
-		}
-		if extraSched < 0 {
-			extraSched = 0
-		}
-		if extraStates < 0 {
-			extraStates = 0
+			extraStates = max(0, (cfg.MaxStates-totalStates)/len(capped))
 		}
 		// Re-run only branches whose binding cap actually grows.
 		var redo []int
 		for _, i := range capped {
-			grows := subs[i].Complete >= schedBudget[i] && extraSched > 0
-			if cfg.Memo && subs[i].StatesVisited >= stateBudget[i] && extraStates > 0 {
-				grows = true
-			}
-			if grows {
+			if subs[i].Complete >= schedBudget[i] && extraSched > 0 ||
+				subs[i].StatesVisited >= stateBudget[i] && extraStates > 0 {
 				redo = append(redo, i)
 			}
 		}
 		if len(redo) == 0 {
 			break
 		}
+		rounds++
+		budgetRounds.Inc()
+		clear(grown)
 		for _, i := range redo {
 			schedBudget[i] += extraSched
 			stateBudget[i] += extraStates
+			grown[i] = true
 		}
-		budgetRounds.Inc()
-		schedGauge.Set(int64(schedBudget[redo[0]]))
-		if cfg.Memo {
-			stateGauge.Set(int64(stateBudget[redo[0]]))
-		}
-		if err := runBranches(redo, false); err != nil {
-			return nil, err
+		showBudget(redo[0])
+		from = redo[0] / width
+		if store != nil {
+			store.truncate(from)
+			wavesDone = from
 		}
 	}
 
-	for _, sub := range subs {
-		res.merge(sub)
+	res := mergeSubs(subs, wavesDone, false)
+	if err := checkpoint(true); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// maxBudgetRounds bounds the redistribution loop. Unspent budget shrinks
+// mergeSubs folds root-branch sub-results into one Result in branch order,
+// skipping branches a MaxWaves stop left unexplored.
+func mergeSubs(subs []*Result, waves int, truncated bool) *Result {
+	res := &Result{Waves: waves, Truncated: truncated}
+	for _, sub := range subs {
+		if sub != nil {
+			res.merge(sub)
+		}
+	}
+	return res
+}
+
+// maxBudgetRounds bounds the redistribution rounds. Unspent budget shrinks
 // every round (a still-capped branch consumes exactly what it is given), so
-// the loop converges in two or three rounds in practice; the bound is a
-// backstop, not a tuning knob.
+// a private search usually settles within a few rounds; a shared search,
+// whose reruns reshape what later waves prune, can use every round. The
+// bound is a backstop, not a tuning knob.
 const maxBudgetRounds = 8
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -28,7 +28,7 @@ type explorer struct {
 	res         *Result
 	maxComplete int
 	maxStates   int
-	recoverable bool
+	crashes     int
 	fpSeed      uint64
 
 	// visited maps canonical-state fingerprints to the sleep mask the state
@@ -116,7 +116,7 @@ func newExplorer(cfg Config, maxComplete, maxStates int) *explorer {
 		res:         &Result{},
 		maxComplete: maxComplete,
 		maxStates:   maxStates,
-		recoverable: cfg.Session.Algorithm.Recoverable(),
+		crashes:     crashLimit(cfg),
 		fpSeed:      fpSeedSalt ^ uint64(cfg.Seed),
 		tm:          newCheckTelemetry(cfg.Telemetry),
 	}
@@ -333,10 +333,7 @@ func (e *explorer) explore(sleep uint64) error {
 		return nil
 	}
 
-	// The reduction turns itself off at states with a multi-cell waiter: a
-	// wake makes the waiter observe all watched cells at once, so two steps
-	// on distinct watched cells no longer commute.
-	porOK := e.cfg.POR && e.cfg.Session.Procs <= maskProcs && !s.HasMultiWait()
+	porOK := porEnabled(e.cfg, s)
 	if !porOK {
 		sleep = 0
 	}
@@ -349,38 +346,11 @@ func (e *explorer) explore(sleep uint64) error {
 	var foots [maskProcs]mutex.StepFootprint
 	var footOK uint64
 	if porOK {
-		for _, p := range poised {
-			if f, ok := s.PendingFootprint(p); ok {
-				foots[p] = f
-				footOK |= 1 << p
-			}
-		}
+		footOK = footprints(s, poised, &foots)
 	}
-
-	// Branch set, in ExhaustiveReference order: per poised process its step
-	// then its crash, then crash branches for parked processes. Sleeping
-	// skips step branches only; crash branches are dependent with everything
-	// (they reset process state) and are never reduced.
-	branches := make([]sim.Action, 0, 2*len(poised))
-	for _, p := range poised {
-		if porOK && sleep>>uint(p)&1 == 1 {
-			e.res.SleepPruned++
-			e.tm.slept.Inc()
-		} else {
-			branches = append(branches, sim.Action{Proc: p})
-		}
-		if e.crashBranch(m, p) {
-			branches = append(branches, sim.Action{Proc: p, Crash: true})
-		}
-	}
-	if e.recoverable && e.cfg.CrashesPerProc > 0 {
-		for p := 0; p < e.cfg.Session.Procs; p++ {
-			if m.ProcDone(p) || !m.Parked(p) || m.Crashes(p) >= e.cfg.CrashesPerProc {
-				continue
-			}
-			branches = append(branches, sim.Action{Proc: p, Crash: true})
-		}
-	}
+	branches, slept := appendBranches(make([]sim.Action, 0, 2*len(poised)), m, poised, sleep, e.crashes)
+	e.res.SleepPruned += slept
+	e.tm.slept.Add(int64(slept))
 
 	var taken uint64
 	for i, act := range branches {
@@ -477,11 +447,6 @@ func unmapMask(mask uint64, procTo []int) uint64 {
 	return out
 }
 
-// crashBranch reports whether p gets a crash branch in addition to its step.
-func (e *explorer) crashBranch(m *sim.Machine, p int) bool {
-	return e.recoverable && e.cfg.CrashesPerProc > 0 && m.Crashes(p) < e.cfg.CrashesPerProc
-}
-
 // childSleepMask propagates the sleep set across p's step: a process q
 // stays asleep (or newly falls asleep, when its own step branch was already
 // taken at this node) iff its pending step commutes with p's.
@@ -508,54 +473,61 @@ func independentSteps(p, q int, foots *[maskProcs]mutex.StepFootprint, footOK ui
 	return fp.Cell != fq.Cell || (!fp.Write && !fq.Write)
 }
 
-// enumerateBranches lists the root node's enabled actions in the canonical
-// branch order; Exhaustive fans these out over engine workers.
-func enumerateBranches(cfg Config, s *mutex.Session) []sim.Action {
-	m := s.Machine()
-	poised := m.PoisedProcs()
-	recoverable := cfg.Session.Algorithm.Recoverable()
-	branches := make([]sim.Action, 0, 2*len(poised))
-	for _, p := range poised {
-		branches = append(branches, sim.Action{Proc: p})
-		if recoverable && cfg.CrashesPerProc > 0 && m.Crashes(p) < cfg.CrashesPerProc {
-			branches = append(branches, sim.Action{Proc: p, Crash: true})
-		}
+// crashLimit is the per-process crash count the search branches up to: the
+// configured CrashesPerProc for recoverable algorithms, 0 otherwise.
+func crashLimit(cfg Config) int {
+	if !cfg.Session.Algorithm.Recoverable() {
+		return 0
 	}
-	if recoverable && cfg.CrashesPerProc > 0 {
-		for p := 0; p < cfg.Session.Procs; p++ {
-			if m.ProcDone(p) || !m.Parked(p) || m.Crashes(p) >= cfg.CrashesPerProc {
-				continue
-			}
-			branches = append(branches, sim.Action{Proc: p, Crash: true})
-		}
-	}
-	return branches
+	return cfg.CrashesPerProc
 }
 
-// rootSleepMasks computes the initial sleep mask each root branch's subtree
-// starts with, mirroring the in-node propagation: the i-th step branch
-// sleeps every earlier step branch's process whose pending step commutes
-// with its own. Crash branches always start awake.
-func rootSleepMasks(cfg Config, s *mutex.Session, branches []sim.Action) []uint64 {
-	masks := make([]uint64, len(branches))
-	if !cfg.POR || cfg.Session.Procs > maskProcs || s.HasMultiWait() {
-		return masks
+// porEnabled reports whether the sleep-set reduction applies at the state s
+// holds. It turns itself off at states with a multi-cell waiter: a wake
+// makes the waiter observe all watched cells at once, so two steps on
+// distinct watched cells no longer commute.
+func porEnabled(cfg Config, s *mutex.Session) bool {
+	return cfg.POR && cfg.Session.Procs <= maskProcs && !s.HasMultiWait()
+}
+
+// appendBranches appends a node's branch set to dst in ExhaustiveReference
+// order — per poised process its step then its crash, then crash branches
+// for parked processes — and reports how many step branches the sleep mask
+// skipped. Sleeping skips step branches only; crash branches are dependent
+// with everything (they reset process state) and are never reduced. The
+// root and every explorer node expand through this one rule.
+func appendBranches(dst []sim.Action, m *sim.Machine, poised []int, sleep uint64, crashes int) ([]sim.Action, int) {
+	slept := 0
+	for _, p := range poised {
+		if sleep>>uint(p)&1 == 1 {
+			slept++
+		} else {
+			dst = append(dst, sim.Action{Proc: p})
+		}
+		if m.Crashes(p) < crashes {
+			dst = append(dst, sim.Action{Proc: p, Crash: true})
+		}
 	}
-	var foots [maskProcs]mutex.StepFootprint
-	var footOK uint64
-	for p := 0; p < cfg.Session.Procs; p++ {
-		if f, ok := s.PendingFootprint(p); ok {
+	if crashes > 0 {
+		for p := 0; p < m.Procs(); p++ {
+			if m.ProcDone(p) || !m.Parked(p) || m.Crashes(p) >= crashes {
+				continue
+			}
+			dst = append(dst, sim.Action{Proc: p, Crash: true})
+		}
+	}
+	return dst, slept
+}
+
+// footprints records the pending step footprint of each poised process in
+// foots and returns the mask of processes whose footprint is known.
+func footprints(s *mutex.Session, poised []int, foots *[maskProcs]mutex.StepFootprint) uint64 {
+	var ok uint64
+	for _, p := range poised {
+		if f, known := s.PendingFootprint(p); known {
 			foots[p] = f
-			footOK |= 1 << uint(p)
+			ok |= 1 << uint(p)
 		}
 	}
-	var taken uint64
-	for i, act := range branches {
-		if act.Crash {
-			continue
-		}
-		masks[i] = childSleepMask(act.Proc, taken, &foots, footOK, cfg.Session.Procs)
-		taken |= 1 << uint(act.Proc)
-	}
-	return masks
+	return ok
 }

@@ -5,251 +5,9 @@ import (
 	"math/bits"
 	"os"
 
-	"rme/internal/engine"
 	"rme/internal/sim"
 	"rme/internal/telemetry"
 )
-
-// exhaustiveShared is the wave-structured variant of Exhaustive used when
-// Config.SharedVisited is set. Root branches run in fixed waves of WaveSize;
-// a branch reads the visited sets sealed by strictly earlier waves and writes
-// only its private delta, so nothing a branch observes depends on scheduling
-// within its own wave. After a wave completes, each branch's clean delta is
-// merged and sealed: a budget-truncated branch contributes only the states
-// whose subtrees it finished exploring before the cut (see cleanVisited) —
-// the claims a cut left unwitnessed would be unsound to share. The final
-// Result is therefore a pure function of the configuration: byte-identical at
-// any Parallel, and byte-identical across a checkpoint/Resume split.
-func exhaustiveShared(cfg Config, branches []sim.Action, sleeps []uint64) (*Result, error) {
-	nb := len(branches)
-	nWaves := ceilDiv(nb, cfg.WaveSize)
-
-	store, err := newSharedStore(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer store.close()
-
-	subs := make([]*Result, nb)
-	// Budgets start at the -1 sentinel ("never assigned"): a wave slices the
-	// rolled-forward remainder on its first visit only, so budgets raised by a
-	// redistribution round survive the rerun passes below.
-	schedBudget := make([]int, nb)
-	stateBudget := make([]int, nb)
-	for i := range schedBudget {
-		schedBudget[i] = -1
-		stateBudget[i] = -1
-	}
-
-	cfg.Telemetry.Gauge("check_branches").Set(int64(nb))
-	cfg.Telemetry.Gauge("check_waves").Set(int64(nWaves))
-	cfg.Telemetry.Gauge("check_max_schedules").Set(int64(cfg.MaxSchedules))
-	cfg.Telemetry.Gauge("check_max_states").Set(int64(cfg.MaxStates))
-	schedGauge := cfg.Telemetry.Gauge("check_branch_schedule_budget")
-	stateGauge := cfg.Telemetry.Gauge("check_branch_state_budget")
-	branchesDone := cfg.Telemetry.Counter("check_branches_done")
-	wavesDoneCounter := cfg.Telemetry.Counter("check_waves_done")
-	budgetRounds := cfg.Telemetry.Counter("check_budget_rounds")
-
-	startWave, rounds := 0, 0
-	if cfg.Resume {
-		man, err := loadManifest(cfg, nb)
-		if err != nil {
-			return nil, err
-		}
-		copy(subs, man.Subs)
-		copy(schedBudget, man.SchedBudget)
-		copy(stateBudget, man.StateBudget)
-		startWave = man.WavesDone
-		rounds = man.Rounds
-		if err := store.loadRuns(man); err != nil {
-			return nil, err
-		}
-		cfg.Telemetry.Gauge("check_resume_waves").Set(int64(startWave))
-		if man.Done {
-			// The checkpoint covers a finished run (all waves plus budget
-			// redistribution): the stored sub-results merge to the final
-			// Result with no re-exploration.
-			res := &Result{Waves: man.WavesDone}
-			for _, sub := range subs {
-				res.merge(sub)
-			}
-			return res, nil
-		}
-	}
-
-	// waveOf gives the visibility horizon a branch keeps across reruns: a
-	// branch may read only waves strictly before its own, whether it runs in
-	// its wave or again during budget redistribution.
-	waveOf := func(i int) int { return i / cfg.WaveSize }
-
-	runOne := func(i int, delta *map[sim.Fingerprint]uint64) error {
-		e := newExplorer(cfg, schedBudget[i], stateBudget[i])
-		defer e.close()
-		e.shared = &sharedView{store: store, maxGen: waveOf(i)}
-		sub, err := e.run(branches[i], sleeps[i])
-		subs[i] = sub
-		if delta != nil {
-			*delta = e.cleanVisited()
-		}
-		return err
-	}
-
-	// runWaves drives waves [from, nWaves) in order: slice budgets on a
-	// wave's first-ever visit, run its branches, seal the untruncated deltas,
-	// checkpoint. It is called once for the initial pass and again after each
-	// budget-redistribution rollback; on repeat visits the (possibly grown)
-	// budgets are left alone. Returns true if MaxWaves stopped the pass.
-	wavesDone := startWave
-	runWaves := func(from int) (bool, error) {
-		for w := from; w < nWaves; w++ {
-			if cfg.MaxWaves > 0 && w >= cfg.MaxWaves {
-				return true, nil
-			}
-			lo := w * cfg.WaveSize
-			hi := lo + cfg.WaveSize
-			if hi > nb {
-				hi = nb
-			}
-			if schedBudget[lo] < 0 {
-				// First visit: the whole remaining budget rolls forward to
-				// this wave and is sliced across the wave's branches only.
-				// Shared-mode branch sizes depend on what earlier waves
-				// sealed, so reserving budget for later waves (as plain
-				// Exhaustive does across its branches) would starve hot early
-				// waves on work that later waves will never need to repeat.
-				// With WaveSize 1 this is exactly the reference's sequential
-				// global budget; wider waves rely on the redistribution
-				// rounds below when the slice starves a branch.
-				spentSched, spentStates := 0, 0
-				for i := 0; i < lo; i++ {
-					spentSched += subs[i].Complete
-					spentStates += subs[i].StatesVisited
-				}
-				sliceSched := ceilDiv(maxInt(0, cfg.MaxSchedules-spentSched), hi-lo)
-				sliceState := ceilDiv(maxInt(0, cfg.MaxStates-spentStates), hi-lo)
-				for i := lo; i < hi; i++ {
-					schedBudget[i] = sliceSched
-					stateBudget[i] = sliceState
-				}
-			}
-			schedGauge.Set(int64(schedBudget[lo]))
-			stateGauge.Set(int64(stateBudget[lo]))
-
-			deltas := make([]map[sim.Fingerprint]uint64, hi-lo)
-			err := engine.ForEach(hi-lo, cfg.Parallel, func(k int) error {
-				defer branchesDone.Inc()
-				return runOne(lo+k, &deltas[k])
-			})
-			if err != nil {
-				return false, err
-			}
-
-			if err := store.seal(w, deltas); err != nil {
-				return false, err
-			}
-			wavesDone = w + 1
-			wavesDoneCounter.Inc()
-			if cfg.SpillDir != "" {
-				if err := writeManifest(cfg, nb, wavesDone, rounds, false, subs, schedBudget, stateBudget, store); err != nil {
-					return false, err
-				}
-			}
-		}
-		return false, nil
-	}
-
-	stopped, err := runWaves(startWave)
-	if err != nil {
-		return nil, err
-	}
-	if stopped {
-		// MaxWaves cut the run before every branch was explored; the merged
-		// result covers the completed waves only and is marked truncated. The
-		// per-wave checkpoints (if any) let Resume finish the job.
-		res := &Result{Waves: wavesDone, Truncated: true}
-		for _, sub := range subs {
-			if sub != nil {
-				res.merge(sub)
-			}
-		}
-		return res, nil
-	}
-
-	// Budget redistribution across waves: hand the globally unspent budget to
-	// budget-capped branches in deterministic rounds. Unlike plain
-	// Exhaustive, a shared-mode rerun changes what later branches observe
-	// (a branch that outgrew its cap now seals a delta it previously could
-	// not), so each round rolls the run back to the earliest grown wave and
-	// replays every wave from there with the raised budgets. That keeps the
-	// final pass fully sealed — no terminal is double-counted across branches
-	// — and keeps the Result a pure function of the configuration. The round
-	// counter is checkpointed so a Resume replays the identical schedule.
-	for rounds < maxBudgetRounds {
-		totalComplete, totalStates := 0, 0
-		for _, sub := range subs {
-			totalComplete += sub.Complete
-			totalStates += sub.StatesVisited
-		}
-		var capped []int
-		for i, sub := range subs {
-			if !sub.Truncated {
-				continue
-			}
-			if sub.Complete >= schedBudget[i] || sub.StatesVisited >= stateBudget[i] {
-				capped = append(capped, i)
-			}
-		}
-		if len(capped) == 0 {
-			break
-		}
-		extraSched := maxInt(0, (cfg.MaxSchedules-totalComplete)/len(capped))
-		extraStates := maxInt(0, (cfg.MaxStates-totalStates)/len(capped))
-		var redo []int
-		for _, i := range capped {
-			grows := subs[i].Complete >= schedBudget[i] && extraSched > 0
-			if subs[i].StatesVisited >= stateBudget[i] && extraStates > 0 {
-				grows = true
-			}
-			if grows {
-				redo = append(redo, i)
-			}
-		}
-		if len(redo) == 0 {
-			break
-		}
-		rounds++
-		budgetRounds.Inc()
-		for _, i := range redo {
-			schedBudget[i] += extraSched
-			stateBudget[i] += extraStates
-		}
-		restart := waveOf(redo[0])
-		store.truncate(restart)
-		wavesDone = restart
-		if _, err := runWaves(restart); err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{Waves: wavesDone}
-	for _, sub := range subs {
-		res.merge(sub)
-	}
-	if cfg.SpillDir != "" {
-		if err := writeManifest(cfg, nb, wavesDone, rounds, true, subs, schedBudget, stateBudget, store); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // sharedStore holds the sealed visited sets, one generation per wave. A
 // generation lives as an in-memory map, a sorted spill-run file, or both;

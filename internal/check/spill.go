@@ -242,10 +242,10 @@ func bloomMayContain(bloom []uint64, fp sim.Fingerprint) bool {
 }
 
 // spillManifest is the per-wave checkpoint written next to the run files.
-// It captures everything exhaustiveShared needs to continue — the sealed
-// waves' sub-results and budgets plus the run-file inventory — and a digest
-// of the semantic configuration so a Resume with a different search cannot
-// silently mix checkpoints.
+// It captures everything searchWaves needs to continue — the sealed waves'
+// sub-results and budgets, the redistribution round, and the run-file
+// inventory — and a digest of the semantic configuration so a Resume with a
+// different search cannot silently mix checkpoints.
 type spillManifest struct {
 	Version     int             `json:"version"`
 	Digest      string          `json:"digest"`

@@ -13,7 +13,10 @@
 // exponentially many sub-schedules on demand.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Model selects which RMR accounting rule drives scheduling decisions
 // (both counters are always maintained).
@@ -40,6 +43,18 @@ func (m Model) String() string {
 	default:
 		return fmt.Sprintf("Model(%d)", int(m))
 	}
+}
+
+// ParseModel parses a cost-model name, case-insensitively: "cc" or "dsm".
+// Any other name is an error, never a silent default.
+func ParseModel(name string) (Model, error) {
+	switch strings.ToLower(name) {
+	case "cc":
+		return CC, nil
+	case "dsm":
+		return DSM, nil
+	}
+	return 0, fmt.Errorf("unknown model %q (want cc or dsm)", name)
 }
 
 // Valid reports whether m is CC or DSM.

@@ -32,6 +32,7 @@ package rme
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"rme/internal/adversary"
 	"rme/internal/algorithms/clh"
@@ -208,6 +209,26 @@ func ConstructHiding(cfg HidingConfig) (*HidingCertificate, error) { return hidi
 // min(log_w n, log n/log log n).
 func TheoreticalLowerBound(w Width, n int) float64 { return word.TheoreticalLowerBound(w, n) }
 
+// registry lists every built-in algorithm under the name NewAlgorithm
+// accepts for it; Algorithms, AlgorithmNames and NewAlgorithm all read it.
+var registry = []struct {
+	name  string
+	build func() Algorithm
+}{
+	{"tas", func() Algorithm { return tas.New() }},
+	{"ticket", func() Algorithm { return ticket.New() }},
+	{"mcs", func() Algorithm { return mcs.New() }},
+	{"clh", func() Algorithm { return clh.New() }},
+	{"tournament", func() Algorithm { return tournament.New() }},
+	{"yatree", func() Algorithm { return yatree.New() }},
+	{"grlock", func() Algorithm { return grlock.New() }},
+	{"rspin", func() Algorithm { return rspin.New() }},
+	{"watree", func() Algorithm { return watree.New() }},
+	{"watree2", func() Algorithm { return watree.New(watree.WithFanout(2)) }},
+	{"watree-fast", func() Algorithm { return watree.New(watree.WithFastPath()) }},
+	{"qword", func() Algorithm { return qword.New() }},
+}
+
 // Algorithms returns the built-in algorithm registry, name-sorted:
 //
 //	tas         test-and-set spin lock (conventional, unbounded RMRs)
@@ -223,47 +244,32 @@ func TheoreticalLowerBound(w Width, n int) float64 { return word.TheoreticalLowe
 //	watree-fast the w-ary tree with the adaptive O(1) fast path (O(min(k, log_w n)))
 //	qword       recoverable FIFO queue-in-a-word via custom atomic ops (w ≥ n·log n)
 func Algorithms() []Algorithm {
-	algs := []Algorithm{
-		tas.New(), ticket.New(), mcs.New(), clh.New(), tournament.New(),
-		yatree.New(), grlock.New(), rspin.New(), watree.New(),
-		watree.New(watree.WithFanout(2)), watree.New(watree.WithFastPath()),
-		qword.New(),
+	algs := make([]Algorithm, len(registry))
+	for i, r := range registry {
+		algs[i] = r.build()
 	}
 	sort.Slice(algs, func(i, j int) bool { return algs[i].Name() < algs[j].Name() })
 	return algs
 }
 
-// NewAlgorithm returns a registry algorithm by name (see Algorithms), with
-// "watree2" naming the fan-out-2 tree.
-func NewAlgorithm(name string) (Algorithm, error) {
-	switch name {
-	case "tas":
-		return tas.New(), nil
-	case "ticket":
-		return ticket.New(), nil
-	case "mcs":
-		return mcs.New(), nil
-	case "clh":
-		return clh.New(), nil
-	case "tournament":
-		return tournament.New(), nil
-	case "yatree":
-		return yatree.New(), nil
-	case "grlock":
-		return grlock.New(), nil
-	case "rspin":
-		return rspin.New(), nil
-	case "watree":
-		return watree.New(), nil
-	case "watree2":
-		return watree.New(watree.WithFanout(2)), nil
-	case "watree-fast":
-		return watree.New(watree.WithFastPath()), nil
-	case "qword":
-		return qword.New(), nil
-	default:
-		return nil, fmt.Errorf("rme: unknown algorithm %q", name)
+// AlgorithmNames lists the names NewAlgorithm accepts, in registry order.
+func AlgorithmNames() []string {
+	names := make([]string, len(registry))
+	for i, r := range registry {
+		names[i] = r.name
 	}
+	return names
+}
+
+// NewAlgorithm returns a registry algorithm by name, case-insensitively (see
+// Algorithms and AlgorithmNames), with "watree2" naming the fan-out-2 tree.
+func NewAlgorithm(name string) (Algorithm, error) {
+	for _, r := range registry {
+		if strings.EqualFold(r.name, name) {
+			return r.build(), nil
+		}
+	}
+	return nil, fmt.Errorf("rme: unknown algorithm %q", name)
 }
 
 // MustAlgorithm is NewAlgorithm that panics on unknown names; for use in

@@ -51,6 +51,23 @@ func TestNewAlgorithm(t *testing.T) {
 	rme.MustAlgorithm("nope")
 }
 
+// TestAlgorithmNames: every name the CLIs list resolves, case-insensitively,
+// to a distinct registry algorithm.
+func TestAlgorithmNames(t *testing.T) {
+	seen := map[string]string{}
+	for _, name := range rme.AlgorithmNames() {
+		alg, err := rme.NewAlgorithm(strings.ToUpper(name))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if prev, ok := seen[alg.Name()]; ok {
+			t.Errorf("%s and %s both resolve to %s", prev, name, alg.Name())
+		}
+		seen[alg.Name()] = name
+	}
+}
+
 func TestSessionSmokeAllAlgorithms(t *testing.T) {
 	for _, alg := range rme.Algorithms() {
 		alg := alg
