@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 
+	"rme/internal/engine"
 	"rme/internal/mutex"
 	"rme/internal/sim"
 	"rme/internal/telemetry"
@@ -61,8 +62,9 @@ type explorer struct {
 	// path is the action sequence from the root to the live session's state.
 	path sim.Schedule
 	live *mutex.Session
-	// free pools sessions released by consumed or invalidated checkpoints.
-	free []*mutex.Session
+	// worker supplies the live and checkpoint sessions and takes back the
+	// ones restore drops.
+	worker *engine.Worker
 	// cps holds trailing checkpoints in strictly increasing depth; every
 	// entry's prefix path[:depth] matches the current path (restore drops
 	// entries from abandoned subtrees before they could go stale).
@@ -118,6 +120,7 @@ func newExplorer(cfg Config, maxComplete, maxStates int) *explorer {
 		maxStates:   maxStates,
 		crashes:     crashLimit(cfg),
 		fpSeed:      fpSeedSalt ^ uint64(cfg.Seed),
+		worker:      engine.NewWorker(),
 		tm:          newCheckTelemetry(cfg.Telemetry),
 	}
 	if cfg.Memo {
@@ -130,17 +133,15 @@ func (e *explorer) close() {
 	if e.live != nil {
 		e.live.Close()
 	}
-	for _, s := range e.free {
-		s.Close()
-	}
 	for _, cp := range e.cps {
 		cp.sess.Close()
 	}
+	e.worker.Close()
 }
 
 // run explores the subtree under one root action and returns the sub-result.
 func (e *explorer) run(act sim.Action, sleep uint64) (*Result, error) {
-	s, err := e.session()
+	s, err := e.worker.Session(e.cfg.Session)
 	if err != nil {
 		return e.res, err
 	}
@@ -149,19 +150,6 @@ func (e *explorer) run(act sim.Action, sleep uint64) (*Result, error) {
 		return e.res, err
 	}
 	return e.res, e.explore(sleep)
-}
-
-// session returns a pooled session reset to the root state, or a new one.
-func (e *explorer) session() (*mutex.Session, error) {
-	if n := len(e.free); n > 0 {
-		s := e.free[n-1]
-		e.free = e.free[:n-1]
-		if err := s.Reset(); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-	return mutex.NewSession(e.cfg.Session)
 }
 
 // advance executes act on the live session and extends the path.
@@ -216,13 +204,13 @@ func (e *explorer) restore(target int) error {
 		defer func() { e.tm.restoreLen.Observe(e.res.ReplaySteps - before) }()
 	}
 	for n := len(e.cps); n > 0 && e.cps[n-1].depth > target; n = len(e.cps) {
-		e.free = append(e.free, e.cps[n-1].sess)
+		e.worker.Release(e.cps[n-1].sess)
 		e.cps = e.cps[:n-1]
 	}
 	if n := len(e.cps); n > 0 {
 		cp := e.cps[n-1]
 		e.cps = e.cps[:n-1]
-		e.free = append(e.free, e.live)
+		e.worker.Release(e.live)
 		e.live = cp.sess
 		return e.replay(e.live, cp.depth, target)
 	}
@@ -232,7 +220,7 @@ func (e *explorer) restore(target int) error {
 			c -= k
 		}
 		if c > 0 {
-			cs, err := e.session()
+			cs, err := e.worker.Session(e.cfg.Session)
 			if err != nil {
 				return err
 			}

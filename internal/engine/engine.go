@@ -4,24 +4,25 @@
 //
 // It contributes two things the callers used to hand-roll:
 //
-//   - Reuse. A Worker checks sessions out and back in; a released session
-//     whose configuration matches the next request is Reset (cells rolled
-//     back in place, sim.Machine.Reset) instead of rebuilt, which removes the
-//     dominant construction cost from replay-heavy workloads (the checker
-//     rebuilds the same configuration for every DFS branch, the adversary
-//     for every erasure audit). A reset still allocates one algorithm
-//     handle and one goroutine launch per process (mutex.Session.Reset).
+//   - Reuse. A Worker checks sessions out and back in and keeps every
+//     released one; a request Resets the most recent compatible session
+//     (cells rolled back in place, sim.Machine.Reset) instead of building a
+//     new one, which removes the dominant construction cost from
+//     replay-heavy workloads (the checker for every DFS branch and
+//     checkpoint, the adversary for every erasure audit, the service for
+//     every shard batch). A reset still allocates one algorithm handle and
+//     one goroutine launch per process (mutex.Session.Reset).
 //
 //   - Parallelism with determinism. Run executes a batch of RunSpecs on a
-//     pool of workers — one live machine per worker — and merges results in
-//     submission order regardless of completion order, so a table rendered
-//     from the results is byte-identical at any parallelism level,
-//     including 1.
+//     pool of workers and merges results in submission order regardless of
+//     completion order, so a table rendered from the results is
+//     byte-identical at any parallelism level, including 1.
 package engine
 
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -126,9 +127,9 @@ func Parallelism(p int) int {
 
 // Run executes every spec and returns one Result per spec, index-aligned
 // with the input. Specs are distributed over min(Parallel, len(specs))
-// workers, each owning at most one live machine; results land in their
-// submission slots, so the output order never depends on scheduling.
-// Individual failures are reported per-Result, not as a joint error.
+// workers; results land in their submission slots, so the output order
+// never depends on scheduling. Individual failures are reported
+// per-Result, not as a joint error.
 //
 // Run builds a transient Pool per call; batch-per-round callers (the
 // service layer submits one batch per simulated round) should hold a Pool
@@ -140,18 +141,18 @@ func Run(specs []RunSpec, opts Options) []Result {
 }
 
 // Pool is a persistent worker set. Where Run discards its workers — and
-// with them every cached session — when the batch ends, a Pool keeps them
-// across Run calls, so a caller submitting many same-shaped batches (the
+// with them every released session — when the batch ends, a Pool keeps
+// them across Run calls, so a caller submitting many batches (the
 // lock-service layer runs one engine batch per arrival round) pays session
-// construction once per worker instead of once per batch. A Pool's Run has
-// the same determinism contract as the package-level Run. Pools are not
-// safe for concurrent Run calls.
+// construction once per worker and shape instead of once per batch. A
+// Pool's Run has the same determinism contract as the package-level Run.
+// Pools are not safe for concurrent Run calls.
 type Pool struct {
 	workers []*Worker
 }
 
 // NewPool builds a pool of Parallelism(parallel) workers. Close must be
-// called to release the cached sessions.
+// called to close the released sessions.
 func NewPool(parallel int) *Pool {
 	ws := make([]*Worker, Parallelism(parallel))
 	for i := range ws {
@@ -160,7 +161,7 @@ func NewPool(parallel int) *Pool {
 	return &Pool{workers: ws}
 }
 
-// Close releases every worker's cached session. The pool must not be used
+// Close closes every worker's released sessions. The pool must not be used
 // afterwards.
 func (pl *Pool) Close() {
 	for _, w := range pl.workers {
@@ -370,13 +371,15 @@ func ForEach(n, parallel int, fn func(i int) error) error {
 	return nil
 }
 
-// Worker owns at most one live simulated machine and recycles it across
-// runs. Checkout (Session) and checkin (Release) are explicit so that
-// callers like the adversary can hold one session while a second one — the
-// replay candidate — cycles through the worker. Workers are not safe for
-// concurrent use; Run gives each pool goroutine its own.
+// Worker recycles simulated machines across runs. Checkout (Session) and
+// checkin (Release) are explicit so that a caller can hold several sessions
+// at once (the adversary's current session and its replay candidate, the
+// checker's live session and checkpoints). Released sessions stay on the
+// worker until a request takes one back or Close closes them. Workers are
+// not safe for concurrent use; Run gives each pool goroutine its own.
 type Worker struct {
-	spare *mutex.Session
+	// free holds released sessions, most recently released last.
+	free []*mutex.Session
 
 	// reuse/build count Session outcomes when the worker is instrumented;
 	// both are nil-safe no-ops otherwise.
@@ -394,45 +397,42 @@ func (w *Worker) Instrument(reg *telemetry.Registry) {
 	w.build = reg.Counter("engine_session_build")
 }
 
-// Session checks out a session for cfg. If the worker holds a released
-// session with a compatible configuration it is Reset and handed back
-// (no machine construction; see mutex.Session.Reset for what a reset still
-// allocates); otherwise a new session is built. The caller must Release or
-// Close the returned session.
+// Session checks out a session for cfg. The most recently released session
+// with a compatible configuration is Reset and handed back (no machine
+// construction; see mutex.Session.Reset for what a reset still allocates);
+// if there is none, or its Reset fails, a new session is built. The caller
+// must Release or Close the returned session.
 func (w *Worker) Session(cfg mutex.Config) (*mutex.Session, error) {
-	if s := w.spare; s != nil {
-		w.spare = nil
-		if mutex.Compatible(s.Config(), cfg) {
-			if err := s.Reset(); err == nil {
-				w.reuse.Inc()
-				return s, nil
-			}
+	for i := len(w.free) - 1; i >= 0; i-- {
+		s := w.free[i]
+		if !mutex.Compatible(s.Config(), cfg) {
+			continue
 		}
-		s.Close()
+		w.free = slices.Delete(w.free, i, i+1)
+		if err := s.Reset(); err != nil {
+			s.Close()
+			break
+		}
+		w.reuse.Inc()
+		return s, nil
 	}
 	w.build.Inc()
 	return mutex.NewSession(cfg)
 }
 
-// Release returns a session to the worker for reuse. If the worker already
-// holds a spare, the released session is closed instead.
+// Release returns a session to the worker for reuse.
 func (w *Worker) Release(s *mutex.Session) {
-	if s == nil {
-		return
+	if s != nil {
+		w.free = append(w.free, s)
 	}
-	if w.spare == nil {
-		w.spare = s
-		return
-	}
-	s.Close()
 }
 
-// Close releases the cached machine.
+// Close closes every released session.
 func (w *Worker) Close() {
-	if w.spare != nil {
-		w.spare.Close()
-		w.spare = nil
+	for _, s := range w.free {
+		s.Close()
 	}
+	w.free = nil
 }
 
 // Metrics accumulates run statistics across engine launches; all methods

@@ -120,6 +120,16 @@ func TestWorkerReuse(t *testing.T) {
 		t.Error("incompatible session was reused")
 	}
 	w.Release(s3)
+
+	// The first shape is still on the worker behind the incompatible one.
+	s4, err := w.Session(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s4 != s1 {
+		t.Error("released session was dropped when an incompatible one was built")
+	}
+	w.Release(s4)
 }
 
 // TestWorkerReuseEquivalence: a recycled session produces the same

@@ -180,3 +180,36 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionBuildsBoundedByShapes runs the rmeserve ledger anchor (16
+// locks, 20,000 clients, zipf:1.1, seed 1) on two engine workers and counts
+// session constructions: each worker builds at most one session per shard
+// batch size and resets it for every later batch of that size.
+func TestSessionBuildsBoundedByShapes(t *testing.T) {
+	reg := telemetry.New()
+	cfg := Config{
+		Locks:     16,
+		Clients:   20_000,
+		Passages:  1500,
+		Dist:      Dist{Kind: Zipf, Theta: 1.1},
+		Seed:      1,
+		Algorithm: rme.MustAlgorithm("watree"),
+		Model:     sim.CC,
+		Parallel:  2,
+		Telemetry: reg,
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	found := map[string]int64{}
+	for _, c := range reg.Snapshot().Counters {
+		found[c.Name] = c.Value
+	}
+	limit := int64(cfg.Parallel * cfg.withDefaults().Slots)
+	if builds := found["engine_session_build"]; builds < 1 || builds > limit {
+		t.Fatalf("engine_session_build=%d; want 1..%d (Parallel × Slots)", builds, limit)
+	}
+	if found["engine_session_reuse"] == 0 {
+		t.Fatal("engine_session_reuse=0: no session was recycled")
+	}
+}

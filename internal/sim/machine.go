@@ -241,39 +241,43 @@ func (m *Machine) Reset() {
 	m.seq = 0
 }
 
+// resume hands p its verdict and blocks until p is quiescent again. Every
+// verdict but a kill goes through here.
+func (m *Machine) resume(p *Proc, v verdict) error {
+	p.resumeCh <- v
+	return m.waitQuiescent(p)
+}
+
 // waitQuiescent blocks until p has announced its next step or finished.
 // Completion arrives as a fin message on the same channel as operation
 // announcements, so the wait is a plain receive — one channel operation on
 // the step gate instead of a two-way select (measured in EXPERIMENTS.md E15).
 // Multi-cell waits (SpinUntilMulti) are handled here: if the predicate
-// already holds the body resumes immediately (and we keep waiting for its
+// already holds the body is resumed with the values (and we wait for its
 // next announcement), otherwise the process parks watching all cells.
 func (m *Machine) waitQuiescent(p *Proc) error {
-	for {
-		p.slot = <-p.pendingCh
-		if p.slot.fin {
-			p.done = true
-		} else {
-			p.pending = &p.slot
-		}
-		if p.err != nil {
-			return fmt.Errorf("sim: process %d failed: %w", p.id, p.err)
-		}
-		if p.done || !p.pending.isWait() {
-			return nil
-		}
-		if !m.registerWait(p) {
-			return nil // parked
-		}
-		// Predicate already satisfied: the body resumed; await its next
-		// announcement.
+	p.slot = <-p.pendingCh
+	if p.slot.fin {
+		p.done = true
+	} else {
+		p.pending = &p.slot
 	}
+	if p.err != nil {
+		return fmt.Errorf("sim: process %d failed: %w", p.id, p.err)
+	}
+	if p.done || !p.pending.isWait() {
+		return nil
+	}
+	if vals, ok := m.registerWait(p); ok {
+		return m.resume(p, verdict{vals: vals})
+	}
+	return nil // parked
 }
 
 // registerWait charges the registration reads of a multi-cell wait, then
-// either resumes the body (predicate holds) and reports true, or parks the
-// process watching every cell and reports false.
-func (m *Machine) registerWait(p *Proc) bool {
+// either returns the watched values with true (predicate holds, the wait is
+// over) or parks the process watching every cell and returns false.
+func (m *Machine) registerWait(p *Proc) ([]word.Word, bool) {
 	req := p.pending
 	vals := make([]word.Word, len(req.multi))
 	for i, c := range req.multi {
@@ -299,14 +303,13 @@ func (m *Machine) registerWait(p *Proc) bool {
 	}
 	if req.multiPred(vals) {
 		p.pending = nil
-		p.resumeCh <- verdict{vals: vals}
-		return true
+		return vals, true
 	}
 	p.parked = true
 	for _, c := range req.multi {
 		c.watchers.Set(p.id)
 	}
-	return false
+	return nil, false
 }
 
 // checkProc validates that process p can take an action.
@@ -373,11 +376,7 @@ func (m *Machine) Step(p int) (Event, error) {
 	}
 
 	// Resume the body with the operation's result.
-	pr.resumeCh <- verdict{ret: ev.Ret}
-	if err := m.waitQuiescent(pr); err != nil {
-		return ev, err
-	}
-	return ev, nil
+	return ev, m.resume(pr, verdict{ret: ev.Ret})
 }
 
 // resolveWakes rechecks every multi-cell waiter watching c after a non-read
@@ -422,8 +421,7 @@ func (m *Machine) resolveWakes(c *simCell) error {
 		}
 		qr.pending = nil
 		qr.parked = false
-		qr.resumeCh <- verdict{vals: vals}
-		if err := m.waitQuiescent(qr); err != nil {
+		if err := m.resume(qr, verdict{vals: vals}); err != nil {
 			return err
 		}
 	}
@@ -515,11 +513,7 @@ func (m *Machine) Crash(p int) (Event, error) {
 	ev := Event{Seq: m.seq, Kind: EvCrash, Proc: p}
 	m.record(ev)
 	m.schedule = append(m.schedule, Action{Proc: p, Crash: true})
-	pr.resumeCh <- verdict{crash: true}
-	if err := m.waitQuiescent(pr); err != nil {
-		return ev, err
-	}
-	return ev, nil
+	return ev, m.resume(pr, verdict{crash: true})
 }
 
 // Apply executes a schedule, action by action.

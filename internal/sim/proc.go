@@ -149,8 +149,9 @@ func (p *Proc) runOnce(recovering bool) (crashed bool) {
 	return false
 }
 
-// announce parks the body at the step gate and returns the granted result.
-func (p *Proc) announce(req stepReq) word.Word {
+// announce parks the body at the step gate and returns the controller's
+// verdict: the step's result, or a multi-cell wait's values.
+func (p *Proc) announce(req stepReq) verdict {
 	p.pendingCh <- req
 	v := <-p.resumeCh
 	if v.crash {
@@ -159,7 +160,7 @@ func (p *Proc) announce(req stepReq) word.Word {
 	if v.kill {
 		panic(errKilled)
 	}
-	return v.ret
+	return v
 }
 
 // cell resolves a memory.Cell to this machine's representation.
@@ -175,7 +176,7 @@ func (p *Proc) Width() word.Width { return p.m.cfg.Width }
 
 // Read performs an atomic read step.
 func (p *Proc) Read(c memory.Cell) word.Word {
-	return p.announce(stepReq{cell: p.cell(c), op: memory.Read()})
+	return p.announce(stepReq{cell: p.cell(c), op: memory.Read()}).ret
 }
 
 // Write performs an atomic write step.
@@ -185,22 +186,22 @@ func (p *Proc) Write(c memory.Cell, v word.Word) {
 
 // Swap performs an atomic fetch-and-store step.
 func (p *Proc) Swap(c memory.Cell, v word.Word) word.Word {
-	return p.announce(stepReq{cell: p.cell(c), op: memory.Swap(v)})
+	return p.announce(stepReq{cell: p.cell(c), op: memory.Swap(v)}).ret
 }
 
 // Add performs an atomic fetch-and-add step.
 func (p *Proc) Add(c memory.Cell, d word.Word) word.Word {
-	return p.announce(stepReq{cell: p.cell(c), op: memory.Add(d)})
+	return p.announce(stepReq{cell: p.cell(c), op: memory.Add(d)}).ret
 }
 
 // CAS performs an atomic compare-and-swap step, returning the prior value.
 func (p *Proc) CAS(c memory.Cell, expected, replacement word.Word) word.Word {
-	return p.announce(stepReq{cell: p.cell(c), op: memory.CAS(expected, replacement)})
+	return p.announce(stepReq{cell: p.cell(c), op: memory.CAS(expected, replacement)}).ret
 }
 
 // Apply performs an arbitrary atomic operation step.
 func (p *Proc) Apply(c memory.Cell, op memory.Op) word.Word {
-	return p.announce(stepReq{cell: p.cell(c), op: op})
+	return p.announce(stepReq{cell: p.cell(c), op: op}).ret
 }
 
 // SpinUntil busy-waits until pred holds for c's value, and returns that
@@ -209,7 +210,7 @@ func (p *Proc) Apply(c memory.Cell, op memory.Op) word.Word {
 // local-spin rules of both models and controllers never need to schedule
 // unproductive spinning.
 func (p *Proc) SpinUntil(c memory.Cell, pred func(word.Word) bool) word.Word {
-	return p.announce(stepReq{cell: p.cell(c), op: memory.Read(), spin: pred})
+	return p.announce(stepReq{cell: p.cell(c), op: memory.Read(), spin: pred}).ret
 }
 
 // SpinUntilMulti blocks until pred holds for the values of all given cells
@@ -226,21 +227,7 @@ func (p *Proc) SpinUntilMulti(cells []memory.Cell, pred func([]word.Word) bool) 
 	for i, c := range cells {
 		scs[i] = p.cell(c)
 	}
-	v := p.announceWait(stepReq{multi: scs, multiPred: pred})
-	return v
-}
-
-// announceWait submits a multi-cell wait and returns the satisfying values.
-func (p *Proc) announceWait(req stepReq) []word.Word {
-	p.pendingCh <- req
-	v := <-p.resumeCh
-	if v.crash {
-		panic(errCrashed)
-	}
-	if v.kill {
-		panic(errKilled)
-	}
-	return v.vals
+	return p.announce(stepReq{multi: scs, multiPred: pred}).vals
 }
 
 // --- body annotations ---------------------------------------------------------

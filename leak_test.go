@@ -1,0 +1,91 @@
+package rme_test
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"rme"
+	"rme/internal/service"
+)
+
+// TestNoGoroutineLeaks checks that every simulated process body is gone once
+// the engine's session pool is done with it:
+//   - a truncated checker search, whose explorers stop with live bodies in
+//     their live and checkpoint sessions and in the sessions released to
+//     their workers;
+//   - a service run, whose pool workers each hold a session per batch size;
+//   - Worker.Close on a worker holding several sessions released mid-run.
+func TestNoGoroutineLeaks(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func(t *testing.T, start int)
+	}{
+		{"TruncatedExhaustive", func(t *testing.T, _ int) {
+			res, err := rme.Exhaustive(rme.CheckConfig{
+				Session:          rme.Config{Procs: 3, Width: 8, Model: rme.CC, Algorithm: rme.MustAlgorithm("rspin")},
+				CrashesPerProc:   1,
+				Memo:             true,
+				POR:              true,
+				SnapshotInterval: 4,
+				MaxSchedules:     40,
+				MaxStates:        3000,
+				Parallel:         2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Truncated {
+				t.Fatal("search finished; the test needs a budget cut")
+			}
+		}},
+		{"ServiceRun", func(t *testing.T, _ int) {
+			_, err := service.Run(service.Config{
+				Locks:     16,
+				Clients:   20_000,
+				Passages:  1500,
+				Dist:      service.Dist{Kind: service.Zipf, Theta: 1.1},
+				Seed:      1,
+				Algorithm: rme.MustAlgorithm("watree"),
+				Model:     rme.CC,
+				Parallel:  2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"WorkerClose", func(t *testing.T, start int) {
+			w := rme.NewWorker()
+			for _, n := range []int{2, 3, 4} {
+				s, err := w.Session(rme.Config{Procs: n, Width: 8, Model: rme.CC, Algorithm: rme.MustAlgorithm("watree")})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := 0; p < n; p++ {
+					if _, err := s.StepProc(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				w.Release(s)
+			}
+			if runtime.NumGoroutine() < start+2+3+4 {
+				t.Fatalf("%d goroutines with three sessions released mid-run; want at least %d",
+					runtime.NumGoroutine(), start+2+3+4)
+			}
+			w.Close()
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			start := runtime.NumGoroutine()
+			c.run(t, start)
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() > start {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines, want %d: process bodies leaked", runtime.NumGoroutine(), start)
+				}
+				runtime.Gosched()
+			}
+		})
+	}
+}

@@ -187,12 +187,13 @@ func Stress(cfg CheckConfig, seeds int, crashProb float64) (*CheckResult, error)
 }
 
 // Run executes a batch of RunSpecs on the engine's deterministic worker
-// pool: one recycled machine per worker, results merged in submission order
-// regardless of completion order, so output is identical at any parallelism.
+// pool: each worker resets its released sessions instead of rebuilding
+// them, and results merge in submission order regardless of completion
+// order, so output is identical at any parallelism.
 func Run(specs []RunSpec, opts RunOptions) []RunResult { return engine.Run(specs, opts) }
 
-// NewWorker returns an engine worker that recycles one simulated machine
-// across compatible session requests.
+// NewWorker returns an engine worker that keeps every session released to
+// it and resets the most recent compatible one for the next request.
 func NewWorker() *Worker { return engine.NewWorker() }
 
 // Experiments returns the paper-claim reproductions E1–E8 followed by the
