@@ -13,7 +13,9 @@
 //	             [-trace FILE] [-traceformat jsonl|chrome] [-top N]
 //	             [-cpuprofile FILE] [-memprofile FILE]
 //	             [-heartbeat DUR] [-metrics FILE] [-debugaddr ADDR]
+//	             [-ledger runs/ledger.jsonl] [-runlabel LABEL] [-version]
 //	rmeadversary [-alg watree] [-w 8] -sweep 16,64,256 [-parallel N]
+//	             [the same diagnostic flags, except -trace/-traceformat/-top]
 //
 // -heartbeat prints live round progression (rounds completed, active set
 // size, erased-process counts, ETA against the round cap) to stderr; -metrics
@@ -25,7 +27,8 @@
 // execution constantly); -trace replays the final adversarial schedule on a
 // machine with event retention and exports its step-level story, so the
 // forced RMRs can be attributed to concrete cells. -top prints the replay's
-// hottest cells/procs to stderr. Single-construction mode only.
+// hottest cells/procs to stderr. Single-construction mode only: -sweep
+// rejects both flags.
 package main
 
 import (
@@ -66,30 +69,20 @@ func run(args []string) error {
 	sweep := fs.String("sweep", "", "comma-separated n values; runs one construction per n and prints a summary table")
 	parallel := fs.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS); summary rows are identical at any value")
 	seed := fs.Int64("seed", 0, "accepted for CLI uniformity; the construction is deterministic and ignores it")
-	tracePath := fs.String("trace", "", "replay the final adversarial schedule traced and export it to this file")
-	traceFormat := fs.String("traceformat", "jsonl", "trace encoding: jsonl or chrome (Perfetto)")
-	top := fs.Int("top", 0, "print the N hottest cells/procs of the traced replay to stderr (0 = off)")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	tele := cliutil.TelemetryFlags(fs)
-	ledger := cliutil.LedgerFlags(fs)
-	version := cliutil.VersionFlag(fs)
+	diag := cliutil.Flags(fs)
+	tr := diag.TraceFlags(fs, "replay the final adversarial schedule traced and export it to this file",
+		"print the N hottest cells/procs of the traced replay to stderr (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println(cliutil.VersionString("rmeadversary"))
-		return nil
+	if *sweep != "" && tr.Enabled() {
+		name := "-trace"
+		if tr.Path == "" {
+			name = "-top"
+		}
+		return fmt.Errorf("%s applies to a single construction and cannot be combined with -sweep", name)
 	}
-	if _, err := trace.ParseFormat(*traceFormat); err != nil {
-		return err
-	}
-	stopCPU, err := cliutil.StartCPUProfile(*cpuProfile)
-	if err != nil {
-		return err
-	}
-	defer stopCPU()
-	stopTele, err := tele.Start("adversary", telemetry.View{
+	view := telemetry.View{
 		Progress: "adversary_rounds",
 		Target:   "adversary_max_rounds",
 		Show:     []string{"adversary_active", "adversary_removed"},
@@ -98,67 +91,52 @@ func run(args []string) error {
 			Num:   "adversary_hiding_wins",
 			Den:   []string{"adversary_hiding_attempts"},
 		}},
-	})
-	if err != nil {
-		return err
 	}
-	defer stopTele()
-
-	alg, err := rme.NewAlgorithm(*algName)
-	if err != nil {
-		return err
-	}
-	model, err := sim.ParseModel(*modelName)
-	if err != nil {
-		return err
-	}
-
-	if *seed != 0 {
-		fmt.Fprintln(os.Stderr, "note: the adversary construction is fully deterministic; -seed has no effect")
-	}
-	if *sweep != "" {
-		err := runSweep(alg, *sweep, *w, model, *k, *parallel, tele, ledger)
-		if herr := cliutil.WriteHeapProfile(*memProfile); err == nil {
-			err = herr
+	return diag.Do("adversary", view, func() ([]*perflog.Manifest, error) {
+		alg, err := rme.NewAlgorithm(*algName)
+		if err != nil {
+			return nil, err
 		}
-		return err
-	}
-
-	constructionStart := time.Now()
-	adv, err := adversary.New(adversary.Config{
-		Session: mutex.Config{
-			Procs: *n, Width: word.Width(*w), Model: model, Algorithm: alg,
-		},
-		K:         *k,
-		Telemetry: tele.Registry(),
+		model, err := sim.ParseModel(*modelName)
+		if err != nil {
+			return nil, err
+		}
+		if *seed != 0 {
+			fmt.Fprintln(os.Stderr, "note: the adversary construction is fully deterministic; -seed has no effect")
+		}
+		if *sweep != "" {
+			return runSweep(alg, *sweep, *w, model, *k, *parallel, diag.Registry())
+		}
+		return runSingle(alg, *n, *w, model, *k, tr, diag.Registry())
 	})
+}
+
+// runSingle runs one construction, prints its round-by-round log, and
+// returns its perf-ledger entry.
+func runSingle(alg mutex.Algorithm, n, w int, model sim.Model, k int, tr *cliutil.Trace, reg *telemetry.Registry) ([]*perflog.Manifest, error) {
+	start := time.Now()
+	session := mutex.Config{Procs: n, Width: word.Width(w), Model: model, Algorithm: alg}
+	adv, err := adversary.New(adversary.Config{Session: session, K: k, Telemetry: reg})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer adv.Close()
-
 	rep, err := adv.Run()
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	if *tracePath != "" || *top > 0 {
-		events, _, rerr := faults.ReplayTraced(mutex.Config{
-			Procs: *n, Width: word.Width(*w), Model: model, Algorithm: alg,
-		}, rep.Schedule)
-		if rerr != nil {
-			return fmt.Errorf("trace final schedule: %w", rerr)
+	if tr.Enabled() {
+		events, _, err := faults.ReplayTraced(session, rep.Schedule)
+		if err != nil {
+			return nil, fmt.Errorf("trace final schedule: %w", err)
 		}
 		runs := []trace.Run{{
-			Label: "adversary " + alg.Name(), Procs: *n, Model: model, Events: events,
+			Label: "adversary " + alg.Name(), Procs: n, Model: model, Events: events,
 		}}
-		cliutil.SummarizeTrace(os.Stderr, runs, model, *top)
-		if err := cliutil.ExportTrace(*tracePath, *traceFormat, runs); err != nil {
-			return err
+		if err := tr.Write(os.Stderr, runs, model); err != nil {
+			return nil, err
 		}
-	}
-	if err := cliutil.WriteHeapProfile(*memProfile); err != nil {
-		return err
 	}
 
 	fmt.Printf("adversary vs %s: n=%d w=%d model=%s k=%d\n\n",
@@ -177,24 +155,23 @@ func run(args []string) error {
 	fmt.Printf("hiding:             %d/%d searches succeeded\n", rep.HidingWins, rep.HidingAttempts)
 	fmt.Printf("verified replays:   %d (rollbacks %d)\n", rep.Replays, rep.RemovalRollbacks)
 	fmt.Printf("theory bound:       ceil(log_w n) = %d, min(log_w n, ln n/ln ln n) = %.2f\n",
-		word.CeilLog(*w, *n), word.TheoreticalLowerBound(word.Width(*w), *n))
+		word.CeilLog(w, n), word.TheoreticalLowerBound(word.Width(w), n))
 	if len(rep.InvariantViolations) > 0 {
 		fmt.Printf("INVARIANT VIOLATIONS:\n")
 		for _, v := range rep.InvariantViolations {
 			fmt.Printf("  %s\n", v)
 		}
-		return fmt.Errorf("%d invariant violations", len(rep.InvariantViolations))
+		return nil, fmt.Errorf("%d invariant violations", len(rep.InvariantViolations))
 	}
 	fmt.Printf("invariant audit:    clean\n")
-	m := advManifest(alg.Name(), rep.Procs, *w, model, *k, rep)
-	m.Sample("wall_ms", float64(time.Since(constructionStart).Microseconds())/1000)
-	return ledger.Emit(tele.Registry(), m)
+	m := advManifest(alg.Name(), rep.Procs, w, model, k, rep)
+	m.Sample("wall_ms", float64(time.Since(start).Microseconds())/1000)
+	return []*perflog.Manifest{m}, nil
 }
 
-// advManifest builds one construction's perf-ledger entry. The construction
-// is fully deterministic, so every outcome statistic is an exactly-gateable
-// counter. Single-construction runs and sweep rows share the same config
-// shape (alg, n, w, model, k): a sweep baseline gates later single runs.
+// advManifest builds one construction's perf-ledger entry. Single-
+// construction runs and sweep rows share the same config shape (alg, n, w,
+// model, k): a sweep baseline gates later single runs.
 func advManifest(alg string, n, w int, model sim.Model, k int, rep *adversary.Report) *perflog.Manifest {
 	m := perflog.New("rmeadversary")
 	m.SetConfig("alg", alg)
@@ -202,14 +179,7 @@ func advManifest(alg string, n, w int, model sim.Model, k int, rep *adversary.Re
 	m.SetConfig("w", w)
 	m.SetConfig("model", model)
 	m.SetConfig("k", k)
-	m.Counter("viable_rounds", int64(rep.ViableRounds))
-	m.Counter("forced_rmrs", int64(rep.ForcedRMRs()))
-	m.Counter("survivors", int64(len(rep.Survivors)))
-	m.Counter("hiding_wins", int64(rep.HidingWins))
-	m.Counter("hiding_attempts", int64(rep.HidingAttempts))
-	m.Counter("replays", int64(rep.Replays))
-	m.Counter("rollbacks", int64(rep.RemovalRollbacks))
-	m.Counter("violations", int64(len(rep.InvariantViolations)))
+	m.AddCounters("", rep.Counters())
 	return m
 }
 
@@ -217,13 +187,12 @@ func advManifest(alg string, n, w int, model sim.Model, k int, rep *adversary.Re
 // prints summary rows in list order. The shared registry accumulates round
 // statistics across all constructions (atomics make that safe); the printed
 // table is unaffected.
-func runSweep(alg mutex.Algorithm, sweep string, w int, model sim.Model, k, parallel int, tele *cliutil.Telemetry, ledger *cliutil.Ledger) error {
-	reg := tele.Registry()
+func runSweep(alg mutex.Algorithm, sweep string, w int, model sim.Model, k, parallel int, reg *telemetry.Registry) ([]*perflog.Manifest, error) {
 	var ns []int
 	for _, tok := range strings.Split(sweep, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(tok))
 		if err != nil {
-			return fmt.Errorf("bad -sweep entry %q: %w", tok, err)
+			return nil, fmt.Errorf("bad -sweep entry %q: %w", tok, err)
 		}
 		ns = append(ns, n)
 	}
@@ -248,7 +217,7 @@ func runSweep(alg mutex.Algorithm, sweep string, w int, model sim.Model, k, para
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	fmt.Printf("adversary sweep vs %s: w=%d model=%s k=%d\n\n", alg.Name(), w, model, k)
@@ -263,12 +232,12 @@ func runSweep(alg mutex.Algorithm, sweep string, w int, model sim.Model, k, para
 		violations += len(rep.InvariantViolations)
 	}
 	if violations > 0 {
-		return fmt.Errorf("%d invariant violations across sweep", violations)
+		return nil, fmt.Errorf("%d invariant violations across sweep", violations)
 	}
 	fmt.Printf("\ninvariant audit:    clean\n")
 	ms := make([]*perflog.Manifest, len(ns))
 	for i, n := range ns {
 		ms[i] = advManifest(alg.Name(), n, w, model, k, reps[i])
 	}
-	return ledger.Emit(reg, ms...)
+	return ms, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -71,5 +72,21 @@ func TestNameFlags(t *testing.T) {
 	err := run([]string{"-alg", "watree", "-n", "8", "-w", "4", "-model", "dms"})
 	if err == nil || !strings.Contains(err.Error(), `"dms"`) {
 		t.Fatalf("-model dms: err = %v; want an error naming the value", err)
+	}
+}
+
+// TestSweepRejectsTraceFlags: -trace and -top replay a single construction,
+// so -sweep refuses them with an error naming the flag instead of silently
+// ignoring them.
+func TestSweepRejectsTraceFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	for _, args := range [][]string{{"-trace", path}, {"-top", "3"}} {
+		err := run(append([]string{"-alg", "watree", "-w", "4", "-sweep", "4,8"}, args...))
+		if err == nil || !strings.HasPrefix(err.Error(), args[0]+" ") {
+			t.Errorf("-sweep %v: err = %v; want an error naming %s", args, err, args[0])
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("a rejected -sweep run wrote %s", path)
 	}
 }

@@ -146,77 +146,64 @@ func run(args []string) error {
 	spillDir := fs.String("spilldir", "", "directory for spilled waves and the resume checkpoint")
 	resume := fs.Bool("resume", false, "continue a checkpointed -sharedset run from -spilldir")
 	jsonOut := fs.Bool("json", false, "emit one JSON report on stdout instead of text")
-	tracePath := fs.String("trace", "", "export a step-level trace of the crash-free reference run to this file")
-	traceFormat := fs.String("traceformat", "jsonl", "trace encoding: jsonl or chrome (Perfetto)")
-	top := fs.Int("top", 0, "print the N hottest cells/procs of the reference run to stderr (0 = off)")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	tele := cliutil.TelemetryFlags(fs)
-	ledger := cliutil.LedgerFlags(fs)
-	version := cliutil.VersionFlag(fs)
+	diag := cliutil.Flags(fs)
+	tr := diag.TraceFlags(fs, "export a step-level trace of the crash-free reference run to this file",
+		"print the N hottest cells/procs of the reference run to stderr (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println(cliutil.VersionString("rmecheck"))
-		return nil
-	}
-	if _, err := trace.ParseFormat(*traceFormat); err != nil {
-		return err
-	}
-	stopCPU, err := cliutil.StartCPUProfile(*cpuProfile)
-	if err != nil {
-		return err
-	}
-	defer stopCPU()
-	stopTele, err := tele.Start("check", telemetryView(*memo || *sharedSet, *sharedSet))
-	if err != nil {
-		return err
-	}
-	defer stopTele()
-
-	alg, err := rme.NewAlgorithm(*algName)
-	if err != nil {
-		return err
-	}
-	model, err := sim.ParseModel(*modelName)
-	if err != nil {
-		return err
-	}
-	cfg := check.Config{
-		Session: mutex.Config{
-			Procs: *n, Width: word.Width(*w), Model: model, Algorithm: alg,
-		},
-		MaxSchedules:     *maxSched,
-		CrashesPerProc:   *crashes,
-		Parallel:         *parallel,
-		Seed:             *seed,
-		Memo:             *memo,
-		POR:              *por,
-		Symmetry:         *symmetry,
-		SnapshotInterval: *snapshot,
-		MaxStates:        *maxStates,
-		SharedVisited:    *sharedSet,
-		WaveSize:         *wave,
-		MaxWaves:         *maxWaves,
-		MemBudget:        *memBudget,
-		SpillDir:         *spillDir,
-		Resume:           *resume,
-		Telemetry:        tele.Registry(),
-	}
-
-	if *tracePath != "" || *top > 0 {
-		if err := traceReference(cfg.Session, *tracePath, *traceFormat, *top); err != nil {
-			return err
+	return diag.Do("check", telemetryView(*memo || *sharedSet, *sharedSet), func() ([]*perflog.Manifest, error) {
+		alg, err := rme.NewAlgorithm(*algName)
+		if err != nil {
+			return nil, err
 		}
-	}
+		model, err := sim.ParseModel(*modelName)
+		if err != nil {
+			return nil, err
+		}
+		cfg := check.Config{
+			Session: mutex.Config{
+				Procs: *n, Width: word.Width(*w), Model: model, Algorithm: alg,
+			},
+			MaxSchedules:     *maxSched,
+			CrashesPerProc:   *crashes,
+			Parallel:         *parallel,
+			Seed:             *seed,
+			Memo:             *memo,
+			POR:              *por,
+			Symmetry:         *symmetry,
+			SnapshotInterval: *snapshot,
+			MaxStates:        *maxStates,
+			SharedVisited:    *sharedSet,
+			WaveSize:         *wave,
+			MaxWaves:         *maxWaves,
+			MemBudget:        *memBudget,
+			SpillDir:         *spillDir,
+			Resume:           *resume,
+			Telemetry:        diag.Registry(),
+		}
+		if tr.Enabled() {
+			if err := traceReference(cfg.Session, tr); err != nil {
+				return nil, err
+			}
+		}
 
-	// The semantic configuration for the perf ledger: every flag that shapes
-	// the Result (including -snapshot, which moves work between machine and
-	// replay steps), never the execution layout (-parallel), spill plumbing
-	// (-membudget, -spilldir, -resume — results are byte-identical with or
-	// without spilling), or observability flags.
-	newManifest := func(exh, stress *check.Result, wallMS float64) *perflog.Manifest {
+		start := time.Now()
+		var exh, stress *check.Result
+		if *jsonOut {
+			exh, stress, err = runJSON(cfg, *stressN)
+		} else {
+			exh, stress, err = runText(cfg, *stressN)
+		}
+		if err != nil {
+			return nil, err
+		}
+
+		// The semantic configuration for the perf ledger: every flag that
+		// shapes the Result (including -snapshot, which moves work between
+		// machine and replay steps), never the execution layout (-parallel),
+		// spill plumbing (-membudget, -spilldir, -resume — results are
+		// byte-identical with or without spilling), or observability flags.
 		m := perflog.New("rmecheck")
 		m.SetConfig("alg", alg.Name())
 		m.SetConfig("n", *n)
@@ -234,90 +221,57 @@ func run(args []string) error {
 		m.SetConfig("sharedset", *sharedSet)
 		m.SetConfig("wave", *wave)
 		m.SetConfig("maxwaves", *maxWaves)
-		resultCounters(m, "", exh)
+		m.AddCounters("", exh.Counters())
 		if stress != nil {
-			resultCounters(m, "stress_", stress)
+			m.AddCounters("stress_", stress.Counters())
 		}
-		m.Sample("wall_ms", wallMS)
-		return m
-	}
+		m.Sample("wall_ms", float64(time.Since(start).Microseconds())/1000)
+		return []*perflog.Manifest{m}, nil
+	})
+}
 
-	checkStart := time.Now()
-	if *jsonOut {
-		exh, stress, err := runJSON(cfg, alg.Name(), model, *crashes, *stressN, *sharedSet, *wave)
-		// The heap profile is written even when the check failed: profiling a
-		// run that found a violation is still profiling.
-		if herr := cliutil.WriteHeapProfile(*memProfile); err == nil {
-			err = herr
-		}
-		if err != nil {
-			return err
-		}
-		wall := float64(time.Since(checkStart).Microseconds()) / 1000
-		return ledger.Emit(tele.Registry(), newManifest(exh, stress, wall))
-	}
-
+// runText runs the exhaustive phase and, when it is clean and stress > 0,
+// the stress phase, printing the text report; it returns both phases'
+// results for the perf ledger.
+func runText(cfg check.Config, stress int) (*check.Result, *check.Result, error) {
 	fmt.Printf("exhaustive: %s n=%d w=%d model=%s crashes<=%d memo=%v por=%v symmetry=%v\n",
-		alg.Name(), *n, *w, model, *crashes, *memo, *por, *symmetry)
+		cfg.Session.Algorithm.Name(), cfg.Session.Procs, cfg.Session.Width, cfg.Session.Model,
+		cfg.CrashesPerProc, cfg.Memo, cfg.POR, cfg.Symmetry)
 	start := time.Now()
 	res, err := check.Exhaustive(cfg)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	fmt.Printf("  %d complete schedules (truncated: %v, depth-truncated prefixes: %d)\n",
 		res.Complete, res.Truncated, res.DepthTruncated)
-	if *memo || *sharedSet {
+	if cfg.Memo || cfg.SharedVisited {
 		fmt.Printf("  states: %d visited, %d revisits pruned, %d sleep-set skips\n",
 			res.StatesVisited, res.StatesPruned, res.SleepPruned)
 	}
-	if *sharedSet {
+	if cfg.SharedVisited {
 		fmt.Printf("  shared: %d waves, %d cross-branch prunes\n", res.Waves, res.SharedPruned)
 	}
 	fmt.Printf("  steps: %d machine, %d replay\n", res.MachineSteps, res.ReplaySteps)
 	// Timing goes to stderr: stdout is byte-identical at any -parallel value.
 	fmt.Fprintf(os.Stderr, "  (exhaustive in %v)\n", time.Since(start).Round(time.Millisecond))
 	if err := report(res); err != nil {
-		return err
+		return nil, nil, err
 	}
 
 	var stressRes *check.Result
-	if *stressN > 0 {
-		fmt.Printf("stress: %d random schedules with crash injection\n", *stressN)
-		sres, err := check.Stress(cfg, *stressN, 0.05)
+	if stress > 0 {
+		fmt.Printf("stress: %d random schedules with crash injection\n", stress)
+		stressRes, err = check.Stress(cfg, stress, 0.05)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		stressRes = sres
-		fmt.Printf("  %d complete\n", sres.Complete)
-		if err := report(sres); err != nil {
-			return err
+		fmt.Printf("  %d complete\n", stressRes.Complete)
+		if err := report(stressRes); err != nil {
+			return nil, nil, err
 		}
 	}
 	fmt.Println("OK")
-	if err := cliutil.WriteHeapProfile(*memProfile); err != nil {
-		return err
-	}
-	wall := float64(time.Since(checkStart).Microseconds()) / 1000
-	return ledger.Emit(tele.Registry(), newManifest(res, stressRes, wall))
-}
-
-// resultCounters records one search phase's deterministic counters, prefixed
-// so exhaustive and stress phases share a manifest without colliding.
-func resultCounters(m *perflog.Manifest, prefix string, res *check.Result) {
-	m.Counter(prefix+"complete", int64(res.Complete))
-	m.Counter(prefix+"depth_truncated", int64(res.DepthTruncated))
-	m.Counter(prefix+"states_visited", int64(res.StatesVisited))
-	m.Counter(prefix+"states_pruned", int64(res.StatesPruned))
-	m.Counter(prefix+"shared_pruned", int64(res.SharedPruned))
-	m.Counter(prefix+"sleep_pruned", int64(res.SleepPruned))
-	m.Counter(prefix+"waves", int64(res.Waves))
-	m.Counter(prefix+"machine_steps", res.MachineSteps)
-	m.Counter(prefix+"replay_steps", res.ReplaySteps)
-	truncated := int64(0)
-	if res.Truncated {
-		truncated = 1
-	}
-	m.Counter(prefix+"truncated", truncated)
+	return res, stressRes, nil
 }
 
 // telemetryView is the checker's heartbeat layout: with memoization the
@@ -359,19 +313,19 @@ func telemetryView(memo, sharedSet bool) telemetry.View {
 
 // runJSON runs the same phases as the text path but emits one JSON document,
 // returning both phases' results for the perf ledger.
-func runJSON(cfg check.Config, algName string, model sim.Model, crashes, stress int, sharedSet bool, wave int) (*check.Result, *check.Result, error) {
+func runJSON(cfg check.Config, stress int) (*check.Result, *check.Result, error) {
 	res, err := check.Exhaustive(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	doc := jsonReport{
-		Algorithm: algName, Procs: cfg.Session.Procs, Width: int(cfg.Session.Width),
-		Model: model.String(), Crashes: crashes, Memo: cfg.Memo || sharedSet, POR: cfg.POR,
-		Symmetry: cfg.Symmetry, SharedSet: sharedSet,
+		Algorithm: cfg.Session.Algorithm.Name(), Procs: cfg.Session.Procs, Width: int(cfg.Session.Width),
+		Model: cfg.Session.Model.String(), Crashes: cfg.CrashesPerProc, Memo: cfg.Memo || cfg.SharedVisited,
+		POR: cfg.POR, Symmetry: cfg.Symmetry, SharedSet: cfg.SharedVisited,
 		Exhaustive: toReport(res), OK: res.Ok(), Provenance: perflog.Build(),
 	}
-	if sharedSet {
-		doc.WaveSize = wave
+	if cfg.SharedVisited {
+		doc.WaveSize = cfg.WaveSize
 	}
 	firstErr := res.Err()
 	var stressRes *check.Result
@@ -398,7 +352,7 @@ func runJSON(cfg check.Config, algName string, model sim.Model, crashes, stress 
 
 // traceReference runs the checked configuration crash-free round-robin on a
 // traced machine and exports/summarizes its event stream.
-func traceReference(cfg mutex.Config, path, format string, top int) error {
+func traceReference(cfg mutex.Config, tr *cliutil.Trace) error {
 	cfg.NoTrace = false
 	s, err := mutex.NewSession(cfg)
 	if err != nil {
@@ -412,8 +366,7 @@ func traceReference(cfg mutex.Config, path, format string, top int) error {
 		Label: "reference " + cfg.Algorithm.Name(), Procs: cfg.Procs, Model: cfg.Model,
 		Events: append([]sim.Event(nil), s.Machine().Trace()...),
 	}}
-	cliutil.SummarizeTrace(os.Stderr, runs, cfg.Model, top)
-	return cliutil.ExportTrace(path, format, runs)
+	return tr.Write(os.Stderr, runs, cfg.Model)
 }
 
 func report(res *check.Result) error {

@@ -13,6 +13,7 @@
 //	         [-trace FILE] [-traceformat jsonl|chrome] [-top N]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //	         [-heartbeat DUR] [-metrics FILE] [-debugaddr ADDR]
+//	         [-ledger runs/ledger.jsonl] [-runlabel LABEL] [-version]
 //
 // -heartbeat prints live progress lines (runs/sec, failure count, worker
 // utilization, ETA against the plan grid) to stderr; -metrics appends JSONL
@@ -83,84 +84,96 @@ func run(args []string) error {
 	failFast := fs.Bool("failfast", false, "stop launching runs after the first failure (faster, non-deterministic report)")
 	noShrink := fs.Bool("noshrink", false, "report full failing schedules instead of minimized reproducers")
 	jsonOut := fs.Bool("json", false, "emit the campaign report as JSON on stdout")
-	tracePath := fs.String("trace", "", "export step-level traces of the failure reproducers (or the probe run) to this file")
-	traceFormat := fs.String("traceformat", "jsonl", "trace encoding: jsonl or chrome (Perfetto)")
-	top := fs.Int("top", 0, "print the N hottest cells/procs of the traced replays to stderr (0 = off)")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	tele := cliutil.TelemetryFlags(fs)
-	ledger := cliutil.LedgerFlags(fs)
-	version := cliutil.VersionFlag(fs)
+	diag := cliutil.Flags(fs)
+	tr := diag.TraceFlags(fs, "export step-level traces of the failure reproducers (or the probe run) to this file",
+		"print the N hottest cells/procs of the traced replays to stderr (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println(cliutil.VersionString("rmefault"))
-		return nil
-	}
-	if _, err := trace.ParseFormat(*traceFormat); err != nil {
-		return err
-	}
-	stopCPU, err := cliutil.StartCPUProfile(*cpuProfile)
-	if err != nil {
-		return err
-	}
-	defer stopCPU()
-	stopTele, err := tele.Start("fault", telemetryView())
-	if err != nil {
-		return err
-	}
-	defer stopTele()
-
-	var alg mutex.Algorithm
-	if strings.EqualFold(*algName, "broken") {
-		alg = faults.NewBroken()
-	} else if alg, err = rme.NewAlgorithm(*algName); err != nil {
-		return err
-	}
-	model, err := sim.ParseModel(*modelName)
-	if err != nil {
-		return err
-	}
-
-	sources, err := buildSources(*sourcesFlag, alg.Recoverable(), *seed, *runs)
-	if err != nil {
-		return err
-	}
-	var oracles []faults.Oracle
-	if *budget != 0 {
-		oracles = []faults.Oracle{faults.MutualExclusion{}, faults.DeadlockFree{}, faults.Reentry{}}
-		if *budget > 0 {
-			oracles = append(oracles, faults.RMRBudget{CC: *budget, DSM: *budget})
+	return diag.Do("fault", telemetryView(), func() ([]*perflog.Manifest, error) {
+		var alg mutex.Algorithm
+		var err error
+		if strings.EqualFold(*algName, "broken") {
+			alg = faults.NewBroken()
+		} else if alg, err = rme.NewAlgorithm(*algName); err != nil {
+			return nil, err
 		}
-	}
+		model, err := sim.ParseModel(*modelName)
+		if err != nil {
+			return nil, err
+		}
 
-	c := faults.Campaign{
-		Session: mutex.Config{
-			Procs: *n, Width: word.Width(*w), Model: model, Algorithm: alg, Passes: *passes,
-		},
-		Sources:   sources,
-		Oracles:   oracles,
-		Seed:      *seed,
-		Parallel:  *parallel,
-		Bound:     *bound,
-		NoShrink:  *noShrink,
-		FailFast:  *failFast,
-		Telemetry: tele.Registry(),
-	}
-	start := time.Now()
-	rep, err := c.Run()
-	if err != nil {
-		return err
-	}
-	wallMS := float64(time.Since(start).Microseconds()) / 1000
-	fmt.Fprintf(os.Stderr, "campaign: %d runs in %v\n", rep.Runs, time.Since(start).Round(time.Millisecond))
+		sources, err := buildSources(*sourcesFlag, alg.Recoverable(), *seed, *runs)
+		if err != nil {
+			return nil, err
+		}
+		var oracles []faults.Oracle
+		if *budget != 0 {
+			oracles = []faults.Oracle{faults.MutualExclusion{}, faults.DeadlockFree{}, faults.Reentry{}}
+			if *budget > 0 {
+				oracles = append(oracles, faults.RMRBudget{CC: *budget, DSM: *budget})
+			}
+		}
 
-	// Perf-ledger manifest: the campaign is a pure function of these flags, so
-	// every counter below is exactly gateable. -failfast stays in the config
-	// (it changes which runs execute); -parallel and observability flags do
-	// not.
-	emitLedger := func() error {
+		c := faults.Campaign{
+			Session: mutex.Config{
+				Procs: *n, Width: word.Width(*w), Model: model, Algorithm: alg, Passes: *passes,
+			},
+			Sources:   sources,
+			Oracles:   oracles,
+			Seed:      *seed,
+			Parallel:  *parallel,
+			Bound:     *bound,
+			NoShrink:  *noShrink,
+			FailFast:  *failFast,
+			Telemetry: diag.Registry(),
+		}
+		start := time.Now()
+		rep, err := c.Run()
+		if err != nil {
+			return nil, err
+		}
+		wallMS := float64(time.Since(start).Microseconds()) / 1000
+		fmt.Fprintf(os.Stderr, "campaign: %d runs in %v\n", rep.Runs, time.Since(start).Round(time.Millisecond))
+
+		if tr.Enabled() {
+			runs, err := tracedReplays(rep)
+			if err != nil {
+				return nil, err
+			}
+			// Attribution goes to stderr: -json stdout stays machine-clean.
+			if err := tr.Write(os.Stderr, runs, model); err != nil {
+				return nil, err
+			}
+		}
+		if *jsonOut {
+			if err := emitJSON(rep, model); err != nil {
+				return nil, err
+			}
+		} else {
+			fmt.Printf("campaign: %s n=%d w=%d model=%s passes=%d seed=%d\n",
+				rep.Algorithm, *n, *w, model, *passes, rep.Seed)
+			fmt.Printf("probe: %d decisions, %d RMR-incurring; bound %d\n",
+				rep.Probe.Steps, len(rep.Probe.RMRAt), rep.Bound)
+			for _, st := range rep.Sources {
+				fmt.Printf("  %-18s %5d runs  %d failures\n", st.Name, st.Runs, st.Failures)
+			}
+			if rep.Skipped > 0 {
+				fmt.Printf("  (%d runs skipped by -failfast)\n", rep.Skipped)
+			}
+			for _, f := range rep.Failures {
+				fmt.Printf("FAIL %s\n", f)
+			}
+			if !rep.Ok() {
+				return nil, fmt.Errorf("%d of %d runs failed", len(rep.Failures), rep.Runs)
+			}
+			fmt.Println("OK")
+		}
+
+		// Perf-ledger manifest: the campaign is a pure function of these
+		// flags, so every counter is exactly gateable. -failfast stays in
+		// the config (it changes which runs execute); -parallel and
+		// observability flags do not.
 		m := perflog.New("rmefault")
 		m.SetConfig("alg", alg.Name())
 		m.SetConfig("n", *n)
@@ -174,59 +187,10 @@ func run(args []string) error {
 		m.SetConfig("bound", *bound)
 		m.SetConfig("noshrink", *noShrink)
 		m.SetConfig("failfast", *failFast)
-		m.Counter("runs", int64(rep.Runs))
-		m.Counter("skipped", int64(rep.Skipped))
-		m.Counter("failures", int64(len(rep.Failures)))
-		m.Counter("probe_steps", int64(rep.Probe.Steps))
-		m.Counter("probe_rmr_steps", int64(len(rep.Probe.RMRAt)))
-		m.Counter("bound", int64(rep.Bound))
-		for _, st := range rep.Sources {
-			m.Counter("src_"+st.Name+"_runs", int64(st.Runs))
-			m.Counter("src_"+st.Name+"_failures", int64(st.Failures))
-		}
+		m.AddCounters("", rep.Counters())
 		m.Sample("wall_ms", wallMS)
-		return ledger.Emit(tele.Registry(), m)
-	}
-
-	if *tracePath != "" || *top > 0 {
-		runs, err := tracedReplays(rep)
-		if err != nil {
-			return err
-		}
-		// Attribution goes to stderr: -json stdout stays machine-clean.
-		cliutil.SummarizeTrace(os.Stderr, runs, model, *top)
-		if err := cliutil.ExportTrace(*tracePath, *traceFormat, runs); err != nil {
-			return err
-		}
-	}
-	if err := cliutil.WriteHeapProfile(*memProfile); err != nil {
-		return err
-	}
-
-	if *jsonOut {
-		if err := emitJSON(rep, model); err != nil {
-			return err
-		}
-		return emitLedger()
-	}
-	fmt.Printf("campaign: %s n=%d w=%d model=%s passes=%d seed=%d\n",
-		rep.Algorithm, *n, *w, model, *passes, rep.Seed)
-	fmt.Printf("probe: %d decisions, %d RMR-incurring; bound %d\n",
-		rep.Probe.Steps, len(rep.Probe.RMRAt), rep.Bound)
-	for _, st := range rep.Sources {
-		fmt.Printf("  %-18s %5d runs  %d failures\n", st.Name, st.Runs, st.Failures)
-	}
-	if rep.Skipped > 0 {
-		fmt.Printf("  (%d runs skipped by -failfast)\n", rep.Skipped)
-	}
-	for _, f := range rep.Failures {
-		fmt.Printf("FAIL %s\n", f)
-	}
-	if !rep.Ok() {
-		return fmt.Errorf("%d of %d runs failed", len(rep.Failures), rep.Runs)
-	}
-	fmt.Println("OK")
-	return emitLedger()
+		return []*perflog.Manifest{m}, nil
+	})
 }
 
 // tracedReplays re-executes the campaign's interesting schedules — each

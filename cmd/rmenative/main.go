@@ -19,7 +19,9 @@
 //	rmenative [-algs watree,mcs,clh,ticket,qword] [-procs 1,2,4,8]
 //	          [-passes N] [-warmup N] [-width W] [-crashevery K] [-nosim]
 //	          [-json FILE] [-merge BENCH_results.json]
+//	          [-cpuprofile FILE] [-memprofile FILE]
 //	          [-heartbeat DUR] [-metrics FILE] [-debugaddr ADDR]
+//	          [-ledger runs/ledger.jsonl] [-runlabel LABEL] [-version]
 //
 // The human table goes to stdout and timings to stderr. -json writes the
 // machine-readable report to its own file; -merge instead folds it into an
@@ -118,29 +120,13 @@ type nativeReport struct {
 	Points      []pointRecord      `json:"points"`
 }
 
-// pointManifest builds one sweep point's perf-ledger entry. Only the
-// simulator-side correlation columns are deterministic counters; everything
-// the hardware produced (throughput, latencies, crash counts) is advisory
-// wall data by construction.
-func pointManifest(pt pointRecord, w word.Width, warmup, crashEvery int, noSim bool) *perflog.Manifest {
-	m := perflog.New("rmenative")
-	m.SetConfig("alg", pt.Alg)
-	m.SetConfig("procs", pt.Procs)
-	m.SetConfig("width", int(w))
-	m.SetConfig("passes", pt.Passes)
-	m.SetConfig("warmup", warmup)
-	m.SetConfig("crashevery", crashEvery)
-	m.SetConfig("nosim", noSim)
-	if !noSim {
-		m.Counter("sim_cc_rmr_max", int64(pt.SimCCRMRPerPassageMax))
-		m.Counter("sim_cc_rmr_avg_x100", int64(pt.SimCCRMRPerPassageAvg*100+0.5))
+// Counters returns the point's deterministic counters, the simulator-side
+// correlation columns; what the hardware produced is advisory wall data.
+func (pt pointRecord) Counters() map[string]int64 {
+	return map[string]int64{
+		"sim_cc_rmr_max":      int64(pt.SimCCRMRPerPassageMax),
+		"sim_cc_rmr_avg_x100": int64(pt.SimCCRMRPerPassageAvg*100 + 0.5),
 	}
-	m.Sample("wall_ms", pt.WallMS)
-	m.Sample("throughput_per_sec", pt.ThroughputPerSec)
-	m.Sample("p50_ns", float64(pt.Latency.P50NS))
-	m.Sample("p99_ns", float64(pt.Latency.P99NS))
-	m.Sample("crashes", float64(pt.Crashes))
-	return m
 }
 
 func run(args []string) error {
@@ -158,102 +144,111 @@ func run(args []string) error {
 	jsonPath := fs.String("json", "", "write the machine-readable report to this file")
 	mergePath := fs.String("merge", "",
 		"merge the report into an existing rmrbench JSON report under the \"native\" key")
-	tele := cliutil.TelemetryFlags(fs)
-	ledger := cliutil.LedgerFlags(fs)
-	version := cliutil.VersionFlag(fs)
+	diag := cliutil.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println(cliutil.VersionString("rmenative"))
-		return nil
-	}
-	algs, err := parseAlgs(*algsFlag)
-	if err != nil {
-		return err
-	}
-	sweep, err := parseInts(*procsFlag)
-	if err != nil {
-		return fmt.Errorf("-procs: %w", err)
-	}
-	w := word.Width(*widthFlag)
-	if !w.Valid() {
-		return fmt.Errorf("invalid width %d", *widthFlag)
-	}
-	stopTele, err := tele.Start("native", telemetry.View{Progress: "native_passages"})
-	if err != nil {
-		return err
-	}
-	defer stopTele()
-	// The report histograms always exist; the -metrics/-debugaddr registry
-	// additionally receives the same observations when enabled.
-	reg := telemetry.New()
-
-	report := nativeReport{
-		Width:      w,
-		Passes:     *passes,
-		Warmup:     *warmup,
-		CrashEvery: *crashEvery,
-		NumCPU:     runtime.NumCPU(),
-		GoVersion:  runtime.Version(),
-		Provenance: perflog.Build(),
-	}
-	prevMaxProcs := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prevMaxProcs)
-
-	start := time.Now()
-	for _, alg := range algs {
-		fmt.Printf("=== %s (w=%d)\n", alg.Name(), w)
-		fmt.Printf("%6s %11s %14s %10s %10s %10s %10s %12s\n",
-			"n", "gomaxprocs", "passages/sec", "p50", "p90", "p99", "max", "sim CC-RMR")
-		for _, n := range sweep {
-			pt, err := runPoint(alg, n, w, *passes, *warmup, *crashEvery, reg, tele.Registry())
-			if err != nil {
-				return fmt.Errorf("%s n=%d: %w", alg.Name(), n, err)
-			}
-			if !*noSim {
-				if err := simCorrelate(alg, n, w, &pt); err != nil {
-					fmt.Fprintf(os.Stderr, "    (sim correlation unavailable for %s n=%d: %v)\n",
-						alg.Name(), n, err)
-				}
-			}
-			simCol := "-"
-			if pt.SimCCRMRPerPassageMax > 0 {
-				simCol = fmt.Sprintf("%.1f/%d", pt.SimCCRMRPerPassageAvg, pt.SimCCRMRPerPassageMax)
-			}
-			fmt.Printf("%6d %11d %14.0f %10s %10s %10s %10s %12s\n",
-				pt.Procs, pt.GOMAXPROCS, pt.ThroughputPerSec,
-				ns(pt.Latency.P50NS), ns(pt.Latency.P90NS), ns(pt.Latency.P99NS),
-				ns(pt.Latency.MaxNS), simCol)
-			report.Points = append(report.Points, pt)
-		}
-		fmt.Println()
-	}
-	report.TotalWallMS = float64(time.Since(start).Microseconds()) / 1000
-	fmt.Fprintf(os.Stderr, "swept %d algorithms x %d points in %.0f ms\n",
-		len(algs), len(sweep), report.TotalWallMS)
-
-	if *jsonPath != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
+	return diag.Do("native", telemetry.View{Progress: "native_passages"}, func() ([]*perflog.Manifest, error) {
+		algs, err := parseAlgs(*algsFlag)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
+		sweep, err := parseInts(*procsFlag)
+		if err != nil {
+			return nil, fmt.Errorf("-procs: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d points)\n", *jsonPath, len(report.Points))
-	}
-	if *mergePath != "" {
-		if err := mergeReport(*mergePath, report); err != nil {
-			return err
+		w := word.Width(*widthFlag)
+		if !w.Valid() {
+			return nil, fmt.Errorf("invalid width %d", *widthFlag)
 		}
-		fmt.Fprintf(os.Stderr, "merged native series into %s\n", *mergePath)
-	}
-	ms := make([]*perflog.Manifest, 0, len(report.Points))
-	for _, pt := range report.Points {
-		ms = append(ms, pointManifest(pt, w, *warmup, *crashEvery, *noSim))
-	}
-	return ledger.Emit(tele.Registry(), ms...)
+		// The report histograms always exist; the -metrics/-debugaddr registry
+		// additionally receives the same observations when enabled.
+		reg := telemetry.New()
+
+		report := nativeReport{
+			Width:      w,
+			Passes:     *passes,
+			Warmup:     *warmup,
+			CrashEvery: *crashEvery,
+			NumCPU:     runtime.NumCPU(),
+			GoVersion:  runtime.Version(),
+			Provenance: perflog.Build(),
+		}
+		prevMaxProcs := runtime.GOMAXPROCS(0)
+		defer runtime.GOMAXPROCS(prevMaxProcs)
+
+		start := time.Now()
+		for _, alg := range algs {
+			fmt.Printf("=== %s (w=%d)\n", alg.Name(), w)
+			fmt.Printf("%6s %11s %14s %10s %10s %10s %10s %12s\n",
+				"n", "gomaxprocs", "passages/sec", "p50", "p90", "p99", "max", "sim CC-RMR")
+			for _, n := range sweep {
+				pt, err := runPoint(alg, n, w, *passes, *warmup, *crashEvery, reg, diag.Registry())
+				if err != nil {
+					return nil, fmt.Errorf("%s n=%d: %w", alg.Name(), n, err)
+				}
+				if !*noSim {
+					if err := simCorrelate(alg, n, w, &pt); err != nil {
+						fmt.Fprintf(os.Stderr, "    (sim correlation unavailable for %s n=%d: %v)\n",
+							alg.Name(), n, err)
+					}
+				}
+				simCol := "-"
+				if pt.SimCCRMRPerPassageMax > 0 {
+					simCol = fmt.Sprintf("%.1f/%d", pt.SimCCRMRPerPassageAvg, pt.SimCCRMRPerPassageMax)
+				}
+				fmt.Printf("%6d %11d %14.0f %10s %10s %10s %10s %12s\n",
+					pt.Procs, pt.GOMAXPROCS, pt.ThroughputPerSec,
+					ns(pt.Latency.P50NS), ns(pt.Latency.P90NS), ns(pt.Latency.P99NS),
+					ns(pt.Latency.MaxNS), simCol)
+				report.Points = append(report.Points, pt)
+			}
+			fmt.Println()
+		}
+		report.TotalWallMS = float64(time.Since(start).Microseconds()) / 1000
+		fmt.Fprintf(os.Stderr, "swept %d algorithms x %d points in %.0f ms\n",
+			len(algs), len(sweep), report.TotalWallMS)
+
+		if *jsonPath != "" {
+			blob, err := json.MarshalIndent(report, "", "  ")
+			if err != nil {
+				return nil, err
+			}
+			if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(os.Stderr, "wrote %s (%d points)\n", *jsonPath, len(report.Points))
+		}
+		if *mergePath != "" {
+			if err := mergeReport(*mergePath, report); err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(os.Stderr, "merged native series into %s\n", *mergePath)
+		}
+		// One perf-ledger entry per point, with counters only when the
+		// simulator correlation ran.
+		ms := make([]*perflog.Manifest, len(report.Points))
+		for i, pt := range report.Points {
+			m := perflog.New("rmenative")
+			m.SetConfig("alg", pt.Alg)
+			m.SetConfig("procs", pt.Procs)
+			m.SetConfig("width", int(w))
+			m.SetConfig("passes", pt.Passes)
+			m.SetConfig("warmup", *warmup)
+			m.SetConfig("crashevery", *crashEvery)
+			m.SetConfig("nosim", *noSim)
+			if !*noSim {
+				m.AddCounters("", pt.Counters())
+			}
+			m.Sample("wall_ms", pt.WallMS)
+			m.Sample("throughput_per_sec", pt.ThroughputPerSec)
+			m.Sample("p50_ns", float64(pt.Latency.P50NS))
+			m.Sample("p99_ns", float64(pt.Latency.P99NS))
+			m.Sample("crashes", float64(pt.Crashes))
+			ms[i] = m
+		}
+		return ms, nil
+	})
 }
 
 // runPoint measures one (algorithm, n) configuration with GOMAXPROCS=n.

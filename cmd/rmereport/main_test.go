@@ -41,9 +41,9 @@ func benchRun(label, experiment string, steps, rmr int64, wallMS float64) *perfl
 	m.SetConfig("experiment", experiment)
 	m.SetConfig("full", false)
 	m.SetConfig("seed", 0)
-	m.Counter("steps", steps)
-	m.Counter("max_rmr", rmr)
-	m.Counter("runs", 15)
+	m.Counters["steps"] = steps
+	m.Counters["max_rmr"] = rmr
+	m.Counters["runs"] = 15
 	m.Sample("wall_ms", wallMS)
 	return m
 }
@@ -234,7 +234,7 @@ func TestHistoryFormats(t *testing.T) {
 		benchRun("baseline", "E2", 196638, 118, 356),
 		benchRun("pr-12", "E2", 196640, 118, 349))
 	other := perflog.New("rmecheck")
-	other.Counter("steps", 7)
+	other.Counters["steps"] = 7
 	writeLedger(t, path, other)
 
 	text, err := captureStdout(t, func() error {

@@ -14,8 +14,9 @@
 //	rmeserve [-locks 64] [-clients 1000000] [-passages 10000]
 //	         [-dist zipf:1.1] [-alg watree] [-model cc] [-w 8]
 //	         [-slots 8] [-rate N] [-seed 1] [-parallel N] [-json]
-//	         [-top N] [-cpuprofile FILE]
+//	         [-top N] [-cpuprofile FILE] [-memprofile FILE]
 //	         [-heartbeat DUR] [-metrics FILE] [-debugaddr ADDR]
+//	         [-ledger runs/ledger.jsonl] [-runlabel LABEL] [-version]
 //
 // -dist accepts uniform, zipf[:theta] (theta > 1), and bursty[:frac]
 // (active keyspace fraction). -top N additionally captures step traces and
@@ -64,131 +65,89 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", 0, "engine workers (0 = GOMAXPROCS); report is identical at any value")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON on stdout")
 	top := fs.Int("top", 0, "capture step traces and report the N hottest cells (expensive)")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run")
-	tel := cliutil.TelemetryFlags(fs)
-	ledger := cliutil.LedgerFlags(fs)
-	version := cliutil.VersionFlag(fs)
+	diag := cliutil.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println(cliutil.VersionString("rmeserve"))
-		return nil
-	}
-
-	alg, err := rme.NewAlgorithm(*algName)
-	if err != nil {
-		return err
-	}
-	model, err := sim.ParseModel(*modelName)
-	if err != nil {
-		return err
-	}
-	d, err := service.ParseDist(*dist)
-	if err != nil {
-		return err
-	}
-
-	stopProf, err := cliutil.StartCPUProfile(*cpuprofile)
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-
-	stopTel, err := tel.Start("rmeserve", telemetry.View{
+	view := telemetry.View{
 		Progress:    "service_passages",
 		Target:      "service_target_passages",
 		Show:        []string{"service_outstanding"},
 		UtilBusy:    "engine_busy_ns",
 		UtilWorkers: "engine_workers",
-	})
-	if err != nil {
-		return err
 	}
-	defer stopTel()
+	return diag.Do("rmeserve", view, func() ([]*perflog.Manifest, error) {
+		alg, err := rme.NewAlgorithm(*algName)
+		if err != nil {
+			return nil, err
+		}
+		model, err := sim.ParseModel(*modelName)
+		if err != nil {
+			return nil, err
+		}
+		d, err := service.ParseDist(*dist)
+		if err != nil {
+			return nil, err
+		}
+		cfg := service.Config{
+			Locks:     *locks,
+			Clients:   *clients,
+			Passages:  *passages,
+			Dist:      d,
+			Seed:      *seed,
+			Algorithm: alg,
+			Width:     word.Width(*w),
+			Model:     model,
+			Slots:     *slots,
+			Rate:      *rate,
+			Parallel:  *parallel,
+			Telemetry: diag.Registry(),
+			TopCells:  *top,
+		}
 
-	cfg := service.Config{
-		Locks:     *locks,
-		Clients:   *clients,
-		Passages:  *passages,
-		Dist:      d,
-		Seed:      *seed,
-		Algorithm: alg,
-		Width:     word.Width(*w),
-		Model:     model,
-		Slots:     *slots,
-		Rate:      *rate,
-		Parallel:  *parallel,
-		Telemetry: tel.Registry(),
-		TopCells:  *top,
-	}
+		start := time.Now()
+		rep, err := service.Run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		wall := time.Since(start)
+		// Host-dependent throughput goes to stderr so stdout stays
+		// byte-identical across hosts and -parallel values.
+		fmt.Fprintf(os.Stderr, "rmeserve: %d passages in %s (%.0f passages/sec)\n",
+			rep.Passages, wall.Round(time.Millisecond), float64(rep.Passages)/wall.Seconds())
 
-	start := time.Now()
-	rep, err := service.Run(cfg)
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start)
-	// Host-dependent throughput goes to stderr so stdout stays
-	// byte-identical across hosts and -parallel values.
-	fmt.Fprintf(os.Stderr, "rmeserve: %d passages in %s (%.0f passages/sec)\n",
-		rep.Passages, wall.Round(time.Millisecond), float64(rep.Passages)/wall.Seconds())
-
-	emitLedger := func() error {
-		m := serveManifest(rep)
+		if *jsonOut {
+			enc := json.NewEncoder(os.Stdout)
+			enc.SetIndent("", "  ")
+			// The embed keeps the report's field order and adds build
+			// provenance at the end, so existing consumers and the -parallel
+			// parity guarantee are untouched (both runs carry the same
+			// provenance).
+			if err := enc.Encode(struct {
+				*service.Report
+				Provenance perflog.Provenance `json:"provenance"`
+			}{rep, perflog.Build()}); err != nil {
+				return nil, err
+			}
+		} else {
+			printReport(rep)
+		}
+		m := perflog.New("rmeserve")
+		m.SetConfig("locks", rep.Locks)
+		m.SetConfig("clients", rep.Clients)
+		m.SetConfig("passages", rep.TargetPassages)
+		m.SetConfig("dist", rep.Dist)
+		m.SetConfig("alg", rep.Algorithm)
+		m.SetConfig("model", rep.Model)
+		m.SetConfig("w", rep.Width)
+		m.SetConfig("slots", rep.Slots)
+		m.SetConfig("rate", rep.Rate)
+		m.SetConfig("seed", rep.Seed)
+		m.AddCounters("", rep.Counters())
 		m.Sample("wall_ms", float64(wall.Microseconds())/1000)
 		m.Sample("passages_per_sec", float64(rep.Passages)/wall.Seconds())
-		return ledger.Emit(tel.Registry(), m)
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		// The embed keeps the report's field order and adds build provenance
-		// at the end, so existing consumers and the -parallel parity guarantee
-		// are untouched (both runs carry the same provenance).
-		if err := enc.Encode(struct {
-			*service.Report
-			Provenance perflog.Provenance `json:"provenance"`
-		}{rep, perflog.Build()}); err != nil {
-			return err
-		}
-		return emitLedger()
-	}
-	printReport(rep)
-	return emitLedger()
-}
-
-// serveManifest builds the run's perf-ledger entry. The whole report is a
-// pure function of seed and configuration, so every scalar — including the
-// latency and fairness quantiles, which are measured in machine steps, not
-// time — is an exactly-gateable counter. Jain's index is deterministic too;
-// it rides along scaled to re-enter the integer counter set.
-func serveManifest(rep *service.Report) *perflog.Manifest {
-	m := perflog.New("rmeserve")
-	m.SetConfig("locks", rep.Locks)
-	m.SetConfig("clients", rep.Clients)
-	m.SetConfig("passages", rep.TargetPassages)
-	m.SetConfig("dist", rep.Dist)
-	m.SetConfig("alg", rep.Algorithm)
-	m.SetConfig("model", rep.Model)
-	m.SetConfig("w", rep.Width)
-	m.SetConfig("slots", rep.Slots)
-	m.SetConfig("rate", rep.Rate)
-	m.SetConfig("seed", rep.Seed)
-	m.Counter("passages", rep.Passages)
-	m.Counter("rounds", rep.Rounds)
-	m.Counter("arrivals", rep.Arrivals)
-	m.Counter("pending", rep.Pending)
-	m.Counter("steps", rep.Steps)
-	m.Counter("rmr_cc", rep.RMRCC)
-	m.Counter("rmr_dsm", rep.RMRDSM)
-	m.Counter("latency_p50", rep.Latency.P50)
-	m.Counter("latency_p99", rep.Latency.P99)
-	m.Counter("latency_max", rep.Latency.Max)
-	m.Counter("fairness_clients_served", int64(rep.Fairness.ClientsServed))
-	m.Counter("fairness_p99", rep.Fairness.P99)
-	m.Counter("jain_x10000", int64(rep.Fairness.JainIndex*10000+0.5))
-	return m
+		return []*perflog.Manifest{m}, nil
+	})
 }
 
 // printReport renders the human-readable summary (deterministic).

@@ -100,34 +100,45 @@ func runSummarize(args []string) error {
 	if err != nil {
 		return err
 	}
-	var totalEvents, totalSteps, totalCC, totalDSM int64
+	var tot summaryTotals
 	fmt.Printf("%d runs:\n", len(runs))
 	for _, r := range runs {
 		a := trace.Attribute(r.Events)
 		fmt.Printf("  run %d: %s (%s, n=%d) — %d events, %d steps, %d RMRs\n",
 			r.Index, r.Label, r.Model, r.Procs, a.Events, a.Steps, a.RMRs(r.Model))
-		totalEvents += int64(a.Events)
-		totalSteps += int64(a.Steps)
-		totalCC += int64(a.RMRCC)
-		totalDSM += int64(a.RMRDSM)
+		tot.runs++
+		tot.events += int64(a.Events)
+		tot.steps += int64(a.Steps)
+		tot.rmrCC += int64(a.RMRCC)
+		tot.rmrDSM += int64(a.RMRDSM)
 	}
 	trace.WriteSummary(os.Stdout, trace.Merge(runs), model, *top)
 
-	// The summary is a pure function of the trace file, so the aggregate
-	// attribution totals are exactly-gateable counters for that file's
-	// contents. The file's base name identifies the artifact in the config
-	// (its directory is host layout, not semantics).
+	// The file's base name identifies the artifact in the config (its
+	// directory is host layout, not semantics).
 	m := perflog.New("rmetrace")
 	m.SetConfig("subcommand", "summarize")
 	m.SetConfig("file", filepath.Base(fs.Arg(0)))
 	m.SetConfig("model", model)
 	m.SetConfig("top", *top)
-	m.Counter("runs", int64(len(runs)))
-	m.Counter("events", totalEvents)
-	m.Counter("steps", totalSteps)
-	m.Counter("rmr_cc", totalCC)
-	m.Counter("rmr_dsm", totalDSM)
+	m.AddCounters("", tot.Counters())
 	return ledger.Emit(nil, m)
+}
+
+// summaryTotals aggregates a summarized trace file. The summary is a pure
+// function of the file, so its Counters are exactly gateable.
+type summaryTotals struct {
+	runs, events, steps, rmrCC, rmrDSM int64
+}
+
+func (t summaryTotals) Counters() map[string]int64 {
+	return map[string]int64{
+		"runs":    t.runs,
+		"events":  t.events,
+		"steps":   t.steps,
+		"rmr_cc":  t.rmrCC,
+		"rmr_dsm": t.rmrDSM,
+	}
 }
 
 // runMetrics summarizes a telemetry JSONL stream: per-series first, min,

@@ -133,24 +133,11 @@ func mergeResults(existing []byte, report benchReport) ([]byte, error) {
 	return json.MarshalIndent(doc, "", "  ")
 }
 
-// manifest builds one experiment's perf-ledger entry. The semantic config is
-// the experiment's identity (id, sweep size, seed offset) — not the -only
-// list or -parallel — so a full baseline run gates a later subset rerun.
-func manifest(rec experimentRecord, full bool, seed int64) *perflog.Manifest {
-	m := perflog.New("rmrbench")
-	m.SetConfig("experiment", rec.ID)
-	m.SetConfig("full", full)
-	m.SetConfig("seed", seed)
-	m.Counter("runs", rec.Runs)
-	m.Counter("steps", rec.Steps)
-	m.Counter("max_rmr", rec.MaxRMR)
-	m.Counter("passages", rec.Passages)
-	m.Counter("tables", int64(rec.Tables))
-	// AvgMaxRMR is a deterministic ratio of two counters; scale to hold it in
-	// the exact-gated integer set.
-	m.Counter("avg_max_rmr_x100", int64(rec.AvgMaxRMR*100+0.5))
-	m.Sample("wall_ms", rec.WallMS)
-	return m
+// Counters returns the engine metrics' counters plus the table count.
+func (r experimentRecord) Counters() map[string]int64 {
+	c := r.MetricsSnapshot.Counters()
+	c["tables"] = int64(r.Tables)
+	return c
 }
 
 func run(args []string) error {
@@ -160,113 +147,98 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", 0, "engine workers per experiment grid (0 = GOMAXPROCS); tables are identical at any value")
 	jsonPath := fs.String("json", "BENCH_results.json", "machine-readable report path (empty to skip)")
 	seed := fs.Int64("seed", 0, "offset for the experiments' base seeds (0 = the published tables)")
-	tracePath := fs.String("trace", "", "write a step-level trace of every engine run to this file")
-	traceFormat := fs.String("traceformat", "jsonl", "trace encoding: jsonl or chrome (Perfetto)")
-	top := fs.Int("top", 0, "print the N hottest cells/procs from the captured trace (0 = off)")
-	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	tele := cliutil.TelemetryFlags(fs)
-	ledger := cliutil.LedgerFlags(fs)
-	version := cliutil.VersionFlag(fs)
+	diag := cliutil.Flags(fs)
+	tr := diag.TraceFlags(fs, "write a step-level trace of every engine run to this file",
+		"print the N hottest cells/procs from the captured trace (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println(cliutil.VersionString("rmrbench"))
-		return nil
-	}
-	if _, err := trace.ParseFormat(*traceFormat); err != nil {
-		return err
-	}
-	stopCPU, err := cliutil.StartCPUProfile(*cpuProfile)
-	if err != nil {
-		return err
-	}
-	defer stopCPU()
-	stopTele, err := tele.Start("bench", telemetry.View{
+	view := telemetry.View{
 		Progress:    "engine_runs",
 		UtilBusy:    "engine_busy_ns",
 		UtilWorkers: "engine_workers",
+	}
+	return diag.Do("bench", view, func() ([]*perflog.Manifest, error) {
+		var capture *trace.Capture
+		if tr.Enabled() {
+			capture = &trace.Capture{}
+		}
+
+		want := map[string]bool{}
+		if *only != "" {
+			for _, id := range strings.Split(*only, ",") {
+				want[strings.ToUpper(strings.TrimSpace(id))] = true
+			}
+		}
+
+		report := benchReport{Full: *full, Parallel: engine.Parallelism(*parallel), Seed: *seed, Provenance: perflog.Build()}
+		benchStart := time.Now()
+		for _, exp := range harness.All() {
+			if len(want) > 0 && !want[exp.ID] {
+				continue
+			}
+			fmt.Printf("=== %s: %s\n", exp.ID, exp.Title)
+			fmt.Printf("    claim: %s\n\n", exp.Claim)
+			metrics := &engine.Metrics{}
+			opts := harness.Options{Full: *full, Parallel: *parallel, Metrics: metrics, Seed: *seed, Trace: capture, Telemetry: diag.Registry()}
+			start := time.Now()
+			tables, err := exp.Run(opts)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", exp.ID, err)
+			}
+			wall := time.Since(start)
+			for i := range tables {
+				tables[i].Render(os.Stdout)
+			}
+			// Timings go to stderr: stdout is byte-identical at any -parallel
+			// value, so runs can be diffed directly.
+			fmt.Fprintf(os.Stderr, "    (%s in %v)\n\n", exp.ID, wall.Round(time.Millisecond))
+			report.Experiments = append(report.Experiments, experimentRecord{
+				ID:              exp.ID,
+				Title:           exp.Title,
+				WallMS:          float64(wall.Microseconds()) / 1000,
+				Tables:          len(tables),
+				MetricsSnapshot: metrics.Snapshot(),
+			})
+		}
+		report.TotalWallMS = float64(time.Since(benchStart).Microseconds()) / 1000
+
+		if capture != nil {
+			// The summary is as deterministic as the tables, so it shares stdout.
+			if err := tr.Write(os.Stdout, capture.Runs(), sim.CC); err != nil {
+				return nil, err
+			}
+		}
+
+		if *jsonPath != "" {
+			existing, err := os.ReadFile(*jsonPath)
+			if err != nil && !os.IsNotExist(err) {
+				return nil, err
+			}
+			blob, err := mergeResults(existing, report)
+			if err != nil {
+				return nil, err
+			}
+			if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(os.Stderr, "wrote %s (%d experiments this run, %.0f ms total)\n",
+				*jsonPath, len(report.Experiments), report.TotalWallMS)
+		}
+
+		// One perf-ledger entry per experiment. The semantic config is the
+		// experiment's identity (id, sweep size, seed offset) — not the -only
+		// list or -parallel — so a full baseline run gates a subset rerun.
+		ms := make([]*perflog.Manifest, len(report.Experiments))
+		for i, rec := range report.Experiments {
+			m := perflog.New("rmrbench")
+			m.SetConfig("experiment", rec.ID)
+			m.SetConfig("full", *full)
+			m.SetConfig("seed", *seed)
+			m.AddCounters("", rec.Counters())
+			m.Sample("wall_ms", rec.WallMS)
+			ms[i] = m
+		}
+		return ms, nil
 	})
-	if err != nil {
-		return err
-	}
-	defer stopTele()
-	var capture *trace.Capture
-	if *tracePath != "" || *top > 0 {
-		capture = &trace.Capture{}
-	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-	}
-
-	report := benchReport{Full: *full, Parallel: engine.Parallelism(*parallel), Seed: *seed, Provenance: perflog.Build()}
-	benchStart := time.Now()
-	for _, exp := range harness.All() {
-		if len(want) > 0 && !want[exp.ID] {
-			continue
-		}
-		fmt.Printf("=== %s: %s\n", exp.ID, exp.Title)
-		fmt.Printf("    claim: %s\n\n", exp.Claim)
-		metrics := &engine.Metrics{}
-		opts := harness.Options{Full: *full, Parallel: *parallel, Metrics: metrics, Seed: *seed, Trace: capture, Telemetry: tele.Registry()}
-		start := time.Now()
-		tables, err := exp.Run(opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", exp.ID, err)
-		}
-		wall := time.Since(start)
-		for i := range tables {
-			tables[i].Render(os.Stdout)
-		}
-		// Timings go to stderr: stdout is byte-identical at any -parallel
-		// value, so runs can be diffed directly.
-		fmt.Fprintf(os.Stderr, "    (%s in %v)\n\n", exp.ID, wall.Round(time.Millisecond))
-		report.Experiments = append(report.Experiments, experimentRecord{
-			ID:              exp.ID,
-			Title:           exp.Title,
-			WallMS:          float64(wall.Microseconds()) / 1000,
-			Tables:          len(tables),
-			MetricsSnapshot: metrics.Snapshot(),
-		})
-	}
-	report.TotalWallMS = float64(time.Since(benchStart).Microseconds()) / 1000
-
-	if capture != nil {
-		runs := capture.Runs()
-		// The summary is as deterministic as the tables, so it shares stdout.
-		cliutil.SummarizeTrace(os.Stdout, runs, sim.CC, *top)
-		if err := cliutil.ExportTrace(*tracePath, *traceFormat, runs); err != nil {
-			return err
-		}
-	}
-	if err := cliutil.WriteHeapProfile(*memProfile); err != nil {
-		return err
-	}
-
-	if *jsonPath != "" {
-		existing, err := os.ReadFile(*jsonPath)
-		if err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		blob, err := mergeResults(existing, report)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d experiments this run, %.0f ms total)\n",
-			*jsonPath, len(report.Experiments), report.TotalWallMS)
-	}
-
-	manifests := make([]*perflog.Manifest, 0, len(report.Experiments))
-	for _, rec := range report.Experiments {
-		manifests = append(manifests, manifest(rec, *full, *seed))
-	}
-	return ledger.Emit(tele.Registry(), manifests...)
 }

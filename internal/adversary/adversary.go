@@ -231,6 +231,21 @@ func (r *Report) MinSurvivorRMRs() int {
 	return minRMR
 }
 
+// Counters returns the construction's outcome statistics as perf-ledger
+// counters; the construction is deterministic, so all are exactly gateable.
+func (r *Report) Counters() map[string]int64 {
+	return map[string]int64{
+		"viable_rounds":   int64(r.ViableRounds),
+		"forced_rmrs":     int64(r.ForcedRMRs()),
+		"survivors":       int64(len(r.Survivors)),
+		"hiding_wins":     int64(r.HidingWins),
+		"hiding_attempts": int64(r.HidingAttempts),
+		"replays":         int64(r.Replays),
+		"rollbacks":       int64(r.RemovalRollbacks),
+		"violations":      int64(len(r.InvariantViolations)),
+	}
+}
+
 // Adversary drives one construction. It holds the live session checked out
 // of an engine.Worker; replay candidates (buildWithout) cycle through the
 // same worker, so the whole construction — every erasure audit included —

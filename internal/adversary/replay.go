@@ -169,13 +169,7 @@ func (a *Adversary) replayMatches(fresh *mutex.Session, p int) bool {
 // step/crash entry points.
 func applySchedule(s *mutex.Session, sched sim.Schedule) error {
 	for i, act := range sched {
-		var err error
-		if act.Crash {
-			_, err = s.CrashProc(act.Proc)
-		} else {
-			_, err = s.StepProc(act.Proc)
-		}
-		if err != nil {
+		if _, err := s.Apply(act); err != nil {
 			return fmt.Errorf("replay action %d (%s): %w", i, act, err)
 		}
 	}

@@ -210,6 +210,26 @@ func (r *Result) Err() error {
 		len(r.Violations), len(r.Deadlocks), msg)
 }
 
+// Counters returns the Result's perf-ledger counters, Truncated as 0/1.
+func (r *Result) Counters() map[string]int64 {
+	truncated := int64(0)
+	if r.Truncated {
+		truncated = 1
+	}
+	return map[string]int64{
+		"complete":        int64(r.Complete),
+		"truncated":       truncated,
+		"depth_truncated": int64(r.DepthTruncated),
+		"states_visited":  int64(r.StatesVisited),
+		"states_pruned":   int64(r.StatesPruned),
+		"shared_pruned":   int64(r.SharedPruned),
+		"sleep_pruned":    int64(r.SleepPruned),
+		"waves":           int64(r.Waves),
+		"machine_steps":   r.MachineSteps,
+		"replay_steps":    r.ReplaySteps,
+	}
+}
+
 // merge folds a root-branch sub-result into r in submission order.
 func (r *Result) merge(b *Result) {
 	r.Complete += b.Complete

@@ -154,13 +154,7 @@ func (e *explorer) run(act sim.Action, sleep uint64) (*Result, error) {
 
 // advance executes act on the live session and extends the path.
 func (e *explorer) advance(act sim.Action) error {
-	var err error
-	if act.Crash {
-		_, err = e.live.CrashProc(act.Proc)
-	} else {
-		_, err = e.live.StepProc(act.Proc)
-	}
-	if err != nil {
+	if _, err := e.live.Apply(act); err != nil {
 		// Branches are enumerated from enabled actions; failure to take one
 		// is an internal error.
 		return fmt.Errorf("check: applying %v after %v: %w", act, e.path, err)
@@ -174,13 +168,7 @@ func (e *explorer) advance(act sim.Action) error {
 // replay applies path[from:to] to s, which must be at state path[:from].
 func (e *explorer) replay(s *mutex.Session, from, to int) error {
 	for _, act := range e.path[from:to] {
-		var err error
-		if act.Crash {
-			_, err = s.CrashProc(act.Proc)
-		} else {
-			_, err = s.StepProc(act.Proc)
-		}
-		if err != nil {
+		if _, err := s.Apply(act); err != nil {
 			return fmt.Errorf("check: replaying prefix %v: %w", e.path[:to], err)
 		}
 		e.res.MachineSteps++

@@ -116,13 +116,7 @@ func (e *refExplorer) explore(prefix sim.Schedule) error {
 
 func refApplyPrefix(s *mutex.Session, prefix sim.Schedule, res *Result) error {
 	for _, act := range prefix {
-		var err error
-		if act.Crash {
-			_, err = s.CrashProc(act.Proc)
-		} else {
-			_, err = s.StepProc(act.Proc)
-		}
-		if err != nil {
+		if _, err := s.Apply(act); err != nil {
 			return err
 		}
 		res.MachineSteps++

@@ -9,11 +9,11 @@ import (
 	"rme/internal/telemetry"
 )
 
-// Ledger bundles the shared perf-ledger flags (-ledger, -runlabel) every
-// cmd/ main registers. Like the Telemetry bundle, it is strictly off the
-// result path: the flags decide only whether a run manifest is appended to a
-// JSONL ledger after the run, never what the run computes, so all -json
-// parity guarantees hold with the ledger on or off.
+// Ledger bundles the perf-ledger flags (-ledger, -runlabel): part of the Run
+// bundle, and registered on its own by rmetrace summarize. Like telemetry,
+// it is strictly off the result path: the flags decide only whether a run
+// manifest is appended to a JSONL ledger after the run, never what the run
+// computes, so all -json parity guarantees hold with the ledger on or off.
 type Ledger struct {
 	// Path is the JSONL ledger file to append run manifests to ("" = off).
 	Path string
@@ -33,15 +33,12 @@ func LedgerFlags(fs *flag.FlagSet) *Ledger {
 	return l
 }
 
-// Enabled reports whether -ledger was set.
-func (l *Ledger) Enabled() bool { return l.Path != "" }
-
 // Emit stamps label, build provenance, and the telemetry registry's final
 // snapshot (reg may be nil) onto each manifest and appends them to the
 // ledger. No-op when the ledger is disabled. Errors are returned, not fatal:
 // a failed ledger append must not fail the run that produced the results.
 func (l *Ledger) Emit(reg *telemetry.Registry, ms ...*perflog.Manifest) error {
-	if !l.Enabled() || len(ms) == 0 {
+	if l.Path == "" || len(ms) == 0 {
 		return nil
 	}
 	tel := reg.Export()
@@ -55,11 +52,6 @@ func (l *Ledger) Emit(reg *telemetry.Registry, ms ...*perflog.Manifest) error {
 	}
 	fmt.Fprintf(os.Stderr, "ledger: appended %d manifest(s) to %s\n", len(ms), l.Path)
 	return nil
-}
-
-// VersionFlag registers the shared -version flag on fs.
-func VersionFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("version", false, "print build provenance (go version, git revision, dirty bit) and exit")
 }
 
 // VersionString renders the standard -version banner for a tool.

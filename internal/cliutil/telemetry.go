@@ -9,11 +9,11 @@ import (
 	"rme/internal/telemetry"
 )
 
-// Telemetry bundles the shared observability flags (-heartbeat, -metrics,
-// -debugaddr) every cmd/ main registers. The registry exists only when at
-// least one flag is set, so instrumented code pays a single nil check when
-// telemetry is off — and nothing at all feeds back into results, so report
-// output is byte-identical either way.
+// Telemetry bundles the observability flags (-heartbeat, -metrics,
+// -debugaddr) of the Run bundle. The registry exists only when at least one
+// flag is set, so instrumented code pays a single nil check when telemetry
+// is off — and nothing at all feeds back into results, so report output is
+// byte-identical either way.
 type Telemetry struct {
 	// Heartbeat is the progress-line interval (0 = no stderr heartbeat).
 	Heartbeat time.Duration
@@ -27,9 +27,9 @@ type Telemetry struct {
 	reg *telemetry.Registry
 }
 
-// TelemetryFlags registers the shared flags on fs and returns the holder to
-// Start after flag parsing.
-func TelemetryFlags(fs *flag.FlagSet) *Telemetry {
+// telemetryFlags registers the flags on fs and returns the holder to Start
+// after flag parsing.
+func telemetryFlags(fs *flag.FlagSet) *Telemetry {
 	t := &Telemetry{}
 	fs.DurationVar(&t.Heartbeat, "heartbeat", 0,
 		"emit progress lines to stderr at this interval (0 = off)")

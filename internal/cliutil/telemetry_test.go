@@ -13,7 +13,7 @@ import (
 func parseTelemetry(t *testing.T, args ...string) *Telemetry {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	tele := TelemetryFlags(fs)
+	tele := telemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}

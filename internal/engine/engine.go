@@ -548,6 +548,18 @@ type MetricsSnapshot struct {
 	CellsOmitted int         `json:"cells_omitted,omitempty"`
 }
 
+// Counters returns the snapshot's scalars as perf-ledger counters, AvgMaxRMR
+// scaled by 100 and rounded to stay an integer.
+func (s MetricsSnapshot) Counters() map[string]int64 {
+	return map[string]int64{
+		"runs":             s.Runs,
+		"steps":            s.Steps,
+		"max_rmr":          s.MaxRMR,
+		"passages":         s.Passages,
+		"avg_max_rmr_x100": int64(s.AvgMaxRMR*100 + 0.5),
+	}
+}
+
 // Snapshot returns the current totals. The histogram and cell slices are
 // sorted copies, so encoding a snapshot is deterministic.
 func (m *Metrics) Snapshot() MetricsSnapshot {

@@ -117,6 +117,24 @@ func (r *Report) Err() error {
 	return fmt.Errorf("faults: %d failing runs; first: %s", len(r.Failures), r.Failures[0])
 }
 
+// Counters returns the campaign's perf-ledger counters, with one
+// runs/failures pair per source axis.
+func (r *Report) Counters() map[string]int64 {
+	c := map[string]int64{
+		"runs":            int64(r.Runs),
+		"skipped":         int64(r.Skipped),
+		"failures":        int64(len(r.Failures)),
+		"probe_steps":     int64(r.Probe.Steps),
+		"probe_rmr_steps": int64(len(r.Probe.RMRAt)),
+		"bound":           int64(r.Bound),
+	}
+	for _, st := range r.Sources {
+		c["src_"+st.Name+"_runs"] = int64(st.Runs)
+		c["src_"+st.Name+"_failures"] = int64(st.Failures)
+	}
+	return c
+}
+
 // errPartial marks a shrinker replay that ended mid-execution (neither done
 // nor stuck); it keeps end-state oracles from misfiring on prefixes.
 var errPartial = errors.New("faults: partial replay")

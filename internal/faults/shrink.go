@@ -171,17 +171,12 @@ func (sh *shrinker) fails(cand sim.Schedule) (sim.Schedule, bool) {
 // applyAction delivers one schedule action, reporting false when it no
 // longer applies (the candidate diverged from the captured execution).
 func applyAction(s *mutex.Session, act sim.Action) bool {
-	var err error
-	if act.Crash {
-		_, err = s.CrashProc(act.Proc)
-	} else {
-		if !s.Machine().Poised(act.Proc) {
-			// Steps in captured schedules always hit poised processes; a
-			// parked re-probe here means the candidate diverged.
-			return false
-		}
-		_, err = s.StepProc(act.Proc)
+	// Steps in captured schedules always hit poised processes; a parked
+	// re-probe here means the candidate diverged.
+	if !act.Crash && !s.Machine().Poised(act.Proc) {
+		return false
 	}
+	_, err := s.Apply(act)
 	return err == nil
 }
 
@@ -213,17 +208,8 @@ func replayOutcome(s *mutex.Session, atEnd bool) *Outcome {
 // this configuration.
 func Replay(cfg mutex.Config, sched sim.Schedule) (*Outcome, error) {
 	cfg.NoTrace = true
-	s, err := mutex.NewSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	for i, act := range sched {
-		if !applyAction(s, act) {
-			return nil, fmt.Errorf("faults: action %d (%s) does not apply", i, act)
-		}
-	}
-	return replayOutcome(s, true), nil
+	_, out, err := replay(cfg, sched)
+	return out, err
 }
 
 // ReplayTraced is Replay with event retention: it returns the replay's full
@@ -232,6 +218,12 @@ func Replay(cfg mutex.Config, sched sim.Schedule) (*Outcome, error) {
 // run) gets its per-access story back for export (rmefault -trace).
 func ReplayTraced(cfg mutex.Config, sched sim.Schedule) ([]sim.Event, *Outcome, error) {
 	cfg.NoTrace = false
+	return replay(cfg, sched)
+}
+
+// replay is the body of Replay and ReplayTraced; the returned trace is
+// empty under NoTrace.
+func replay(cfg mutex.Config, sched sim.Schedule) ([]sim.Event, *Outcome, error) {
 	s, err := mutex.NewSession(cfg)
 	if err != nil {
 		return nil, nil, err

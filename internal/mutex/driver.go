@@ -247,6 +247,15 @@ func (s *Session) CrashProc(p int) (sim.Event, error) {
 	return ev, nil
 }
 
+// Apply delivers one schedule action: a crash action through CrashProc,
+// any other through StepProc.
+func (s *Session) Apply(a sim.Action) (sim.Event, error) {
+	if a.Crash {
+		return s.CrashProc(a.Proc)
+	}
+	return s.StepProc(a.Proc)
+}
+
 // CrashAllProcs delivers a crash step to every live process at once — the
 // system-wide failure model of Golab–Hendler [11] and Jayanti–Jayanti–Joshi
 // [14], which the paper contrasts with its individual-crash model (§4: the

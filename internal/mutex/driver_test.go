@@ -2,6 +2,7 @@ package mutex_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"rme/internal/algorithms/rspin"
@@ -87,6 +88,48 @@ func TestRunRandomDeterministicPerSeed(t *testing.T) {
 	c := run(8)
 	if a.String() == c.String() {
 		t.Error("different seeds produced identical schedules (suspicious)")
+	}
+}
+
+// TestApplyReplaysCrashesAndSteps: Apply routes crash actions to CrashProc
+// and the rest to StepProc, so replaying a random crash run's schedule
+// action by action reproduces it exactly, and a crash action on a
+// non-recoverable algorithm is refused as CrashProc refuses it.
+func TestApplyReplaysCrashesAndSteps(t *testing.T) {
+	cfg := mutex.Config{Procs: 3, Width: 8, Model: sim.CC, Algorithm: rspin.New(), Passes: 2}
+	orig, err := mutex.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer orig.Close()
+	if err := orig.RunRandom(7, mutex.RandomRunOptions{CrashProb: 0.1, MaxCrashesPerProc: 2}); err != nil {
+		t.Fatal(err)
+	}
+	want := orig.Machine().Schedule()
+	if !strings.Contains(want.String(), "^") {
+		t.Fatalf("seed 7 schedule has no crash action: %s", want)
+	}
+	replay, err := mutex.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replay.Close()
+	for _, a := range want {
+		if _, err := replay.Apply(a); err != nil {
+			t.Fatalf("Apply(%v): %v", a, err)
+		}
+	}
+	if got := replay.Machine().Schedule(); got.String() != want.String() {
+		t.Fatalf("replayed schedule differs:\n got %s\nwant %s", got, want)
+	}
+
+	s, err := mutex.NewSession(mutex.Config{Procs: 2, Width: 8, Model: sim.CC, Algorithm: tas.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Apply(sim.Action{Proc: 0, Crash: true}); err == nil {
+		t.Fatal("Apply delivered a crash to a non-recoverable algorithm")
 	}
 }
 

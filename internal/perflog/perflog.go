@@ -137,9 +137,12 @@ func (m *Manifest) SetConfig(key string, v any) {
 	m.Config[key] = fmt.Sprint(v)
 }
 
-// Counter records one deterministic counter.
-func (m *Manifest) Counter(key string, v int64) {
-	m.Counters[key] = v
+// AddCounters records a result's deterministic counter set, each name
+// prefixed (prefix may be empty) so two results can share one manifest.
+func (m *Manifest) AddCounters(prefix string, counters map[string]int64) {
+	for k, v := range counters {
+		m.Counters[prefix+k] = v
+	}
 }
 
 // Sample records one advisory wall-clock sample.

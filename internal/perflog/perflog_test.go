@@ -14,8 +14,9 @@ func sampleManifest() *Manifest {
 	m.SetConfig("alg", "watree")
 	m.SetConfig("n", 2)
 	m.SetConfig("memo", true)
-	m.Counter("machine_steps", 12345)
-	m.Counter("states_visited", 678)
+	m.AddCounters("", map[string]int64{"machine_steps": 12345})
+	m.AddCounters("stress_", map[string]int64{"complete": 9})
+	m.Counters["states_visited"] = 678
 	m.Sample("wall_ms", 41.5)
 	m.Finalize()
 	return m
@@ -53,10 +54,10 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	}
 	second := sampleManifest()
 	second.Label = "second"
-	second.Counter("machine_steps", 99999)
+	second.Counters["machine_steps"] = 99999
 	third := New("rmrbench")
 	third.SetConfig("experiment", "E2")
-	third.Counter("steps", 7)
+	third.Counters["steps"] = 7
 	if err := Append(path, second, third); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	if got[0].Label != "unit" || got[1].Label != "second" || got[2].Tool != "rmrbench" {
 		t.Fatalf("append order not preserved: %+v", got)
 	}
-	if got[1].Counters["machine_steps"] != 99999 {
+	if got[1].Counters["machine_steps"] != 99999 || got[0].Counters["stress_complete"] != 9 {
 		t.Fatalf("counter lost: %+v", got[1].Counters)
 	}
 	if got[0].Wall["wall_ms"] != 41.5 {
@@ -130,7 +131,7 @@ func TestSemanticBytesExcludesAdvisory(t *testing.T) {
 	if !bytes.Equal(a.SemanticBytes(), b.SemanticBytes()) {
 		t.Fatalf("advisory fields leaked into SemanticBytes:\n%s\n%s", a.SemanticBytes(), b.SemanticBytes())
 	}
-	b.Counter("machine_steps", 1)
+	b.Counters["machine_steps"] = 1
 	if bytes.Equal(a.SemanticBytes(), b.SemanticBytes()) {
 		t.Fatal("counter drift not visible in SemanticBytes")
 	}

@@ -169,6 +169,27 @@ type Report struct {
 	TopCells []trace.CellStat `json:"top_cells,omitempty"`
 }
 
+// Counters returns the report's scalars as perf-ledger counters. Quantiles
+// are in machine steps, so all are exactly gateable; Jain's index is scaled
+// by 10^4 and rounded to stay an integer.
+func (r *Report) Counters() map[string]int64 {
+	return map[string]int64{
+		"passages":                r.Passages,
+		"rounds":                  r.Rounds,
+		"arrivals":                r.Arrivals,
+		"pending":                 r.Pending,
+		"steps":                   r.Steps,
+		"rmr_cc":                  r.RMRCC,
+		"rmr_dsm":                 r.RMRDSM,
+		"latency_p50":             r.Latency.P50,
+		"latency_p99":             r.Latency.P99,
+		"latency_max":             r.Latency.Max,
+		"fairness_clients_served": int64(r.Fairness.ClientsServed),
+		"fairness_p99":            r.Fairness.P99,
+		"jain_x10000":             int64(r.Fairness.JainIndex*10000 + 0.5),
+	}
+}
+
 // collectOrder is the engine Collect hook: the CS grant order is the only
 // payload the service needs back from a run.
 func collectOrder(s *mutex.Session) (interface{}, error) { return s.CSOrder(), nil }

@@ -96,19 +96,6 @@ type Machine struct {
 	// symPerms); the cell layout is sealed, so compilation never goes stale.
 	symFor   *Symmetry
 	symCache []symPerm
-	// obs, when non-nil, is streamed every recorded event (see SetObserver).
-	// The disabled path is a single nil check per event.
-	obs Observer
-}
-
-// Observer receives every recorded trace event as it happens, including
-// events the machine does not retain under NoTrace. Observers run on the
-// controller goroutine, synchronously with the step that produced the event;
-// they must not call back into the machine. When no observer is set the hook
-// costs one nil check per event — the zero-overhead-when-disabled contract
-// the rmrbench baseline guard enforces.
-type Observer interface {
-	ObserveEvent(Event)
 }
 
 var _ memory.Allocator = (*Machine)(nil)
@@ -532,23 +519,12 @@ func (m *Machine) Apply(s Schedule) error {
 	return nil
 }
 
-// record appends an event to the trace unless tracing is disabled, and
-// streams it to the observer, if any. Observer delivery is independent of
-// NoTrace: a campaign that discards retained traces can still stream.
+// record appends an event to the trace unless tracing is disabled.
 func (m *Machine) record(ev Event) {
 	if !m.cfg.NoTrace {
 		m.trace = append(m.trace, ev)
 	}
-	if m.obs != nil {
-		m.obs.ObserveEvent(ev)
-	}
 }
-
-// SetObserver installs (or, with nil, removes) the event observer. The
-// observer survives Reset — reattachment would race the construction marks
-// Start records — so a reused machine streams every run to the same sink
-// unless the controller swaps it between runs.
-func (m *Machine) SetObserver(o Observer) { m.obs = o }
 
 // Close shuts the machine down, terminating all process goroutines. It is
 // idempotent and must be called (typically deferred) to avoid goroutine

@@ -8,13 +8,6 @@ import (
 	"rme/internal/word"
 )
 
-// sliceObserver records every observed event.
-type sliceObserver struct {
-	events []Event
-}
-
-func (o *sliceObserver) ObserveEvent(ev Event) { o.events = append(o.events, ev) }
-
 // contendProg makes procs fight over a shared cell and then spin until a
 // release flag flips, exercising RMR charges, parking, and wakes.
 func contendProg(c, flag memory.Cell, id int) Program {
@@ -48,46 +41,6 @@ func startContention(t *testing.T, m *Machine) []Program {
 		t.Fatal(err)
 	}
 	return progs
-}
-
-// TestObserverMatchesRetainedTrace asserts the streaming hook sees exactly
-// the events the machine retains, in order — including the marks recorded
-// during Start, which is why the observer must be attachable before Start.
-func TestObserverMatchesRetainedTrace(t *testing.T) {
-	for _, model := range []Model{CC, DSM} {
-		m := newTestMachine(t, 3, model)
-		var obs sliceObserver
-		m.SetObserver(&obs)
-		startContention(t, m)
-		runToCompletion(t, m)
-		if len(obs.events) == 0 {
-			t.Fatal("observer saw no events")
-		}
-		if !reflect.DeepEqual(obs.events, m.Trace()) {
-			t.Errorf("%v: observer stream (%d events) != retained trace (%d events)",
-				model, len(obs.events), len(m.Trace()))
-		}
-	}
-}
-
-// TestObserverStreamsUnderNoTrace asserts the hook still fires when trace
-// retention is disabled — the configuration fault campaigns run with.
-func TestObserverStreamsUnderNoTrace(t *testing.T) {
-	m, err := New(Config{Procs: 2, Width: 16, Model: CC, NoTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	var obs sliceObserver
-	m.SetObserver(&obs)
-	startContention(t, m)
-	runToCompletion(t, m)
-	if got := len(m.Trace()); got != 0 {
-		t.Fatalf("NoTrace machine retained %d events", got)
-	}
-	if len(obs.events) == 0 {
-		t.Fatal("observer saw no events under NoTrace")
-	}
 }
 
 // TestEventFlagsMatchRMRCounters asserts the per-event RMRCC/RMRDSM flags
