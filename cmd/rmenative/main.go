@@ -210,11 +210,7 @@ func run(args []string) error {
 			len(algs), len(sweep), report.TotalWallMS)
 
 		if *jsonPath != "" {
-			blob, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
+			if err := cliutil.WriteJSON(*jsonPath, report); err != nil {
 				return nil, err
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s (%d points)\n", *jsonPath, len(report.Points))
@@ -385,73 +381,35 @@ func simCorrelate(alg mutex.Algorithm, n int, w word.Width, pt *pointRecord) err
 }
 
 // mergeReport folds the native report into an existing JSON object file
-// (rmrbench's BENCH_results.json) under the "native" key, preserving all
-// other keys. Points from an earlier run survive: the union is keyed by
-// (alg, procs), so a second -merge run over a different sweep extends the
-// series and only same-key points are replaced by the fresh measurement.
-// Scalar metadata (width, go_version, ...) reflects the latest run.
+// (rmrbench's BENCH_results.json) under the "native" key, leaving every other
+// member as it was. Points from an earlier run survive: they merge by (alg,
+// procs) (cliutil.MergeByKey), so a second -merge run over a different sweep
+// extends the series and only same-key points are replaced by the fresh
+// measurement. Scalar metadata (width, go_version, ...) reflects the latest
+// run.
 func mergeReport(path string, rep nativeReport) error {
-	obj := map[string]any{}
-	if blob, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(blob, &obj); err != nil {
-			return fmt.Errorf("merge: %s is not a JSON object: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
+	doc, err := cliutil.ReadObject(path)
+	if err != nil {
+		return fmt.Errorf("merge: %w", err)
 	}
-	if prev, ok := obj["native"]; ok {
-		merged, err := unionPoints(prev, rep)
-		if err != nil {
-			return fmt.Errorf("merge: %s: %w", path, err)
+	if raw, ok := doc["native"]; ok {
+		var old nativeReport
+		if err := json.Unmarshal(raw, &old); err != nil {
+			return fmt.Errorf("merge: %s: existing \"native\" entry is not a native report: %w", path, err)
 		}
-		rep = merged
+		type key struct {
+			alg   string
+			procs int
+		}
+		rep.Points = cliutil.MergeByKey(old.Points, rep.Points,
+			func(pt pointRecord) key { return key{pt.Alg, pt.Procs} })
 	}
-	obj["native"] = rep
-	blob, err := json.MarshalIndent(obj, "", "  ")
+	blob, err := json.Marshal(rep)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
-// unionPoints merges the fresh report over the decoded previous "native"
-// entry: previous points keep their order, same-(alg, procs) points are
-// replaced in place, and new points append in run order.
-func unionPoints(prev any, rep nativeReport) (nativeReport, error) {
-	blob, err := json.Marshal(prev)
-	if err != nil {
-		return rep, err
-	}
-	var old nativeReport
-	if err := json.Unmarshal(blob, &old); err != nil {
-		return rep, fmt.Errorf("existing \"native\" entry is not a native report: %w", err)
-	}
-	type key struct {
-		alg   string
-		procs int
-	}
-	fresh := make(map[key]int, len(rep.Points))
-	for i, pt := range rep.Points {
-		fresh[key{pt.Alg, pt.Procs}] = i
-	}
-	points := make([]pointRecord, 0, len(old.Points)+len(rep.Points))
-	used := make(map[key]bool, len(rep.Points))
-	for _, pt := range old.Points {
-		k := key{pt.Alg, pt.Procs}
-		if i, ok := fresh[k]; ok {
-			points = append(points, rep.Points[i])
-			used[k] = true
-			continue
-		}
-		points = append(points, pt)
-	}
-	for _, pt := range rep.Points {
-		if !used[key{pt.Alg, pt.Procs}] {
-			points = append(points, pt)
-		}
-	}
-	rep.Points = points
-	return rep, nil
+	doc["native"] = blob
+	return cliutil.WriteJSON(path, doc)
 }
 
 func parseAlgs(list string) ([]mutex.Algorithm, error) {

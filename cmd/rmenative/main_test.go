@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -135,6 +136,84 @@ func TestMergeUnionsSeries(t *testing.T) {
 		if got[i].Alg != w.alg || got[i].Procs != w.procs || got[i].ThroughputPerSec != w.thpt {
 			t.Errorf("point %d = %s/n%d thpt %v; want %s/n%d thpt %v",
 				i, got[i].Alg, got[i].Procs, got[i].ThroughputPerSec, w.alg, w.procs, w.thpt)
+		}
+	}
+}
+
+// rmrbenchReport is a report exactly as `rmrbench -only E7 -json FILE`
+// writes it: experiment records keep their struct field order.
+const rmrbenchReport = `{
+  "experiments": [
+    {
+      "id": "E7",
+      "title": "Crash steps rescue hiding (paper §1.1)",
+      "wall_ms": 12.317,
+      "tables": 1,
+      "runs": 4,
+      "steps": 406,
+      "max_rmr": 14,
+      "avg_max_rmr": 7.25
+    }
+  ],
+  "full": false,
+  "parallel": 2,
+  "provenance": {
+    "go_version": "go1.24.0"
+  },
+  "seed": 0,
+  "total_wall_ms": 12.412
+}
+`
+
+// withoutMember returns blob with its top-level member key and the comma
+// before it cut out. The member must not be the object's first.
+func withoutMember(t *testing.T, blob []byte, key string) string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	if _, err := dec.Token(); err != nil {
+		t.Fatal(err)
+	}
+	for dec.More() {
+		start := dec.InputOffset()
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		if k == key {
+			return string(blob[:start]) + string(blob[dec.InputOffset():])
+		}
+	}
+	t.Fatalf("no %q member in %s", key, blob)
+	return ""
+}
+
+// TestMergeLeavesOtherSectionsByteIdentical: -merge into a report written
+// by rmrbench -json rewrites only the "native" member, on the first merge
+// and on one over an existing series; every other byte, the key order
+// inside experiment records included, stays as rmrbench wrote it.
+func TestMergeLeavesOtherSectionsByteIdentical(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_results.json")
+	if err := os.WriteFile(path, []byte(rmrbenchReport), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []string{"ticket", "mcs"} {
+		err := run([]string{
+			"-algs", alg, "-procs", "1", "-passes", "30", "-warmup", "5", "-nosim",
+			"-merge", path,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := withoutMember(t, blob, "native"); got != rmrbenchReport {
+			t.Fatalf("after merging %s, the bytes outside \"native\" changed:\n%s\nwant:\n%s", alg, got, rmrbenchReport)
 		}
 	}
 }

@@ -77,60 +77,27 @@ type benchReport struct {
 	Experiments []experimentRecord `json:"experiments"`
 }
 
-// mergeResults folds the new report into an existing results file instead of
-// overwriting it: experiments union keyed by id (existing order kept, same-id
-// entries replaced, new ids appended), run scalars and provenance taken from
-// the new run, and unknown top-level keys (e.g. the native backend's section)
-// preserved untouched. A partial rerun (-only E2) therefore updates exactly
-// the experiments it ran. Mirrors rmenative -merge.
-func mergeResults(existing []byte, report benchReport) ([]byte, error) {
-	doc := map[string]json.RawMessage{}
-	if len(existing) > 0 {
-		if err := json.Unmarshal(existing, &doc); err != nil {
-			return nil, fmt.Errorf("existing results: %w", err)
-		}
-	}
+// mergeResults folds the new report into the results document: experiments
+// merge by id (cliutil.MergeByKey), run scalars and provenance come from the
+// new run, and members rmrbench does not write (e.g. rmenative's "native")
+// stay as they were. A partial rerun (-only E2) therefore updates exactly
+// the experiments it ran.
+func mergeResults(doc map[string]json.RawMessage, report benchReport) error {
 	var old []experimentRecord
 	if raw, ok := doc["experiments"]; ok {
 		if err := json.Unmarshal(raw, &old); err != nil {
-			return nil, fmt.Errorf("existing experiments: %w", err)
+			return fmt.Errorf("existing experiments: %w", err)
 		}
 	}
-	newByID := make(map[string]int, len(report.Experiments))
-	for i, e := range report.Experiments {
-		newByID[e.ID] = i
-	}
-	merged := make([]experimentRecord, 0, len(old)+len(report.Experiments))
-	used := make(map[string]bool, len(newByID))
-	for _, e := range old {
-		if i, ok := newByID[e.ID]; ok {
-			merged = append(merged, report.Experiments[i])
-			used[e.ID] = true
-		} else {
-			merged = append(merged, e)
-		}
-	}
-	for _, e := range report.Experiments {
-		if !used[e.ID] {
-			merged = append(merged, e)
-		}
-	}
-	report.Experiments = merged
-
-	// Re-encode the merged report over the old document so unknown keys
-	// survive the round trip.
+	report.Experiments = cliutil.MergeByKey(old, report.Experiments,
+		func(e experimentRecord) string { return e.ID })
 	blob, err := json.Marshal(report)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	fresh := map[string]json.RawMessage{}
-	if err := json.Unmarshal(blob, &fresh); err != nil {
-		return nil, err
-	}
-	for k, v := range fresh {
-		doc[k] = v
-	}
-	return json.MarshalIndent(doc, "", "  ")
+	// Unmarshal into a non-nil map overwrites the report's members and
+	// keeps the rest.
+	return json.Unmarshal(blob, &doc)
 }
 
 // Counters returns the engine metrics' counters plus the table count.
@@ -211,15 +178,14 @@ func run(args []string) error {
 		}
 
 		if *jsonPath != "" {
-			existing, err := os.ReadFile(*jsonPath)
-			if err != nil && !os.IsNotExist(err) {
-				return nil, err
-			}
-			blob, err := mergeResults(existing, report)
+			doc, err := cliutil.ReadObject(*jsonPath)
 			if err != nil {
 				return nil, err
 			}
-			if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
+			if err := mergeResults(doc, report); err != nil {
+				return nil, err
+			}
+			if err := cliutil.WriteJSON(*jsonPath, doc); err != nil {
 				return nil, err
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s (%d experiments this run, %.0f ms total)\n",

@@ -104,9 +104,6 @@ type Config struct {
 	MaxRounds int
 	// MaxCompletionSteps caps a single run-to-completion (0 = 64*w + 256).
 	MaxCompletionSteps int
-	// MaxRemovalsPerCompletion caps the discovered-set size per completing
-	// process (the proof's o(w); 0 = 4*w + 8).
-	MaxRemovalsPerCompletion int
 
 	// Telemetry, when non-nil, receives round progression and erasure
 	// statistics (adversary_* series), updated once per completed round.
@@ -130,9 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxCompletionSteps == 0 {
 		c.MaxCompletionSteps = 64*w + 256
-	}
-	if c.MaxRemovalsPerCompletion == 0 {
-		c.MaxRemovalsPerCompletion = 4*w + 8
 	}
 	c.Session.Passes = 1
 	c.Session.NoTrace = true

@@ -18,7 +18,7 @@
 //     because every registrant leaves a distinct bit.
 //   - own: the owner's slot+1 (0 = free). This cell is authoritative for
 //     ownership and is what recovery reads; waiters do not spin on it in
-//     the common case, so handoffs do not broadcast.
+//     the common case, so a handoff does not invalidate every waiter.
 //   - grant[s]: a per-slot doorbell. A releasing owner deregisters with
 //     FAA(-2^slot) — whose return value is an atomic snapshot of the
 //     remaining registrants — writes own to the successor, and rings only

@@ -27,6 +27,8 @@ const (
 // configurations, tight caps through generous ones:
 //   - the Result is identical at Parallel 1 and 3 (budgets, reruns and seals
 //     are functions of merged sub-results, never of scheduling);
+//   - a Result that reports a violation or deadlock, truncated or not, still
+//     reports one when both caps double (more budget never hides a failure);
 //   - an untruncated Result is unchanged when both caps double;
 //   - at n=2 with Memo and POR off, an untruncated search agrees with
 //     ExhaustiveReference on every field comparePlain checks.
@@ -46,6 +48,8 @@ func FuzzExhaustiveBudget(f *testing.F) {
 	f.Add(uint8(5), uint8(1), uint8(1), uint8(fuzzShared|fuzzSymmetry), uint8(2), uint16(30), uint16(600))
 	f.Add(uint8(6), uint8(0), uint8(1), uint8(fuzzMemo), uint8(0), uint16(20), uint16(400)) // broken fixture
 	f.Add(uint8(2), uint8(1), uint8(0), uint8(fuzzShared|fuzzPOR|fuzzSymmetry), uint8(0), uint16(500), uint16(9000))
+	f.Add(uint8(6), uint8(0), uint8(1), uint8(fuzzMemo), uint8(0), uint16(97), uint16(950))   // broken: truncated, 5 violations
+	f.Add(uint8(6), uint8(0), uint8(1), uint8(fuzzShared), uint8(0), uint16(27), uint16(150)) // broken shared: truncated, 1 violation
 	f.Fuzz(func(t *testing.T, algSel, nSel, crashSel, flags, waveSel uint8, schedSel, stateSel uint16) {
 		algs := []func() mutex.Algorithm{
 			func() mutex.Algorithm { return tas.New() },
@@ -94,13 +98,20 @@ func FuzzExhaustiveBudget(f *testing.F) {
 		if three := run(cfg, 3); !reflect.DeepEqual(one, three) {
 			t.Fatalf("Result differs between Parallel 1 and 3:\n%+v\nvs\n%+v", one, three)
 		}
-		if one.Truncated {
+		if one.Truncated && one.Ok() {
 			return
 		}
 		doubled := cfg
 		doubled.MaxSchedules *= 2
 		doubled.MaxStates *= 2
-		if got := run(doubled, 1); !reflect.DeepEqual(one, got) {
+		got := run(doubled, 1)
+		if !one.Ok() && got.Ok() {
+			t.Fatalf("doubling both caps hid the failure found with less budget:\n%+v\nvs\n%+v", one, got)
+		}
+		if one.Truncated {
+			return
+		}
+		if !reflect.DeepEqual(one, got) {
 			t.Fatalf("untruncated Result changed when both caps doubled:\n%+v\nvs\n%+v", one, got)
 		}
 		if n == 2 && !cfg.Memo && !cfg.POR && !cfg.SharedVisited {

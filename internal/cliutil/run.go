@@ -5,7 +5,9 @@
 // them around the tool's body. Tools that export step-level traces add the
 // Trace piece (-trace, -traceformat, -top). Diagnostics go to stderr or to
 // the files the flags name: stdout belongs to the reports, which stay
-// byte-identical at any -parallel and with every diagnostic on or off.
+// byte-identical at any -parallel and with every diagnostic on or off. The
+// keyed JSON-report merge that rmrbench -json and rmenative -merge share
+// lives here too.
 package cliutil
 
 import (

@@ -39,8 +39,6 @@ import (
 type RunSpec struct {
 	// Session is the machine/algorithm configuration.
 	Session mutex.Config
-	// Label names the run in trace exports; empty means the algorithm name.
-	Label string
 	// Drive executes the run; nil means Session.RunRoundRobin. It must be
 	// deterministic (seed any randomness from the spec itself) or the
 	// engine's byte-identical-at-any-parallelism guarantee is void.
@@ -79,14 +77,6 @@ func (r Result) MaxRMR(m sim.Model) int {
 		return r.MaxRMRDSM
 	}
 	return r.MaxRMRCC
-}
-
-// TotalRMR returns the total RMR count under the given model.
-func (r Result) TotalRMR(m sim.Model) int {
-	if m == sim.DSM {
-		return r.TotalRMRDSM
-	}
-	return r.TotalRMRCC
 }
 
 // Options tunes a Run.
@@ -313,12 +303,8 @@ func execOne(w *Worker, i int, spec *RunSpec, m *Metrics, tc *trace.Capture, slo
 		// Clone: Reset truncates the machine's retained trace in place.
 		events := append([]sim.Event(nil), s.Machine().Trace()...)
 		scfg := s.Config()
-		label := spec.Label
-		if label == "" {
-			label = scfg.Algorithm.Name()
-		}
 		tc.Set(slot, trace.Run{
-			Label: label, Procs: scfg.Procs, Model: scfg.Model, Events: events,
+			Label: scfg.Algorithm.Name(), Procs: scfg.Procs, Model: scfg.Model, Events: events,
 		})
 	}
 	if m != nil {

@@ -84,7 +84,7 @@ func TestTraceIdenticalAcrossReset(t *testing.T) {
 func TestTraceOverridesNoTrace(t *testing.T) {
 	cfg := mutex.Config{Procs: 2, Width: 16, Model: sim.CC, Algorithm: watree.New(), NoTrace: true}
 	var tc trace.Capture
-	res := Run([]RunSpec{{Session: cfg, Label: "override"}}, Options{Parallel: 1, Trace: &tc})
+	res := Run([]RunSpec{{Session: cfg}}, Options{Parallel: 1, Trace: &tc})
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
@@ -92,8 +92,8 @@ func TestTraceOverridesNoTrace(t *testing.T) {
 	if len(runs) != 1 || len(runs[0].Events) == 0 {
 		t.Fatalf("NoTrace spec captured no events: %d runs", len(runs))
 	}
-	if runs[0].Label != "override" {
-		t.Errorf("label = %q", runs[0].Label)
+	if runs[0].Label != "watree" {
+		t.Errorf("label = %q, want the algorithm name", runs[0].Label)
 	}
 }
 

@@ -85,9 +85,6 @@ func (pl Plan) String() string {
 	return b.String()
 }
 
-// Crashy reports whether the plan injects any crash.
-func (pl Plan) Crashy() bool { return len(pl.Crashes) > 0 }
-
 // ErrStepBound reports that a run exceeded the campaign's decision bound
 // without finishing — the operational form of a deadlock-freedom violation
 // (either a true deadlock that parks nobody, or a livelock).

@@ -31,7 +31,7 @@ func Shrink(cfg mutex.Config, sched sim.Schedule, oracle Oracle, maxReplays int)
 
 	// Phase 1: truncate to the earliest failing prefix (monotone oracles
 	// fire mid-replay; end-state oracles keep the full length).
-	cur, ok := sh.failingPrefix(sched)
+	cur, ok := sh.fails(sched)
 	if !ok {
 		// The schedule does not reproduce under this oracle (flaky capture
 		// or replay-hostile failure, e.g. a decision-bound timeout); report
@@ -56,28 +56,6 @@ type shrinker struct {
 }
 
 func (sh *shrinker) spent() bool { return sh.replays >= sh.budget }
-
-// failingPrefix replays sched, checking the oracle after every action, and
-// returns the shortest failing prefix (or sched itself if the oracle only
-// fires on the end state). ok is false when the full replay never fails.
-func (sh *shrinker) failingPrefix(sched sim.Schedule) (sim.Schedule, bool) {
-	sh.replays++
-	s, err := sh.worker.Session(sh.cfg)
-	if err != nil {
-		return sched, false
-	}
-	defer sh.worker.Release(s)
-	for i, act := range sched {
-		if !applyAction(s, act) {
-			return sched, false
-		}
-		// Mid-replay state: neither done nor stuck counts as partial.
-		if detail := sh.oracle.Check(replayOutcome(s, false)); detail != "" {
-			return sched[:i+1].Clone(), true
-		}
-	}
-	return sched.Clone(), sh.oracle.Check(replayOutcome(s, true)) != ""
-}
 
 // dropCrashes greedily removes crash actions (latest first, so recovery
 // suffixes disappear before the crashes that caused them) until no single
@@ -143,10 +121,11 @@ func (sh *shrinker) ddmin(sched sim.Schedule) sim.Schedule {
 	return sched
 }
 
-// fails replays a candidate and reports whether the oracle fires; on
-// failure it returns the candidate truncated to its earliest failing
-// prefix (a removal that makes the violation happen sooner shrinks for
-// free).
+// fails replays a candidate, checking the oracle after every action and
+// once more on the end state, and reports whether it fires. On failure it
+// returns the candidate truncated to its earliest failing prefix (a removal
+// that makes the violation happen sooner shrinks for free), or the whole
+// candidate when only the end state fails. Each call is one counted replay.
 func (sh *shrinker) fails(cand sim.Schedule) (sim.Schedule, bool) {
 	sh.replays++
 	s, err := sh.worker.Session(sh.cfg)
@@ -158,12 +137,13 @@ func (sh *shrinker) fails(cand sim.Schedule) (sim.Schedule, bool) {
 		if !applyAction(s, act) {
 			return nil, false
 		}
+		// Mid-replay state: neither done nor stuck counts as partial.
 		if detail := sh.oracle.Check(replayOutcome(s, false)); detail != "" {
 			return cand[:i+1].Clone(), true
 		}
 	}
 	if sh.oracle.Check(replayOutcome(s, true)) != "" {
-		return cand, true
+		return cand.Clone(), true
 	}
 	return nil, false
 }

@@ -97,11 +97,10 @@ func FuzzCustomTruncation(f *testing.F) {
 
 // FuzzNativeEnvDifferential interprets the fuzz input as an operation
 // script against a real nativeEnv — Read/Write/Swap/Add/CAS through
-// sync/atomic, Apply(OpCustom) through the CAS shim, DCAS through the
-// descriptor shim — and cross-checks every return value and every
-// resulting cell state against big.Int arithmetic mod 2^w. This is the
-// bridge proof that the hardware backend implements the same w-bit word
-// model the simulator does, at every width from 1 to 64 bits.
+// sync/atomic, Apply(OpCustom) through the CAS shim — and cross-checks every
+// return value and every resulting cell state against big.Int arithmetic
+// mod 2^w. This is the bridge proof that the hardware backend implements the
+// same w-bit word model the simulator does, at every width from 1 to 64 bits.
 func FuzzNativeEnvDifferential(f *testing.F) {
 	f.Add(uint8(8), []byte{0, 0, 0, 0, 3, 0, 255, 1, 4, 0, 255, 1})
 	f.Add(uint8(64), []byte{1, 1, 7, 7, 5, 1, 3, 0, 2, 2, 9, 9})
@@ -120,12 +119,6 @@ func FuzzNativeEnvDifferential(f *testing.F) {
 			cells[i] = m.NewCell("f", Shared, 0)
 		}
 		env := m.Env(0)
-		dcasOK := w < word.MaxBits
-		if dcasOK {
-			if err := m.EnableDCAS(); err != nil {
-				t.Fatal(err)
-			}
-		}
 		mod := new(big.Int).Lsh(big.NewInt(1), uint(w))
 		for step := 0; len(script) >= 4; step++ {
 			code, ci, a1, a2 := script[0], script[1], script[2], script[3]
@@ -142,8 +135,10 @@ func FuzzNativeEnvDifferential(f *testing.F) {
 					t.Fatalf("step %d %s on cell %d (w=%d): got %#x, want %#x", step, what, i, w, got, want)
 				}
 			}
+			// Opcodes 0 and 6 both read, which keeps the seven-way decoding
+			// of existing corpus entries.
 			switch code % 7 {
-			case 0:
+			case 0, 6:
 				check("Read", env.Read(c), model[i])
 			case 1:
 				env.Write(c, arg)
@@ -173,26 +168,6 @@ func FuzzNativeEnvDifferential(f *testing.F) {
 				next.Mul(next, big.NewInt(3))
 				next.Add(next, new(big.Int).SetUint64(arg))
 				model[i] = next.Mod(next, mod).Uint64()
-			case 6:
-				if !dcasOK {
-					check("Read", env.Read(c), model[i])
-					continue
-				}
-				j := (i + 1) % nCells
-				e1, e2 := arg, arg2
-				if a1&1 == 1 {
-					// Half the attempts are forced matches so both outcomes
-					// stay well represented.
-					e1, e2 = model[i], model[j]
-				}
-				ok := env.(DoubleEnv).DCAS(c, e1, arg2, cells[j], e2, arg)
-				wantOK := w.Trunc(e1) == model[i] && w.Trunc(e2) == model[j]
-				if ok != wantOK {
-					t.Fatalf("step %d DCAS(%d,%d) (w=%d): got %v, want %v", step, i, j, w, ok, wantOK)
-				}
-				if ok {
-					model[i], model[j] = w.Trunc(arg2), w.Trunc(arg)
-				}
 			}
 		}
 		for i, c := range cells {

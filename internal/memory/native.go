@@ -21,9 +21,8 @@ import (
 // panic-based fault injector, not by the memory layer itself.
 type NativeMem struct {
 	width word.Width
-	mu    sync.Mutex // guards cells/slots during allocation
+	mu    sync.Mutex // guards cells during allocation
 	cells []*nativeCell
-	dcas  atomic.Pointer[dcasTable] // non-nil once EnableDCAS succeeds
 }
 
 var _ Allocator = (*NativeMem)(nil)
@@ -53,7 +52,7 @@ func (m *NativeMem) NewCell(label string, owner int, init word.Word) Cell {
 }
 
 // Env returns the native environment for process id.
-func (m *NativeMem) Env(id int) Env { return &nativeEnv{id: id, mem: m, dcasSlot: -1} }
+func (m *NativeMem) Env(id int) Env { return &nativeEnv{id: id, mem: m} }
 
 // nativeCell is one base object on the native runtime. The atomic word sits
 // first, followed by padding out to a full cache line: cells are allocated
@@ -109,9 +108,8 @@ func spinPause(i int) {
 }
 
 type nativeEnv struct {
-	id       int
-	mem      *NativeMem
-	dcasSlot int // lazily assigned descriptor slot; -1 until first DCAS
+	id  int
+	mem *NativeMem
 }
 
 var _ Env = (*nativeEnv)(nil)
@@ -127,62 +125,26 @@ func (e *nativeEnv) cell(c Cell) *nativeCell {
 	return nc
 }
 
-// load reads the cell's current logical value, helping any in-flight DCAS to
-// completion first (see dcas.go). When DCAS was never enabled the mark check
-// is a single branch that can never fire on data (EnableDCAS requires
-// width <= 63, so data values have bit 63 clear; at width 64 the table is
-// nil and the raw value passes through).
-func (e *nativeEnv) load(nc *nativeCell) word.Word {
-	v := nc.v.Load()
-	if v&dcasMark != 0 {
-		if t := e.mem.dcas.Load(); t != nil {
-			return t.resolve(nc)
-		}
-	}
-	return v
-}
-
-func (e *nativeEnv) Read(c Cell) word.Word { return e.load(e.cell(c)) }
+func (e *nativeEnv) Read(c Cell) word.Word { return e.cell(c).v.Load() }
 
 func (e *nativeEnv) Write(c Cell, v word.Word) {
-	nc := e.cell(c)
-	v = e.mem.width.Trunc(v)
-	if e.mem.dcas.Load() == nil {
-		nc.v.Store(v)
-		return
-	}
-	// DCAS mode: a blind store could clobber a descriptor mark; install the
-	// value over a resolved snapshot instead.
-	for {
-		cur := e.load(nc)
-		if nc.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	e.cell(c).v.Store(e.mem.width.Trunc(v))
 }
 
 func (e *nativeEnv) Swap(c Cell, v word.Word) word.Word {
-	nc := e.cell(c)
-	v = e.mem.width.Trunc(v)
-	if e.mem.dcas.Load() == nil {
-		return nc.v.Swap(v)
-	}
-	for {
-		cur := e.load(nc)
-		if nc.v.CompareAndSwap(cur, v) {
-			return cur
-		}
-	}
+	return e.cell(c).v.Swap(e.mem.width.Trunc(v))
 }
 
+// Add is the hardware fetch-and-add at the full 64 bits; below that the sum
+// must wrap at w bits, which a CAS loop does.
 func (e *nativeEnv) Add(c Cell, d word.Word) word.Word {
 	nc := e.cell(c)
 	w := e.mem.width
-	if w == word.MaxBits && e.mem.dcas.Load() == nil {
+	if w == word.MaxBits {
 		return nc.v.Add(d) - d
 	}
 	for {
-		cur := e.load(nc)
+		cur := nc.v.Load()
 		if nc.v.CompareAndSwap(cur, w.Add(cur, d)) {
 			return cur
 		}
@@ -194,7 +156,7 @@ func (e *nativeEnv) CAS(c Cell, expected, replacement word.Word) word.Word {
 	w := e.mem.width
 	expected, replacement = w.Trunc(expected), w.Trunc(replacement)
 	for {
-		cur := e.load(nc)
+		cur := nc.v.Load()
 		if cur != expected {
 			return cur
 		}
@@ -209,8 +171,7 @@ func (e *nativeEnv) CAS(c Cell, expected, replacement word.Word) word.Word {
 // through the CAS shim: read, compute the transition, install with
 // compare-and-swap, retry on interference. The shim is lock-free and makes
 // the whole qword algorithm (whose protocol lives entirely in custom ops)
-// runnable on real silicon; dcas.go extends the same descriptor idea to two
-// cells.
+// runnable on real silicon.
 func (e *nativeEnv) Apply(c Cell, op Op) word.Word {
 	switch op.Code {
 	case OpRead:
@@ -228,7 +189,7 @@ func (e *nativeEnv) Apply(c Cell, op Op) word.Word {
 		nc := e.cell(c)
 		w := e.mem.width
 		for {
-			cur := e.load(nc)
+			cur := nc.v.Load()
 			next, ret := Apply(op, cur, w)
 			if nc.v.CompareAndSwap(cur, next) {
 				return ret
@@ -242,7 +203,7 @@ func (e *nativeEnv) Apply(c Cell, op Op) word.Word {
 func (e *nativeEnv) SpinUntil(c Cell, pred func(word.Word) bool) word.Word {
 	nc := e.cell(c)
 	for i := 0; ; i++ {
-		v := e.load(nc)
+		v := nc.v.Load()
 		if pred(v) {
 			return v
 		}
@@ -258,7 +219,7 @@ func (e *nativeEnv) SpinUntilMulti(cells []Cell, pred func([]word.Word) bool) []
 	vals := make([]word.Word, len(cells))
 	for i := 0; ; i++ {
 		for j, nc := range ncs {
-			vals[j] = e.load(nc)
+			vals[j] = nc.v.Load()
 		}
 		if pred(vals) {
 			return vals

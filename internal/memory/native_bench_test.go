@@ -73,32 +73,3 @@ func BenchmarkNativeEnvOps(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkNativeDCAS measures the descriptor shim against back-to-back
-// single CAS on the same pair, uncontended.
-func BenchmarkNativeDCAS(b *testing.B) {
-	m, err := NewNativeMem(32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := m.EnableDCAS(); err != nil {
-		b.Fatal(err)
-	}
-	x := m.NewCell("x", Shared, 0)
-	y := m.NewCell("y", Shared, 0)
-	env := m.Env(0)
-	denv := env.(DoubleEnv)
-	b.Run("dcas", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			v := env.Read(x)
-			denv.DCAS(x, v, v+1, y, v, v+1)
-		}
-	})
-	b.Run("two-cas", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			v := env.Read(x)
-			env.CAS(x, v, v+1)
-			env.CAS(y, v, v+1)
-		}
-	})
-}

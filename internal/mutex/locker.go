@@ -53,10 +53,6 @@ func (l *NativeLock) N() int { return l.n }
 // Width returns the word width of the underlying native memory.
 func (l *NativeLock) Width() word.Width { return l.mem.Width() }
 
-// Mem exposes the underlying native allocator (e.g. to enable DCAS before
-// binding handles for an algorithm that uses memory.DoubleEnv).
-func (l *NativeLock) Mem() *memory.NativeMem { return l.mem }
-
 // Bind returns process id's handle. Bind performs no shared-memory
 // operations, so it may be called from any goroutine — but the returned
 // handle must then be used by one goroutine at a time, and at most one live
@@ -277,14 +273,4 @@ func (e *crashEnv) SpinUntilMulti(cells []memory.Cell, pred func([]word.Word) bo
 		e.tick()
 		return pred(vs)
 	})
-}
-
-// DCAS forwards to the wrapped environment when it supports DoubleEnv.
-func (e *crashEnv) DCAS(c1 memory.Cell, e1, n1 word.Word, c2 memory.Cell, e2, n2 word.Word) bool {
-	d, ok := e.inner.(memory.DoubleEnv)
-	if !ok {
-		panic("mutex: wrapped environment does not support DCAS")
-	}
-	e.tick()
-	return d.DCAS(c1, e1, n1, c2, e2, n2)
 }

@@ -304,11 +304,7 @@ func Run(cfg Config) (*Report, error) {
 			opsBacking[si] = buf
 			sc := baseCfg
 			sc.Procs = len(buf)
-			specs = append(specs, engine.RunSpec{
-				Session: sc,
-				Label:   fmt.Sprintf("shard%d", si),
-				Collect: collectOrder,
-			})
+			specs = append(specs, engine.RunSpec{Session: sc, Collect: collectOrder})
 			batchShards = append(batchShards, si)
 			batchOps = append(batchOps, buf)
 		}

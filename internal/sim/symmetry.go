@@ -13,7 +13,7 @@ import (
 // permutation acts on its cell layout: which cell moves where and how cell
 // values transform. The checker then collapses states that are equal up to a
 // declared renaming by minimizing the fingerprint over the group (see
-// Machine.CanonicalFingerprint).
+// Machine.VariantFingerprint and mutex.Session.CanonicalStateKey).
 //
 // Declaring a permutation is a soundness claim: renaming the processes of any
 // execution by π must yield another legal execution reaching the π-image
@@ -352,20 +352,4 @@ func (m *Machine) VariantFingerprint(seed uint64, sym *Symmetry, i int) Fingerpr
 	sps := m.symPerms(sym)
 	m.fpScratch = m.canonicalStateUnder(&sps[i-1], m.fpScratch[:0])
 	return hashBuf(seed, m.fpScratch)
-}
-
-// CanonicalFingerprint returns the minimum (Fingerprint.Less) of the state's
-// variant fingerprints over the declared group — a canonical key under which
-// states equal up to a declared renaming collide. With a nil or empty
-// declaration it equals Fingerprint.
-func (m *Machine) CanonicalFingerprint(seed uint64, sym *Symmetry) Fingerprint {
-	best := m.Fingerprint(seed)
-	sps := m.symPerms(sym)
-	for i := range sps {
-		m.fpScratch = m.canonicalStateUnder(&sps[i], m.fpScratch[:0])
-		if fp := hashBuf(seed, m.fpScratch); fp.Less(best) {
-			best = fp
-		}
-	}
-	return best
 }
