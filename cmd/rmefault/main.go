@@ -9,7 +9,7 @@
 //
 //	rmefault [-alg watree] [-n 3] [-w 8] [-model cc] [-passes 1] [-seed 1]
 //	         [-sources single,rmr,parked,system,double,random] [-runs 48]
-//	         [-budget 0] [-bound 0] [-parallel N] [-failfast] [-noshrink] [-json]
+//	         [-budget 0] [-bound 0] [-parallel N] [-noshrink] [-json]
 //	         [-trace FILE] [-traceformat jsonl|chrome] [-top N]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //	         [-heartbeat DUR] [-metrics FILE] [-debugaddr ADDR]
@@ -81,7 +81,6 @@ func run(args []string) error {
 	budget := fs.Int("budget", 0, "per-passage RMR ceiling for both models (0 = algorithm default, -1 = disable)")
 	bound := fs.Int("bound", 0, "scheduler decision bound per run (0 = derive from the probe)")
 	parallel := fs.Int("parallel", 0, "campaign workers (0 = GOMAXPROCS); reports are identical at any value")
-	failFast := fs.Bool("failfast", false, "stop launching runs after the first failure (faster, non-deterministic report)")
 	noShrink := fs.Bool("noshrink", false, "report full failing schedules instead of minimized reproducers")
 	jsonOut := fs.Bool("json", false, "emit the campaign report as JSON on stdout")
 	diag := cliutil.Flags(fs)
@@ -125,7 +124,6 @@ func run(args []string) error {
 			Parallel:  *parallel,
 			Bound:     *bound,
 			NoShrink:  *noShrink,
-			FailFast:  *failFast,
 			Telemetry: diag.Registry(),
 		}
 		start := time.Now()
@@ -158,9 +156,6 @@ func run(args []string) error {
 			for _, st := range rep.Sources {
 				fmt.Printf("  %-18s %5d runs  %d failures\n", st.Name, st.Runs, st.Failures)
 			}
-			if rep.Skipped > 0 {
-				fmt.Printf("  (%d runs skipped by -failfast)\n", rep.Skipped)
-			}
 			for _, f := range rep.Failures {
 				fmt.Printf("FAIL %s\n", f)
 			}
@@ -171,9 +166,8 @@ func run(args []string) error {
 		}
 
 		// Perf-ledger manifest: the campaign is a pure function of these
-		// flags, so every counter is exactly gateable. -failfast stays in
-		// the config (it changes which runs execute); -parallel and
-		// observability flags do not.
+		// flags, so every counter is exactly gateable; -parallel and the
+		// observability flags stay out of the config.
 		m := perflog.New("rmefault")
 		m.SetConfig("alg", alg.Name())
 		m.SetConfig("n", *n)
@@ -186,7 +180,6 @@ func run(args []string) error {
 		m.SetConfig("budget", *budget)
 		m.SetConfig("bound", *bound)
 		m.SetConfig("noshrink", *noShrink)
-		m.SetConfig("failfast", *failFast)
 		m.AddCounters("", rep.Counters())
 		m.Sample("wall_ms", wallMS)
 		return []*perflog.Manifest{m}, nil
@@ -282,7 +275,6 @@ type jsonReport struct {
 	ProbeLen   int                 `json:"probe_steps"`
 	ProbeRMRs  int                 `json:"probe_rmr_steps"`
 	Runs       int                 `json:"runs"`
-	Skipped    int                 `json:"skipped,omitempty"`
 	Ok         bool                `json:"ok"`
 	Sources    []faults.SourceStat `json:"sources"`
 	Failures   []jsonFailure       `json:"failures,omitempty"`
@@ -301,7 +293,6 @@ func emitJSON(rep *faults.Report, model sim.Model) error {
 		ProbeLen:   rep.Probe.Steps,
 		ProbeRMRs:  len(rep.Probe.RMRAt),
 		Runs:       rep.Runs,
-		Skipped:    rep.Skipped,
 		Ok:         rep.Ok(),
 		Sources:    rep.Sources,
 		Provenance: perflog.Build(),

@@ -99,17 +99,16 @@ type Config struct {
 	// K is the high-contention threshold (the paper's k = w^d); 0 means
 	// max(4, w^2) capped at n.
 	K int
-	// MaxRounds caps the construction (0 = 8*w, comfortably above any
-	// passage bound by assumption A1).
-	MaxRounds int
-	// MaxCompletionSteps caps a single run-to-completion (0 = 64*w + 256).
-	MaxCompletionSteps int
 
 	// Telemetry, when non-nil, receives round progression and erasure
 	// statistics (adversary_* series), updated once per completed round.
 	// Write-only: the construction never reads it back.
 	Telemetry *telemetry.Registry
 }
+
+// maxRounds caps the construction at 8·w rounds, comfortably above any
+// passage bound by assumption A1.
+func (c Config) maxRounds() int { return 8 * int(c.Session.Width) }
 
 func (c Config) withDefaults() Config {
 	w := int(c.Session.Width)
@@ -121,12 +120,6 @@ func (c Config) withDefaults() Config {
 		if c.K > c.Session.Procs {
 			c.K = c.Session.Procs
 		}
-	}
-	if c.MaxRounds == 0 {
-		c.MaxRounds = 8 * w
-	}
-	if c.MaxCompletionSteps == 0 {
-		c.MaxCompletionSteps = 64*w + 256
 	}
 	c.Session.Passes = 1
 	c.Session.NoTrace = true
@@ -323,7 +316,7 @@ func New(cfg Config) (*Adversary, error) {
 		tm:        newAdvTelemetry(cfg.Telemetry),
 		cacheMask: word.NewBitset(cfg.Session.Procs),
 	}
-	cfg.Telemetry.Gauge("adversary_max_rounds").Set(int64(cfg.MaxRounds))
+	cfg.Telemetry.Gauge("adversary_max_rounds").Set(int64(cfg.maxRounds()))
 	cfg.Telemetry.Gauge("adversary_procs").Set(int64(cfg.Session.Procs))
 	for i := range a.status {
 		a.status[i] = Active
@@ -357,7 +350,7 @@ func (a *Adversary) Close() {
 // still i-compliant.
 func (a *Adversary) Run() (*Report, error) {
 	a.snapshotViable(0)
-	for round := 1; round <= a.cfg.MaxRounds; round++ {
+	for round := 1; round <= a.cfg.maxRounds(); round++ {
 		if len(a.actives()) < 2 {
 			break
 		}

@@ -154,7 +154,7 @@ func auditAgainstOracle(t *testing.T, cfg Config) map[bool]int {
 	oracle := engine.NewWorker()
 	defer oracle.Close()
 	verdicts := map[bool]int{}
-	for round := 1; round <= a.cfg.MaxRounds && len(a.actives()) >= 2; round++ {
+	for round := 1; round <= a.cfg.maxRounds() && len(a.actives()) >= 2; round++ {
 		progressed, err := a.round(round)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)

@@ -60,7 +60,7 @@ func (a *Adversary) finishSet(ps []int) error {
 		add(p)
 	}
 
-	budget := a.cfg.MaxCompletionSteps * (len(ps) + 2)
+	budget := (64*int(a.cfg.Session.Width) + 256) * (len(ps) + 2)
 	for budget > 0 {
 		allDone := true
 		progress := false

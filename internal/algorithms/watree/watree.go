@@ -282,9 +282,6 @@ func (in *instance) Bind(env memory.Env) mutex.Handle {
 	return &handle{env: env, in: in, id: env.ID()}
 }
 
-// Depth returns the tree depth (exported for experiment reporting).
-func (in *instance) Depth() int { return in.depth }
-
 type handle struct {
 	env memory.Env
 	in  *instance

@@ -106,9 +106,10 @@ type Config struct {
 	Resume bool
 
 	// Telemetry, when non-nil, receives live search statistics (check_*
-	// counters mirroring the Result fields, frontier-depth gauge, restore
-	// replay-length histogram) and budget gauges. Strictly write-only: the
-	// search never reads it back, so results are identical with it on or off.
+	// counters of the work the Result fields count, every pass included —
+	// see Result; frontier-depth gauge, restore replay-length histogram) and
+	// budget gauges. Strictly write-only: the search never reads it back, so
+	// results are identical with it on or off.
 	Telemetry *telemetry.Registry
 }
 
@@ -145,7 +146,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Result reports a check run.
+// Result reports a check run. Its counts cover the final pass of each root
+// branch: a budget redistribution round reruns capped branches, and a rerun's
+// sub-result replaces the branch's earlier one. The check_* telemetry
+// counters are monotonic and count the work of every pass, so after a
+// redistribution round they exceed the fields they mirror; without one they
+// equal them (a resumed run's counters miss the waves it restored).
 type Result struct {
 	// Complete counts fully-explored terminal points: complete schedules
 	// (all processes finished) without Memo, distinct all-done canonical
@@ -183,7 +189,7 @@ type Result struct {
 	Waves int
 	// SleepPruned counts step branches skipped by the sleep-set reduction.
 	SleepPruned int
-	// MachineSteps counts every simulator action the search executed,
+	// MachineSteps counts every simulator action of the final passes,
 	// exploration and restoration alike — the cost measure the incremental
 	// explorer is benchmarked on against the seed's stateless replay.
 	MachineSteps int64

@@ -265,7 +265,10 @@ type spillRunEntry struct {
 	Entries int64 `json:"entries"`
 }
 
-const manifestVersion = 1
+// manifestVersion changes whenever the manifest layout or the configDigest
+// inputs do, so an older checkpoint fails with a version error rather than
+// a misleading digest mismatch.
+const manifestVersion = 2
 
 func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
 
@@ -275,9 +278,9 @@ func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json"
 // decide where a run stops or lives, not what it computes).
 func configDigest(cfg Config, branches int) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "alg=%s procs=%d width=%d model=%d passes=%d extracs=%d maxsteps=%d\n",
+	fmt.Fprintf(h, "alg=%s procs=%d width=%d model=%d passes=%d maxsteps=%d\n",
 		cfg.Session.Algorithm.Name(), cfg.Session.Procs, cfg.Session.Width,
-		cfg.Session.Model, cfg.Session.Passes, cfg.Session.ExtraCSSteps, cfg.Session.MaxSteps)
+		cfg.Session.Model, cfg.Session.Passes, cfg.Session.MaxSteps)
 	fmt.Fprintf(h, "sched=%d depth=%d crashes=%d states=%d seed=%d snap=%d\n",
 		cfg.MaxSchedules, cfg.MaxDepth, cfg.CrashesPerProc, cfg.MaxStates,
 		cfg.Seed, cfg.SnapshotInterval)

@@ -66,9 +66,6 @@ type Result struct {
 	Payload interface{}
 	// Err is the first error from construction, Drive, or Collect.
 	Err error
-	// Skipped marks a spec that never ran because an earlier result tripped
-	// Options.StopOn; all other fields are zero.
-	Skipped bool
 }
 
 // MaxRMR returns the worst per-passage RMR count under the given model.
@@ -98,13 +95,6 @@ type Options struct {
 	// engine_session_reuse / engine_session_build counters. Purely
 	// observational — results are unaffected.
 	Telemetry *telemetry.Registry
-	// StopOn, when non-nil, is evaluated on every completed Result (possibly
-	// from several worker goroutines at once, so it must be safe for
-	// concurrent use); once it returns true, specs that have not started are
-	// marked Skipped instead of running (fail-fast campaigns). Which specs complete before the stop
-	// lands depends on scheduling, so fail-fast runs trade the byte-identical
-	// determinism guarantee for latency; leave StopOn nil to keep it.
-	StopOn func(Result) bool
 }
 
 // Parallelism resolves a parallelism request: values <= 0 mean GOMAXPROCS.
@@ -165,13 +155,7 @@ func (pl *Pool) Close() {
 // Workers are (re-)instrumented from opts.Telemetry on every call.
 func (pl *Pool) Run(specs []RunSpec, opts Options) []Result {
 	res := make([]Result, len(specs))
-	par := Parallelism(opts.Parallel)
-	if par > len(pl.workers) {
-		par = len(pl.workers)
-	}
-	if par > len(specs) {
-		par = len(specs)
-	}
+	par := min(Parallelism(opts.Parallel), len(pl.workers), len(specs))
 	base := 0
 	if opts.Trace != nil {
 		base = opts.Trace.Reserve(len(specs))
@@ -182,48 +166,42 @@ func (pl *Pool) Run(specs []RunSpec, opts Options) []Result {
 		tm.workers.Add(int64(par))
 		defer tm.workers.Add(-int64(par))
 	}
-	var stopped atomic.Bool
-	done := func(i int, r Result) {
-		res[i] = r
-		if opts.StopOn != nil && !r.Skipped && opts.StopOn(r) {
-			stopped.Store(true)
-		}
-	}
-	if par <= 1 {
-		w := pl.workers[0]
+	for _, w := range pl.workers[:max(par, 1)] {
 		w.Instrument(opts.Telemetry)
-		for i := range specs {
-			if stopped.Load() {
-				done(i, tm.skip(i))
-				continue
-			}
-			done(i, runOne(w, i, &specs[i], opts.Metrics, opts.Trace, base+i, tm))
+	}
+	fanOut(len(specs), par, func(k, i int) {
+		res[i] = runOne(pl.workers[k], i, &specs[i], opts.Metrics, opts.Trace, base+i, tm)
+	})
+	return res
+}
+
+// fanOut calls body(k, i) once for every i in [0, n), in index order on the
+// calling goroutine when par <= 1 and otherwise on par goroutines; k in
+// [0, max(par, 1)) names the goroutine, so each can own per-goroutine state
+// (Pool.Run gives goroutine k worker k).
+func fanOut(n, par int, body func(k, i int)) {
+	if par <= 1 {
+		for i := 0; i < n; i++ {
+			body(0, i)
 		}
-		return res
+		return
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for k := 0; k < par; k++ {
-		w := pl.workers[k]
-		w.Instrument(opts.Telemetry)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				if stopped.Load() {
-					done(i, tm.skip(i))
-					continue
-				}
-				done(i, runOne(w, i, &specs[i], opts.Metrics, opts.Trace, base+i, tm))
+				body(k, i)
 			}
 		}()
 	}
-	for i := range specs {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	return res
 }
 
 // runTelemetry bundles the live-run handles Run resolves once per batch;
@@ -244,14 +222,6 @@ func newRunTelemetry(reg *telemetry.Registry) *runTelemetry {
 		pending: reg.Gauge("engine_jobs_pending"),
 		workers: reg.Gauge("engine_workers"),
 	}
-}
-
-// skip accounts a fail-fast-skipped spec and returns its Result.
-func (tm *runTelemetry) skip(i int) Result {
-	if tm != nil {
-		tm.pending.Add(-1)
-	}
-	return Result{Index: i, Skipped: true}
 }
 
 // runOne wraps execOne with busy-time and run accounting when telemetry is
@@ -322,33 +292,8 @@ func execOne(w *Worker, i int, spec *RunSpec, m *Metrics, tc *trace.Capture, slo
 // manage their own sessions (e.g. whole adversary constructions in an
 // experiment grid).
 func ForEach(n, parallel int, fn func(i int) error) error {
-	par := Parallelism(parallel)
-	if par > n {
-		par = n
-	}
 	errs := make([]error, n)
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = fn(i)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for k := 0; k < par; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	fanOut(n, min(Parallelism(parallel), n), func(_, i int) { errs[i] = fn(i) })
 	for _, err := range errs {
 		if err != nil {
 			return err

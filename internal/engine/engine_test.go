@@ -245,38 +245,3 @@ func TestMetrics(t *testing.T) {
 		t.Errorf("degenerate snapshot: %+v", snap)
 	}
 }
-
-// TestStopOnSkipsRemainingRuns checks the fail-fast hook: once StopOn fires,
-// later submissions are marked Skipped instead of executed.
-func TestStopOnSkipsRemainingRuns(t *testing.T) {
-	specs := gridSpecs()
-	stopAt := 2
-	results := Run(specs, Options{Parallel: 1, StopOn: func(r Result) bool {
-		return r.Index == stopAt
-	}})
-	if len(results) != len(specs) {
-		t.Fatalf("got %d results for %d specs", len(results), len(specs))
-	}
-	for i, r := range results {
-		if i <= stopAt && r.Skipped {
-			t.Errorf("run %d skipped before the stop condition fired", i)
-		}
-		if i > stopAt && !r.Skipped {
-			t.Errorf("run %d executed after the stop condition fired", i)
-		}
-		if r.Index != i {
-			t.Errorf("run %d: Index = %d", i, r.Index)
-		}
-	}
-}
-
-// TestStopOnNeverFiringChangesNothing checks that a StopOn that never
-// matches leaves the results identical to a plain run.
-func TestStopOnNeverFiringChangesNothing(t *testing.T) {
-	specs := gridSpecs()
-	plain := resultKey(Run(specs, Options{Parallel: 4}))
-	hooked := resultKey(Run(specs, Options{Parallel: 4, StopOn: func(Result) bool { return false }}))
-	if plain != hooked {
-		t.Fatalf("StopOn changed results:\n--- plain ---\n%s--- hooked ---\n%s", plain, hooked)
-	}
-}

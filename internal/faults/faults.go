@@ -38,7 +38,7 @@ type Campaign struct {
 	// Seed is the campaign base seed, threaded into every random source.
 	Seed int64
 	// Parallel is the engine worker count (<= 0 means GOMAXPROCS). Reports
-	// are identical at any value unless FailFast is set.
+	// are identical at any value.
 	Parallel int
 	// Bound caps scheduler decisions per run; 0 derives a generous bound
 	// from the probe (the deadlock-freedom oracle's horizon).
@@ -46,13 +46,6 @@ type Campaign struct {
 	// NoShrink reports failures with their full original schedules instead
 	// of delta-debugged minimal reproducers.
 	NoShrink bool
-	// FailFast stops launching runs after the first failure. It trades the
-	// byte-identical-report guarantee for latency.
-	FailFast bool
-	// MaxFailures caps reported (and shrunk) failures (default 8).
-	MaxFailures int
-	// ShrinkReplays caps replays spent minimizing each failure (default 400).
-	ShrinkReplays int
 
 	// Telemetry, when non-nil, receives live campaign statistics: a
 	// faults_plans gauge once the grid is generated, faults_runs /
@@ -61,6 +54,13 @@ type Campaign struct {
 	// campaign never reads it, so reports are identical with it on or off.
 	Telemetry *telemetry.Registry
 }
+
+// A campaign reports (and shrinks) at most maxFailures failures and spends at
+// most shrinkReplays replays minimizing each one.
+const (
+	maxFailures   = 8
+	shrinkReplays = 400
+)
 
 // SourceStat is one source's row in the campaign report.
 type SourceStat struct {
@@ -101,7 +101,6 @@ type Report struct {
 	Bound     int
 	Probe     Probe
 	Runs      int
-	Skipped   int
 	Sources   []SourceStat
 	Failures  []*Failure
 }
@@ -122,7 +121,6 @@ func (r *Report) Err() error {
 func (r *Report) Counters() map[string]int64 {
 	c := map[string]int64{
 		"runs":            int64(r.Runs),
-		"skipped":         int64(r.Skipped),
 		"failures":        int64(len(r.Failures)),
 		"probe_steps":     int64(r.Probe.Steps),
 		"probe_rmr_steps": int64(len(r.Probe.RMRAt)),
@@ -189,11 +187,6 @@ func (c Campaign) Run() (*Report, error) {
 	if err := validSources(cfg.Algorithm.Recoverable(), sources); err != nil {
 		return nil, err
 	}
-	maxFailures := c.MaxFailures
-	if maxFailures <= 0 {
-		maxFailures = 8
-	}
-
 	rep := &Report{Algorithm: cfg.Algorithm.Name(), Cfg: cfg, Seed: c.Seed}
 
 	// Probe the crash-free base execution under the same round-robin policy
@@ -213,7 +206,7 @@ func (c Campaign) Run() (*Report, error) {
 		// whose placement indices are meaningless.
 		fail.Source = "probe"
 		fail.Plan = Plan{Seed: -1}
-		if orc != nil && errIsReplayable(probeOutcome.Err) {
+		if orc != nil {
 			c.minimize(cfg, fail, orc)
 		}
 		rep.Runs = 1
@@ -235,108 +228,81 @@ func (c Campaign) Run() (*Report, error) {
 		rep.Sources = append(rep.Sources, SourceStat{Name: src.Name()})
 	}
 
-	// Execute on the engine pool, snapshotting outcomes inside Drive (the
+	// Execute on the engine pool, judging each outcome inside Drive (the
 	// session is recycled immediately after). The live counters tick inside
 	// Drive so a heartbeat shows run/failure progress; report evaluation
 	// below stays purely schedule-order deterministic.
 	c.Telemetry.Gauge("faults_plans").Set(int64(len(jobs)))
 	runsLive := c.Telemetry.Counter("faults_runs")
 	failuresLive := c.Telemetry.Counter("faults_failures")
-	outcomes := make([]*Outcome, len(jobs))
-	failed := make([]string, len(jobs)) // oracle detail, "" = clean
+	fails := make([]*Failure, len(jobs)) // nil = clean
 	oracleOf := make([]Oracle, len(jobs))
 	specs := make([]engine.RunSpec, len(jobs))
 	for i := range jobs {
-		i := i
 		specs[i] = engine.RunSpec{
 			Session: cfg,
 			Drive: func(s *mutex.Session) error {
-				err := jobs[i].plan.drive(s, rep.Bound, nil)
-				o := snapshot(s, err)
-				outcomes[i] = o
-				for _, orc := range oracles {
-					if detail := orc.Check(o); detail != "" {
-						failed[i] = detail
-						oracleOf[i] = orc
-						break
-					}
-				}
-				if err != nil && failed[i] == "" {
-					// A drive error no oracle claims (internal failure):
-					// surface it rather than swallowing it.
-					failed[i] = err.Error()
-				}
+				o := snapshot(s, jobs[i].plan.drive(s, rep.Bound, nil))
+				fails[i], oracleOf[i] = c.judge(o, oracles)
 				runsLive.Inc()
-				if failed[i] != "" {
+				if fails[i] != nil {
 					failuresLive.Inc()
 				}
 				return nil
 			},
 		}
 	}
-	opts := engine.Options{Parallel: c.Parallel, Telemetry: c.Telemetry}
-	if c.FailFast {
-		opts.StopOn = func(r engine.Result) bool {
-			return r.Err != nil || failed[r.Index] != ""
-		}
-	}
-	results := engine.Run(specs, opts)
+	results := engine.Run(specs, engine.Options{Parallel: c.Parallel, Telemetry: c.Telemetry})
 
 	// Evaluate in submission order: reports are deterministic at any
-	// parallelism (unless FailFast skipped runs).
+	// parallelism.
 	srcIndex := make(map[string]int, len(rep.Sources))
 	for i := range rep.Sources {
 		srcIndex[rep.Sources[i].Name] = i
 	}
+	rep.Runs = len(results)
 	for i, r := range results {
-		if r.Skipped {
-			rep.Skipped++
-			continue
-		}
-		rep.Runs++
 		st := &rep.Sources[srcIndex[jobs[i].source]]
 		st.Runs++
 		if r.Err != nil {
 			return nil, fmt.Errorf("faults: run %d (%s, plan %s): %w", i, jobs[i].source, jobs[i].plan, r.Err)
 		}
-		if failed[i] == "" {
+		fail := fails[i]
+		if fail == nil {
 			continue
 		}
 		st.Failures++
 		if len(rep.Failures) >= maxFailures {
 			continue
 		}
-		fail := &Failure{
-			Source:   jobs[i].source,
-			Detail:   failed[i],
-			Plan:     jobs[i].plan,
-			Schedule: outcomes[i].Schedule,
-			Shrunk:   outcomes[i].Schedule,
-		}
+		fail.Source = jobs[i].source
+		fail.Plan = jobs[i].plan
 		if oracleOf[i] != nil {
-			fail.Oracle = oracleOf[i].Name()
-			if errIsReplayable(outcomes[i].Err) {
-				c.minimize(cfg, fail, oracleOf[i])
-			}
-		} else {
-			fail.Oracle = "error"
+			c.minimize(cfg, fail, oracleOf[i])
 		}
 		rep.Failures = append(rep.Failures, fail)
 	}
 	return rep, nil
 }
 
-// judge runs the oracles over one outcome, building a Failure for the first
-// violated oracle (nil when clean) and returning the oracle that fired.
+// judge runs the oracles over one outcome and builds a Failure for the first
+// violated oracle, or for a drive error no oracle claims (an internal
+// failure, surfaced as oracle "error"); nil when clean. The returned oracle
+// is the one to shrink the failure against: nil for a drive error, and for a
+// run whose error does not reproduce under replay (errIsReplayable).
 func (c Campaign) judge(o *Outcome, oracles []Oracle) (*Failure, Oracle) {
 	for _, orc := range oracles {
 		if detail := orc.Check(o); detail != "" {
-			return &Failure{
+			fail := &Failure{
 				Oracle:   orc.Name(),
 				Detail:   detail,
 				Schedule: o.Schedule,
 				Shrunk:   o.Schedule,
-			}, orc
+			}
+			if !errIsReplayable(o.Err) {
+				orc = nil
+			}
+			return fail, orc
 		}
 	}
 	if o.Err != nil {
@@ -350,11 +316,7 @@ func (c Campaign) minimize(cfg mutex.Config, fail *Failure, oracle Oracle) {
 	if c.NoShrink {
 		return
 	}
-	budget := c.ShrinkReplays
-	if budget <= 0 {
-		budget = 400
-	}
-	shrunk, replays := Shrink(cfg, fail.Schedule, oracle, budget)
+	shrunk, replays := Shrink(cfg, fail.Schedule, oracle, shrinkReplays)
 	fail.Shrunk = shrunk
 	fail.ShrinkReplays = replays
 	c.Telemetry.Counter("faults_shrinks").Inc()

@@ -72,22 +72,14 @@ type Config struct {
 	PartSize int
 	// Apply is the register semantics.
 	Apply Apply
-	// Eps is the Lemma 4/5 slack ε (default 0.2, the paper's choice).
-	Eps float64
-	// EdgeLimit bounds the complete hypergraph enumeration per group
-	// (default 2^21).
-	EdgeLimit int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Eps == 0 {
-		c.Eps = 0.2
-	}
-	if c.EdgeLimit == 0 {
-		c.EdgeLimit = 1 << 21
-	}
-	return c
-}
+const (
+	// eps is the Lemma 4/5 slack ε, the paper's choice.
+	eps = 0.2
+	// edgeLimit bounds the complete hypergraph enumeration per group.
+	edgeLimit = 1 << 21
+)
 
 // PaperConfig returns the parameter set the paper's proof uses for a given
 // register width ℓ and discovery budget δ: k = 4ℓ parts of ⌊27δℓ⌋ processes,
@@ -142,7 +134,6 @@ type Hidden struct {
 
 // Construct runs the Lemma 2 construction and returns its certificate.
 func Construct(cfg Config) (*Certificate, error) {
-	cfg = cfg.withDefaults()
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
@@ -159,7 +150,7 @@ func Construct(cfg Config) (*Certificate, error) {
 		for j := range parts {
 			hgParts[j] = parts[j]
 		}
-		complete, err := hypergraph.Complete(hgParts, cfg.EdgeLimit)
+		complete, err := hypergraph.Complete(hgParts, edgeLimit)
 		if err != nil {
 			return nil, fmt.Errorf("group %d: %w", i, err)
 		}
@@ -177,7 +168,7 @@ func Construct(cfg Config) (*Certificate, error) {
 		yi, best := pickLargestBucket(buckets)
 
 		sub := &hypergraph.Partite{Parts: hgParts, Edges: best}
-		res, err := hypergraph.Lemma5(sub, s, cfg.Eps)
+		res, err := hypergraph.Lemma5(sub, s, eps)
 		if err != nil {
 			return nil, fmt.Errorf("group %d: %w", i, err)
 		}
@@ -346,9 +337,9 @@ func validate(cfg Config) error {
 		return fmt.Errorf("hiding: need K >= 1 and PartSize >= 1 (got %d, %d)", cfg.K, cfg.PartSize)
 	}
 	// Lemma 4/5 need parts within s(1+ε): partSize <= (partSize/2^(ℓ/k))(1+ε).
-	if math.Exp2(float64(cfg.ValueBits)/float64(cfg.K)) > 1+cfg.Eps+1e-9 {
+	if math.Exp2(float64(cfg.ValueBits)/float64(cfg.K)) > 1+eps+1e-9 {
 		return fmt.Errorf("hiding: K = %d too small for ℓ = %d with ε = %v (need 2^(ℓ/K) <= 1+ε, e.g. K = 4ℓ with ε = 0.2)",
-			cfg.K, cfg.ValueBits, cfg.Eps)
+			cfg.K, cfg.ValueBits, eps)
 	}
 	need := cfg.K * cfg.PartSize
 	seen := make(map[Proc]bool)

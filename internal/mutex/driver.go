@@ -24,9 +24,6 @@ type Config struct {
 	Algorithm Algorithm
 	// Passes is the number of super-passages per process (default 1).
 	Passes int
-	// ExtraCSSteps adds RMR-incurring steps inside the critical section on
-	// top of the single step of assumption (A2) (default 0).
-	ExtraCSSteps int
 	// NoTrace disables trace retention on the underlying machine.
 	NoTrace bool
 	// MaxSteps caps the machine's action count (0 = sim default).
@@ -45,8 +42,8 @@ func (c Config) Validate() error {
 	if c.Algorithm == nil {
 		return errors.New("mutex: nil algorithm")
 	}
-	if c.Passes < 0 || c.ExtraCSSteps < 0 {
-		return fmt.Errorf("mutex: negative Passes (%d) or ExtraCSSteps (%d)", c.Passes, c.ExtraCSSteps)
+	if c.Passes < 0 {
+		return fmt.Errorf("mutex: negative Passes (%d)", c.Passes)
 	}
 	return nil
 }
@@ -203,8 +200,7 @@ func (s *Session) Reset() error {
 func Compatible(a, b Config) bool {
 	a, b = a.withDefaults(), b.withDefaults()
 	return a.Procs == b.Procs && a.Width == b.Width && a.Model == b.Model &&
-		a.Passes == b.Passes && a.ExtraCSSteps == b.ExtraCSSteps &&
-		a.NoTrace == b.NoTrace && a.MaxSteps == b.MaxSteps &&
+		a.Passes == b.Passes && a.NoTrace == b.NoTrace && a.MaxSteps == b.MaxSteps &&
 		sameAlgorithm(a.Algorithm, b.Algorithm)
 }
 
@@ -590,14 +586,10 @@ func (b *driverBody) runSuper() {
 	b.finishSuper()
 }
 
-// criticalSection performs the single RMR-incurring step of assumption (A2),
-// plus any configured extra steps.
+// criticalSection performs the single RMR-incurring step of assumption (A2).
 func (b *driverBody) criticalSection() {
 	b.setTag(TagCS)
 	b.p.Write(b.s.csCell, word.Word(b.id+1))
-	for i := 0; i < b.s.cfg.ExtraCSSteps; i++ {
-		b.p.Add(b.s.csCell, 0)
-	}
 }
 
 func (b *driverBody) beginPassage(recovery bool) {

@@ -258,21 +258,3 @@ func TestRecoverStatusString(t *testing.T) {
 		t.Error("RecoverStatus names wrong")
 	}
 }
-
-func TestExtraCSSteps(t *testing.T) {
-	s, err := mutex.NewSession(mutex.Config{
-		Procs: 1, Width: 8, Model: sim.CC, Algorithm: tas.New(), ExtraCSSteps: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.RunRoundRobin(); err != nil {
-		t.Fatal(err)
-	}
-	// Solo TAS passage: TAS + CS write + 3 extra + unlock write = 6 steps.
-	stats := s.Stats()
-	if len(stats) != 1 || stats[0].Steps != 6 {
-		t.Errorf("stats = %+v, want one 6-step passage", stats)
-	}
-}

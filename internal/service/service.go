@@ -37,11 +37,10 @@ type Config struct {
 	// become processes of one sim run per round (default 8).
 	Slots int
 	// Rate is the arrival budget per round (default 2·Locks·Slots, slight
-	// oversubscription so batches stay full).
+	// oversubscription so batches stay full). Queued requests across all
+	// shards are capped at 4·Rate; arrivals beyond the cap are deferred,
+	// modelling admission backpressure.
 	Rate int
-	// MaxOutstanding caps queued requests across all shards; arrivals beyond
-	// it are deferred, modelling admission backpressure (default 4·Rate).
-	MaxOutstanding int
 	// Parallel is the engine worker count (0 = GOMAXPROCS). The Report is
 	// byte-identical at any value.
 	Parallel int
@@ -64,9 +63,6 @@ func (c Config) withDefaults() Config {
 	if c.Rate == 0 {
 		c.Rate = 2 * c.Locks * c.Slots
 	}
-	if c.MaxOutstanding == 0 {
-		c.MaxOutstanding = 4 * c.Rate
-	}
 	return c
 }
 
@@ -83,8 +79,8 @@ func (c Config) validate() error {
 	if c.Algorithm == nil {
 		return fmt.Errorf("service: no algorithm")
 	}
-	if c.Slots < 1 || c.Rate < 1 || c.MaxOutstanding < 1 {
-		return fmt.Errorf("service: Slots, Rate, MaxOutstanding must be positive")
+	if c.Slots < 1 || c.Rate < 1 {
+		return fmt.Errorf("service: Slots and Rate must be positive")
 	}
 	return nil
 }
@@ -200,14 +196,14 @@ var latencyBounds = []int64{32, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
 // Run drives the lock service to its passage target and returns the report.
 //
 // Each round: (1) up to Rate arrivals are drawn from the stream and pushed
-// onto their shards' queues (admission-capped at MaxOutstanding
-// outstanding); (2) every non-empty shard contributes one RunSpec of
-// min(Slots, queue) processes, submitted in shard order to a persistent
-// engine pool; (3) results fold back in submission order — shard clocks
-// advance by the run's step count, each granted request's latency is its
-// queue wait plus its interpolated completion within the batch, and
-// fairness/RMR tallies update. The loop exits at the end of the round that
-// reaches the passage target.
+// onto their shards' queues (admission-capped at 4·Rate queued requests);
+// (2) every non-empty shard contributes one RunSpec of min(Slots, queue)
+// processes, submitted in shard order to a persistent engine pool; (3)
+// results fold back in submission order — shard clocks advance by the run's
+// step count, each granted request's latency is its queue wait plus its
+// interpolated completion within the batch, and fairness/RMR tallies
+// update. The loop exits at the end of the round that reaches the passage
+// target.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -273,7 +269,7 @@ func Run(cfg Config) (*Report, error) {
 
 		// (1) Arrivals, admission-capped.
 		gen := cfg.Rate
-		if room := cfg.MaxOutstanding - outstanding; gen > room {
+		if room := 4*cfg.Rate - outstanding; gen > room {
 			gen = room
 		}
 		for i := 0; i < gen; i++ {
@@ -365,7 +361,7 @@ func Run(cfg Config) (*Report, error) {
 		tOutstanding.Set(int64(outstanding))
 
 		if tc != nil {
-			foldCells(topCells, trace.Merge(tc.Runs()))
+			trace.FoldCells(topCells, trace.Merge(tc.Runs()).Cells)
 		}
 	}
 
@@ -412,26 +408,6 @@ func Run(cfg Config) (*Report, error) {
 		rep.TopCells = topN(topCells, cfg.TopCells)
 	}
 	return rep, nil
-}
-
-// foldCells accumulates one round's merged attribution into the cross-round
-// per-label cell table.
-func foldCells(acc map[string]*trace.CellStat, a trace.Attribution) {
-	for _, c := range a.Cells {
-		t, ok := acc[c.Label]
-		if !ok {
-			cc := c
-			acc[c.Label] = &cc
-			continue
-		}
-		if c.Cell < t.Cell {
-			t.Cell = c.Cell
-		}
-		t.Steps += c.Steps
-		t.Wakes += c.Wakes
-		t.RMRCC += c.RMRCC
-		t.RMRDSM += c.RMRDSM
-	}
 }
 
 // topN renders the n hottest cells (by combined RMRs, label-tiebroken).

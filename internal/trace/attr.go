@@ -137,11 +137,31 @@ func Attribute(events []sim.Event) Attribution {
 	return a
 }
 
-// Merge aggregates the attributions of several runs. Within a run cells are
-// keyed by allocation id; across runs they are folded by label, because id 3
-// of a watree construction and id 3 of an mcs construction are unrelated
-// cells while "cs-witness" is the same logical location everywhere. Each
-// folded row keeps the smallest contributing cell id as its sort key.
+// FoldCells adds cells into acc, keyed by label: within a run cells are
+// keyed by allocation id, but across runs id 3 of a watree construction and
+// id 3 of an mcs construction are unrelated cells while "cs-witness" is the
+// same logical location everywhere. Each folded row keeps the smallest
+// contributing cell id as its sort key.
+func FoldCells(acc map[string]*CellStat, cells []CellStat) {
+	for _, c := range cells {
+		t, ok := acc[c.Label]
+		if !ok {
+			cc := c
+			acc[c.Label] = &cc
+			continue
+		}
+		if c.Cell < t.Cell {
+			t.Cell = c.Cell
+		}
+		t.Steps += c.Steps
+		t.Wakes += c.Wakes
+		t.RMRCC += c.RMRCC
+		t.RMRDSM += c.RMRDSM
+	}
+}
+
+// Merge aggregates the attributions of several runs, folding cells across
+// runs by label (FoldCells).
 func Merge(runs []Run) Attribution {
 	var m Attribution
 	cells := map[string]*CellStat{}
@@ -152,21 +172,7 @@ func Merge(runs []Run) Attribution {
 		m.Steps += a.Steps
 		m.RMRCC += a.RMRCC
 		m.RMRDSM += a.RMRDSM
-		for _, c := range a.Cells {
-			t, ok := cells[c.Label]
-			if !ok {
-				cc := c
-				cells[c.Label] = &cc
-				continue
-			}
-			if c.Cell < t.Cell {
-				t.Cell = c.Cell
-			}
-			t.Steps += c.Steps
-			t.Wakes += c.Wakes
-			t.RMRCC += c.RMRCC
-			t.RMRDSM += c.RMRDSM
-		}
+		FoldCells(cells, a.Cells)
 		for _, p := range a.Procs {
 			t, ok := procs[p.Proc]
 			if !ok {

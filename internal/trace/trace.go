@@ -75,9 +75,9 @@ func (c *Capture) Set(slot int, r Run) {
 	c.used[slot] = true
 }
 
-// Runs returns the filled slots in submission order. Unfilled slots (runs
-// skipped by a fail-fast stop) are omitted; their indices are preserved, so
-// a skip is visible as a gap, not a shift.
+// Runs returns the filled slots in submission order. A slot stays unfilled
+// only when its run's session failed to build; unfilled slots are omitted
+// and the others keep their indices, so a gap shows as a gap, not a shift.
 func (c *Capture) Runs() []Run {
 	c.mu.Lock()
 	defer c.mu.Unlock()

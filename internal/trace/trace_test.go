@@ -186,7 +186,7 @@ func TestCaptureSubmissionOrder(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for i := 11; i >= 0; i-- {
-		if i == 5 { // simulate a fail-fast skip: slot 5 never filled
+		if i == 5 { // simulate a session that failed to build: slot 5 never filled
 			continue
 		}
 		wg.Add(1)
@@ -198,7 +198,7 @@ func TestCaptureSubmissionOrder(t *testing.T) {
 	wg.Wait()
 	runs := c.Runs()
 	if len(runs) != 11 {
-		t.Fatalf("got %d runs, want 11 (one skipped)", len(runs))
+		t.Fatalf("got %d runs, want 11 (one unfilled)", len(runs))
 	}
 	prev := -1
 	for _, r := range runs {
@@ -206,7 +206,7 @@ func TestCaptureSubmissionOrder(t *testing.T) {
 			t.Fatalf("runs out of order: %d after %d", r.Index, prev)
 		}
 		if r.Index == 5 {
-			t.Fatal("skipped slot surfaced")
+			t.Fatal("unfilled slot surfaced")
 		}
 		if r.Label != string(rune('a'+r.Index)) {
 			t.Errorf("slot %d holds label %q", r.Index, r.Label)

@@ -42,10 +42,6 @@ func (w Width) Trunc(v Word) Word { return v & w.Mask() }
 // Add returns (a + b) mod 2^w.
 func (w Width) Add(a, b Word) Word { return w.Trunc(a + b) }
 
-// DomainSize returns 2^w as a float64 (exact for w < 53, approximate above);
-// used only for reporting.
-func (w Width) DomainSize() float64 { return math.Exp2(float64(uint(w))) }
-
 // Fits reports whether v is representable in w bits.
 func (w Width) Fits(v Word) bool { return v == w.Trunc(v) }
 
