@@ -4,9 +4,9 @@
 // goroutine concurrency, swept across GOMAXPROCS values.
 //
 // For every (algorithm, n) point the tool measures wall-clock throughput
-// (passages/sec) and per-passage latency — recorded both as raw samples
-// (for exact percentiles) and as fixed-bucket histograms in the telemetry
-// registry (visible live via -heartbeat/-metrics/-debugaddr). Each point is
+// (passages/sec) and per-passage latency — raw samples for exact
+// percentiles, and fixed-bucket histograms in the telemetry registry
+// (visible live via -heartbeat/-metrics/-debugaddr). Each point is
 // paired with the simulator's CC-RMR cost for the same (algorithm, n), so
 // the report correlates measured hardware behaviour against the paper's
 // cost model — experiment E14 in EXPERIMENTS.md, the Θ(log_w n) tradeoff
@@ -18,22 +18,19 @@
 //
 //	rmenative [-algs watree,mcs,clh,ticket,qword] [-procs 1,2,4,8]
 //	          [-passes N] [-warmup N] [-width W] [-crashevery K] [-nosim]
-//	          [-json FILE] [-merge BENCH_results.json]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //	          [-heartbeat DUR] [-metrics FILE] [-debugaddr ADDR]
 //	          [-ledger runs/ledger.jsonl] [-runlabel LABEL] [-version]
 //
-// The human table goes to stdout and timings to stderr. -json writes the
-// machine-readable report to its own file; -merge instead folds it into an
-// existing rmrbench report (e.g. BENCH_results.json) under the "native"
-// key, so the repository's perf trajectory tracks hardware numbers next to
-// the simulated series. Unlike rmrbench's tables, numbers here are
-// measurements of real time and are not expected to be reproducible
-// byte-for-byte.
+// The human table goes to stdout and timings to stderr. The machine-readable
+// record is one perf-ledger manifest per point (-ledger): the simulator
+// correlation as counters, and throughput, the latency summary and the
+// injected crash count as advisory wall samples. Unlike rmrbench's tables,
+// numbers here are measurements of real time and are not expected to be
+// reproducible byte-for-byte.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -71,53 +68,31 @@ var latencyBounds = []int64{
 	100_000, 250_000, 500_000, 1_000_000, 4_000_000, 16_000_000, 64_000_000,
 }
 
-// histogramRecord is a telemetry histogram flattened for the JSON report.
-type histogramRecord struct {
-	BoundsNS []int64 `json:"bounds_ns"`
-	Buckets  []int64 `json:"buckets"`
-	Count    int64   `json:"count"`
-	SumNS    int64   `json:"sum_ns"`
-}
-
 // latencySummary holds exact percentiles from the raw samples.
 type latencySummary struct {
-	MinNS  int64   `json:"min_ns"`
-	P50NS  int64   `json:"p50_ns"`
-	P90NS  int64   `json:"p90_ns"`
-	P99NS  int64   `json:"p99_ns"`
-	MaxNS  int64   `json:"max_ns"`
-	MeanNS float64 `json:"mean_ns"`
+	MinNS  int64
+	P50NS  int64
+	P90NS  int64
+	P99NS  int64
+	MaxNS  int64
+	MeanNS float64
 }
 
-// pointRecord is one (algorithm, n) sweep point.
+// pointRecord is one (algorithm, n) sweep point, run with GOMAXPROCS=n.
 type pointRecord struct {
-	Alg              string          `json:"alg"`
-	Procs            int             `json:"procs"`
-	GOMAXPROCS       int             `json:"gomaxprocs"`
-	Passes           int             `json:"passes"`
-	Crashes          int64           `json:"crashes,omitempty"`
-	WallMS           float64         `json:"wall_ms"`
-	ThroughputPerSec float64         `json:"throughput_per_sec"`
-	Latency          latencySummary  `json:"latency"`
-	Histogram        histogramRecord `json:"histogram"`
+	Alg   string
+	Procs int
+	// CrashEvery is the injection interval the point ran with: -crashevery,
+	// or 0 for an algorithm that is not recoverable.
+	CrashEvery       int
+	Crashes          int64
+	WallMS           float64
+	ThroughputPerSec float64
+	Latency          latencySummary
 	// The simulated CC-RMR cost of the same configuration: the model-side
 	// variable of the E14 correlation.
-	SimCCRMRPerPassageAvg float64 `json:"sim_cc_rmr_per_passage_avg,omitempty"`
-	SimCCRMRPerPassageMax int     `json:"sim_cc_rmr_per_passage_max,omitempty"`
-}
-
-// nativeReport is the top-level JSON document (also embedded by -merge
-// under the "native" key of an rmrbench report).
-type nativeReport struct {
-	Width       word.Width         `json:"width"`
-	Passes      int                `json:"passes"`
-	Warmup      int                `json:"warmup"`
-	CrashEvery  int                `json:"crash_every,omitempty"`
-	NumCPU      int                `json:"num_cpu"`
-	GoVersion   string             `json:"go_version"`
-	Provenance  perflog.Provenance `json:"provenance"`
-	TotalWallMS float64            `json:"total_wall_ms"`
-	Points      []pointRecord      `json:"points"`
+	SimCCRMRPerPassageAvg float64
+	SimCCRMRPerPassageMax int
 }
 
 // Counters returns the point's deterministic counters, the simulator-side
@@ -141,9 +116,6 @@ func run(args []string) error {
 	crashEvery := fs.Int("crashevery", 0,
 		"inject a crash every K-th passage (0 = off; recoverable algorithms only)")
 	noSim := fs.Bool("nosim", false, "skip the simulated CC-RMR correlation columns")
-	jsonPath := fs.String("json", "", "write the machine-readable report to this file")
-	mergePath := fs.String("merge", "",
-		"merge the report into an existing rmrbench JSON report under the \"native\" key")
 	diag := cliutil.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -161,29 +133,17 @@ func run(args []string) error {
 		if !w.Valid() {
 			return nil, fmt.Errorf("invalid width %d", *widthFlag)
 		}
-		// The report histograms always exist; the -metrics/-debugaddr registry
-		// additionally receives the same observations when enabled.
-		reg := telemetry.New()
-
-		report := nativeReport{
-			Width:      w,
-			Passes:     *passes,
-			Warmup:     *warmup,
-			CrashEvery: *crashEvery,
-			NumCPU:     runtime.NumCPU(),
-			GoVersion:  runtime.Version(),
-			Provenance: perflog.Build(),
-		}
 		prevMaxProcs := runtime.GOMAXPROCS(0)
 		defer runtime.GOMAXPROCS(prevMaxProcs)
 
+		var points []pointRecord
 		start := time.Now()
 		for _, alg := range algs {
 			fmt.Printf("=== %s (w=%d)\n", alg.Name(), w)
 			fmt.Printf("%6s %11s %14s %10s %10s %10s %10s %12s\n",
 				"n", "gomaxprocs", "passages/sec", "p50", "p90", "p99", "max", "sim CC-RMR")
 			for _, n := range sweep {
-				pt, err := runPoint(alg, n, w, *passes, *warmup, *crashEvery, reg, diag.Registry())
+				pt, err := runPoint(alg, n, w, *passes, *warmup, *crashEvery, diag.Registry())
 				if err != nil {
 					return nil, fmt.Errorf("%s n=%d: %w", alg.Name(), n, err)
 				}
@@ -198,48 +158,39 @@ func run(args []string) error {
 					simCol = fmt.Sprintf("%.1f/%d", pt.SimCCRMRPerPassageAvg, pt.SimCCRMRPerPassageMax)
 				}
 				fmt.Printf("%6d %11d %14.0f %10s %10s %10s %10s %12s\n",
-					pt.Procs, pt.GOMAXPROCS, pt.ThroughputPerSec,
+					pt.Procs, pt.Procs, pt.ThroughputPerSec,
 					ns(pt.Latency.P50NS), ns(pt.Latency.P90NS), ns(pt.Latency.P99NS),
 					ns(pt.Latency.MaxNS), simCol)
-				report.Points = append(report.Points, pt)
+				points = append(points, pt)
 			}
 			fmt.Println()
 		}
-		report.TotalWallMS = float64(time.Since(start).Microseconds()) / 1000
 		fmt.Fprintf(os.Stderr, "swept %d algorithms x %d points in %.0f ms\n",
-			len(algs), len(sweep), report.TotalWallMS)
+			len(algs), len(sweep), float64(time.Since(start).Microseconds())/1000)
 
-		if *jsonPath != "" {
-			if err := cliutil.WriteJSON(*jsonPath, report); err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d points)\n", *jsonPath, len(report.Points))
-		}
-		if *mergePath != "" {
-			if err := mergeReport(*mergePath, report); err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "merged native series into %s\n", *mergePath)
-		}
 		// One perf-ledger entry per point, with counters only when the
 		// simulator correlation ran.
-		ms := make([]*perflog.Manifest, len(report.Points))
-		for i, pt := range report.Points {
+		ms := make([]*perflog.Manifest, len(points))
+		for i, pt := range points {
 			m := perflog.New("rmenative")
 			m.SetConfig("alg", pt.Alg)
 			m.SetConfig("procs", pt.Procs)
 			m.SetConfig("width", int(w))
-			m.SetConfig("passes", pt.Passes)
+			m.SetConfig("passes", *passes)
 			m.SetConfig("warmup", *warmup)
-			m.SetConfig("crashevery", *crashEvery)
+			m.SetConfig("crashevery", pt.CrashEvery)
 			m.SetConfig("nosim", *noSim)
 			if !*noSim {
 				m.AddCounters("", pt.Counters())
 			}
 			m.Sample("wall_ms", pt.WallMS)
 			m.Sample("throughput_per_sec", pt.ThroughputPerSec)
+			m.Sample("min_ns", float64(pt.Latency.MinNS))
 			m.Sample("p50_ns", float64(pt.Latency.P50NS))
+			m.Sample("p90_ns", float64(pt.Latency.P90NS))
 			m.Sample("p99_ns", float64(pt.Latency.P99NS))
+			m.Sample("max_ns", float64(pt.Latency.MaxNS))
+			m.Sample("mean_ns", pt.Latency.MeanNS)
 			m.Sample("crashes", float64(pt.Crashes))
 			ms[i] = m
 		}
@@ -247,8 +198,9 @@ func run(args []string) error {
 	})
 }
 
-// runPoint measures one (algorithm, n) configuration with GOMAXPROCS=n.
-func runPoint(alg mutex.Algorithm, n int, w word.Width, passes, warmup, crashEvery int, regs ...*telemetry.Registry) (pointRecord, error) {
+// runPoint measures one (algorithm, n) configuration with GOMAXPROCS=n,
+// observing every passage into reg's latency histogram (reg may be nil).
+func runPoint(alg mutex.Algorithm, n int, w word.Width, passes, warmup, crashEvery int, reg *telemetry.Registry) (pointRecord, error) {
 	if crashEvery > 0 && !alg.Recoverable() {
 		crashEvery = 0
 	}
@@ -259,13 +211,8 @@ func runPoint(alg mutex.Algorithm, n int, w word.Width, passes, warmup, crashEve
 	gmp := runtime.GOMAXPROCS(n)
 	defer runtime.GOMAXPROCS(gmp)
 
-	histName := fmt.Sprintf("native_latency_ns_%s_n%d", metricName(alg.Name()), n)
-	var hists []*telemetry.Histogram
-	var passCtr []*telemetry.Counter
-	for _, reg := range regs {
-		hists = append(hists, reg.Histogram(histName, latencyBounds))
-		passCtr = append(passCtr, reg.Counter("native_passages"))
-	}
+	hist := reg.Histogram(fmt.Sprintf("native_latency_ns_%s_n%d", metricName(alg.Name()), n), latencyBounds)
+	passCtr := reg.Counter("native_passages")
 
 	samples := make([][]int64, n)
 	var crashes atomic.Int64
@@ -294,12 +241,8 @@ func runPoint(alg mutex.Algorithm, n int, w word.Width, passes, warmup, crashEve
 				h.Super(cs)
 				d := time.Since(t0).Nanoseconds()
 				samples[id] = append(samples[id], d)
-				for _, hist := range hists {
-					hist.Observe(d)
-				}
-				for _, c := range passCtr {
-					c.Inc()
-				}
+				hist.Observe(d)
+				passCtr.Inc()
 				if crashEvery > 0 {
 					h.CrashAfter(-1)
 				}
@@ -325,8 +268,7 @@ func runPoint(alg mutex.Algorithm, n int, w word.Width, passes, warmup, crashEve
 	pt := pointRecord{
 		Alg:              alg.Name(),
 		Procs:            n,
-		GOMAXPROCS:       n,
-		Passes:           passes,
+		CrashEvery:       crashEvery,
 		Crashes:          crashes.Load(),
 		WallMS:           float64(wall.Microseconds()) / 1000,
 		ThroughputPerSec: float64(len(all)) / wall.Seconds(),
@@ -339,15 +281,6 @@ func runPoint(alg mutex.Algorithm, n int, w word.Width, passes, warmup, crashEve
 			P99NS:  percentile(all, 99),
 			MaxNS:  all[len(all)-1],
 			MeanNS: float64(sum) / float64(len(all)),
-		}
-	}
-	if len(regs) > 0 {
-		for _, hp := range regs[0].Snapshot().Histograms {
-			if hp.Name == histName {
-				pt.Histogram = histogramRecord{
-					BoundsNS: hp.Bounds, Buckets: hp.Buckets, Count: hp.Count, SumNS: hp.Sum,
-				}
-			}
 		}
 	}
 	return pt, nil
@@ -378,38 +311,6 @@ func simCorrelate(alg mutex.Algorithm, n int, w word.Width, pt *pointRecord) err
 	pt.SimCCRMRPerPassageAvg = float64(total) / float64(len(stats))
 	pt.SimCCRMRPerPassageMax = s.MaxPassageRMRs(sim.CC)
 	return nil
-}
-
-// mergeReport folds the native report into an existing JSON object file
-// (rmrbench's BENCH_results.json) under the "native" key, leaving every other
-// member as it was. Points from an earlier run survive: they merge by (alg,
-// procs) (cliutil.MergeByKey), so a second -merge run over a different sweep
-// extends the series and only same-key points are replaced by the fresh
-// measurement. Scalar metadata (width, go_version, ...) reflects the latest
-// run.
-func mergeReport(path string, rep nativeReport) error {
-	doc, err := cliutil.ReadObject(path)
-	if err != nil {
-		return fmt.Errorf("merge: %w", err)
-	}
-	if raw, ok := doc["native"]; ok {
-		var old nativeReport
-		if err := json.Unmarshal(raw, &old); err != nil {
-			return fmt.Errorf("merge: %s: existing \"native\" entry is not a native report: %w", path, err)
-		}
-		type key struct {
-			alg   string
-			procs int
-		}
-		rep.Points = cliutil.MergeByKey(old.Points, rep.Points,
-			func(pt pointRecord) key { return key{pt.Alg, pt.Procs} })
-	}
-	blob, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	doc["native"] = blob
-	return cliutil.WriteJSON(path, doc)
 }
 
 func parseAlgs(list string) ([]mutex.Algorithm, error) {

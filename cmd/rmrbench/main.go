@@ -6,8 +6,10 @@
 //
 // Grids run on the engine's deterministic worker pool: the rendered tables
 // are byte-identical at any -parallel value (including 1), only wall time
-// changes. A machine-readable summary — wall time, run counts, and RMR
-// statistics per experiment — is written to the -json path.
+// changes. Each experiment's machine-readable record — run counts, RMR
+// statistics, table count and wall time — is one perf-ledger manifest,
+// appended to the -ledger file (see internal/perflog and cmd/rmereport) for
+// cross-run regression gating.
 //
 // Step-level observability: -trace FILE captures every engine run's event
 // stream (JSONL, or Chrome trace_event JSON with -traceformat chrome, for
@@ -17,16 +19,11 @@
 //
 // Usage:
 //
-//	rmrbench [-full] [-only E2,E5] [-seed S] [-parallel N] [-json BENCH_results.json]
+//	rmrbench [-full] [-only E2,E5] [-seed S] [-parallel N]
 //	         [-trace FILE] [-traceformat jsonl|chrome] [-top N]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //	         [-heartbeat DUR] [-metrics FILE] [-debugaddr ADDR]
 //	         [-ledger runs/ledger.jsonl] [-runlabel LABEL] [-version]
-//
-// The -json report merges into an existing file keyed by experiment id, so a
-// partial rerun (-only E2) updates only the experiments it ran. -ledger
-// appends one perf-ledger manifest per experiment (see internal/perflog and
-// cmd/rmereport) for cross-run regression gating.
 //
 // -heartbeat prints live engine statistics (runs/sec, worker utilization)
 // to stderr while the grids execute; -metrics appends JSONL metric
@@ -35,7 +32,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -58,61 +54,11 @@ func main() {
 	}
 }
 
-// experimentRecord is one experiment's entry in the JSON report.
-type experimentRecord struct {
-	ID     string  `json:"id"`
-	Title  string  `json:"title"`
-	WallMS float64 `json:"wall_ms"`
-	Tables int     `json:"tables"`
-	engine.MetricsSnapshot
-}
-
-// benchReport is the top-level JSON report.
-type benchReport struct {
-	Full        bool               `json:"full"`
-	Parallel    int                `json:"parallel"`
-	Seed        int64              `json:"seed"`
-	TotalWallMS float64            `json:"total_wall_ms"`
-	Provenance  perflog.Provenance `json:"provenance"`
-	Experiments []experimentRecord `json:"experiments"`
-}
-
-// mergeResults folds the new report into the results document: experiments
-// merge by id (cliutil.MergeByKey), run scalars and provenance come from the
-// new run, and members rmrbench does not write (e.g. rmenative's "native")
-// stay as they were. A partial rerun (-only E2) therefore updates exactly
-// the experiments it ran.
-func mergeResults(doc map[string]json.RawMessage, report benchReport) error {
-	var old []experimentRecord
-	if raw, ok := doc["experiments"]; ok {
-		if err := json.Unmarshal(raw, &old); err != nil {
-			return fmt.Errorf("existing experiments: %w", err)
-		}
-	}
-	report.Experiments = cliutil.MergeByKey(old, report.Experiments,
-		func(e experimentRecord) string { return e.ID })
-	blob, err := json.Marshal(report)
-	if err != nil {
-		return err
-	}
-	// Unmarshal into a non-nil map overwrites the report's members and
-	// keeps the rest.
-	return json.Unmarshal(blob, &doc)
-}
-
-// Counters returns the engine metrics' counters plus the table count.
-func (r experimentRecord) Counters() map[string]int64 {
-	c := r.MetricsSnapshot.Counters()
-	c["tables"] = int64(r.Tables)
-	return c
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("rmrbench", flag.ContinueOnError)
 	full := fs.Bool("full", false, "run the enlarged parameter sweeps")
 	only := fs.String("only", "", "comma-separated experiment ids (e.g. E1,E5); default all")
 	parallel := fs.Int("parallel", 0, "engine workers per experiment grid (0 = GOMAXPROCS); tables are identical at any value")
-	jsonPath := fs.String("json", "BENCH_results.json", "machine-readable report path (empty to skip)")
 	seed := fs.Int64("seed", 0, "offset for the experiments' base seeds (0 = the published tables)")
 	diag := cliutil.Flags(fs)
 	tr := diag.TraceFlags(fs, "write a step-level trace of every engine run to this file",
@@ -138,8 +84,7 @@ func run(args []string) error {
 			}
 		}
 
-		report := benchReport{Full: *full, Parallel: engine.Parallelism(*parallel), Seed: *seed, Provenance: perflog.Build()}
-		benchStart := time.Now()
+		var ms []*perflog.Manifest
 		for _, exp := range harness.All() {
 			if len(want) > 0 && !want[exp.ID] {
 				continue
@@ -160,15 +105,19 @@ func run(args []string) error {
 			// Timings go to stderr: stdout is byte-identical at any -parallel
 			// value, so runs can be diffed directly.
 			fmt.Fprintf(os.Stderr, "    (%s in %v)\n\n", exp.ID, wall.Round(time.Millisecond))
-			report.Experiments = append(report.Experiments, experimentRecord{
-				ID:              exp.ID,
-				Title:           exp.Title,
-				WallMS:          float64(wall.Microseconds()) / 1000,
-				Tables:          len(tables),
-				MetricsSnapshot: metrics.Snapshot(),
-			})
+			// One perf-ledger manifest per experiment. The semantic config is
+			// the experiment's identity (id, sweep size, seed offset) — not the
+			// -only list or -parallel — so a full baseline run gates a subset
+			// rerun.
+			m := perflog.New("rmrbench")
+			m.SetConfig("experiment", exp.ID)
+			m.SetConfig("full", *full)
+			m.SetConfig("seed", *seed)
+			m.AddCounters("", metrics.Snapshot().Counters())
+			m.Counters["tables"] = int64(len(tables))
+			m.Sample("wall_ms", float64(wall.Microseconds())/1000)
+			ms = append(ms, m)
 		}
-		report.TotalWallMS = float64(time.Since(benchStart).Microseconds()) / 1000
 
 		if capture != nil {
 			// The summary is as deterministic as the tables, so it shares stdout.
@@ -177,34 +126,6 @@ func run(args []string) error {
 			}
 		}
 
-		if *jsonPath != "" {
-			doc, err := cliutil.ReadObject(*jsonPath)
-			if err != nil {
-				return nil, err
-			}
-			if err := mergeResults(doc, report); err != nil {
-				return nil, err
-			}
-			if err := cliutil.WriteJSON(*jsonPath, doc); err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d experiments this run, %.0f ms total)\n",
-				*jsonPath, len(report.Experiments), report.TotalWallMS)
-		}
-
-		// One perf-ledger entry per experiment. The semantic config is the
-		// experiment's identity (id, sweep size, seed offset) — not the -only
-		// list or -parallel — so a full baseline run gates a subset rerun.
-		ms := make([]*perflog.Manifest, len(report.Experiments))
-		for i, rec := range report.Experiments {
-			m := perflog.New("rmrbench")
-			m.SetConfig("experiment", rec.ID)
-			m.SetConfig("full", *full)
-			m.SetConfig("seed", *seed)
-			m.AddCounters("", rec.Counters())
-			m.Sample("wall_ms", rec.WallMS)
-			ms[i] = m
-		}
 		return ms, nil
 	})
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -53,7 +52,7 @@ func TestStdoutParityAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full experiment grids")
 	}
-	args := []string{"-only", "E6,E9,E11", "-json", ""}
+	args := []string{"-only", "E6,E9,E11"}
 	one, err := captureStdout(t, func() error { return run(append([]string{"-parallel", "1"}, args...)) })
 	if err != nil {
 		t.Fatalf("-parallel 1: %v", err)
@@ -83,7 +82,7 @@ func TestTraceParityAcrossParallelism(t *testing.T) {
 	eight := filepath.Join(dir, "p8.jsonl")
 	for parallel, path := range map[string]string{"1": one, "8": eight} {
 		if _, err := captureStdout(t, func() error {
-			return run([]string{"-only", "E6", "-json", "", "-parallel", parallel, "-trace", path})
+			return run([]string{"-only", "E6", "-parallel", parallel, "-trace", path})
 		}); err != nil {
 			t.Fatalf("-parallel %s: %v", parallel, err)
 		}
@@ -112,7 +111,7 @@ func TestStdoutMachineClean(t *testing.T) {
 		t.Skip("runs a full experiment grid")
 	}
 	out, err := captureStdout(t, func() error {
-		return run([]string{"-only", "E6", "-json", ""})
+		return run([]string{"-only", "E6"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,30 +126,22 @@ func TestStdoutMachineClean(t *testing.T) {
 
 // TestTracingDisabledNoRegression is the bench guard: with tracing disabled
 // (no -trace, no -top) the E2 grid must stay within generous slack of the
-// recorded baseline in BENCH_results.json, so the observer hook's nil check
-// is demonstrably free. Gated behind RME_BENCH_GUARD=1 because wall-clock
-// assertions are too flaky for ordinary CI runners.
+// wall_ms recorded in E2's manifest in runs/baseline.jsonl, so
+// Machine.record's NoTrace branch is demonstrably free. Gated behind
+// RME_BENCH_GUARD=1 because wall-clock assertions are too flaky for ordinary
+// CI runners.
 func TestTracingDisabledNoRegression(t *testing.T) {
 	if os.Getenv("RME_BENCH_GUARD") == "" {
 		t.Skip("set RME_BENCH_GUARD=1 to enable the wall-clock guard")
 	}
-	blob, err := os.ReadFile("../../BENCH_results.json")
+	ms, err := perflog.Read("../../runs/baseline.jsonl")
 	if err != nil {
 		t.Skipf("no baseline: %v", err)
 	}
-	var baseline struct {
-		Experiments []struct {
-			ID     string  `json:"id"`
-			WallMS float64 `json:"wall_ms"`
-		} `json:"experiments"`
-	}
-	if err := json.Unmarshal(blob, &baseline); err != nil {
-		t.Fatal(err)
-	}
 	var baseMS float64
-	for _, e := range baseline.Experiments {
-		if e.ID == "E2" {
-			baseMS = e.WallMS
+	for _, m := range ms {
+		if m.Tool == "rmrbench" && m.Config["experiment"] == "E2" {
+			baseMS = m.Wall["wall_ms"]
 		}
 	}
 	if baseMS == 0 {
@@ -158,69 +149,32 @@ func TestTracingDisabledNoRegression(t *testing.T) {
 	}
 	start := time.Now()
 	if _, err := captureStdout(t, func() error {
-		return run([]string{"-only", "E2", "-json", "", "-parallel", "1"})
+		return run([]string{"-only", "E2", "-parallel", "1"})
 	}); err != nil {
 		t.Fatal(err)
 	}
 	got := float64(time.Since(start).Microseconds()) / 1000
-	// 5x slack: this guards against the observer hook accidentally becoming
-	// hot (an order of magnitude), not against scheduler noise.
+	// 5x slack: this guards against the untraced step path accidentally
+	// becoming hot (an order of magnitude), not against scheduler noise.
 	if got > 5*baseMS {
 		t.Errorf("tracing-disabled E2 took %.0f ms, baseline %.0f ms (>5x)", got, baseMS)
 	}
 }
 
-// TestJSONMergePreservesOtherExperiments locks in the -json merge semantics:
-// a second run restricted to one experiment must update that entry in place
-// and leave every other experiment — and unknown top-level sections like the
-// native backend's — untouched, instead of overwriting the file wholesale.
-func TestJSONMergePreservesOtherExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full experiment grids")
+// ledgerRun runs rmrbench with args and -ledger into a fresh file and
+// returns the manifests it appended.
+func ledgerRun(t *testing.T, args ...string) []*perflog.Manifest {
+	t.Helper()
+	ledger := filepath.Join(t.TempDir(), "runs.jsonl")
+	args = append(args, "-ledger", ledger)
+	if _, err := captureStdout(t, func() error { return run(args) }); err != nil {
+		t.Fatalf("run(%v): %v", args, err)
 	}
-	path := filepath.Join(t.TempDir(), "results.json")
-	seeded := []byte(`{
-  "experiments": [
-    {"id": "E6", "title": "stale", "wall_ms": 1, "tables": 0, "runs": 0, "steps": 0, "max_rmr": 0, "avg_max_rmr": 0},
-    {"id": "EX", "title": "kept", "wall_ms": 2, "tables": 3, "runs": 4, "steps": 5, "max_rmr": 6, "avg_max_rmr": 7}
-  ],
-  "native": {"points": [{"alg": "yatree"}]}
-}`)
-	if err := os.WriteFile(path, seeded, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := captureStdout(t, func() error {
-		return run([]string{"-only", "E6", "-json", path})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(path)
+	ms, err := perflog.Read(ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Experiments []struct {
-			ID    string `json:"id"`
-			Title string `json:"title"`
-			Runs  int64  `json:"runs"`
-		} `json:"experiments"`
-		Native map[string]json.RawMessage `json:"native"`
-	}
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Experiments) != 2 {
-		t.Fatalf("merge produced %d experiments, want 2: %s", len(doc.Experiments), blob)
-	}
-	if doc.Experiments[0].ID != "E6" || doc.Experiments[0].Title == "stale" || doc.Experiments[0].Runs == 0 {
-		t.Fatalf("E6 not replaced in place: %+v", doc.Experiments[0])
-	}
-	if doc.Experiments[1].ID != "EX" || doc.Experiments[1].Title != "kept" {
-		t.Fatalf("unrelated experiment clobbered: %+v", doc.Experiments[1])
-	}
-	if _, ok := doc.Native["points"]; !ok {
-		t.Fatalf("unknown top-level key dropped by merge: %s", blob)
-	}
+	return ms
 }
 
 // TestLedgerEmission checks the -ledger wiring end to end: one manifest per
@@ -229,16 +183,7 @@ func TestLedgerEmission(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full experiment grid")
 	}
-	ledger := filepath.Join(t.TempDir(), "runs.jsonl")
-	if _, err := captureStdout(t, func() error {
-		return run([]string{"-only", "E6", "-json", "", "-ledger", ledger, "-runlabel", "unit"})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	ms, err := perflog.Read(ledger)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := ledgerRun(t, "-only", "E6", "-runlabel", "unit")
 	if len(ms) != 1 {
 		t.Fatalf("want 1 manifest, got %d", len(ms))
 	}
@@ -262,11 +207,11 @@ func TestSeedChangesRandomizedTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full experiment grids")
 	}
-	base, err := captureStdout(t, func() error { return run([]string{"-only", "E11", "-json", "", "-seed", "0"}) })
+	base, err := captureStdout(t, func() error { return run([]string{"-only", "E11", "-seed", "0"}) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	reseeded, err := captureStdout(t, func() error { return run([]string{"-only", "E11", "-json", "", "-seed", "12345"}) })
+	reseeded, err := captureStdout(t, func() error { return run([]string{"-only", "E11", "-seed", "12345"}) })
 	if err != nil {
 		t.Fatal(err)
 	}

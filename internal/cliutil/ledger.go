@@ -35,8 +35,9 @@ func LedgerFlags(fs *flag.FlagSet) *Ledger {
 
 // Emit stamps label, build provenance, and the telemetry registry's final
 // snapshot (reg may be nil) onto each manifest and appends them to the
-// ledger. No-op when the ledger is disabled. Errors are returned, not fatal:
-// a failed ledger append must not fail the run that produced the results.
+// ledger. No-op when the ledger is disabled. A failed append is returned,
+// and Run.Do returns it, so the tool exits non-zero: a ledger gate (CI's
+// rmereport regress) must not pass on a ledger that lacks the run.
 func (l *Ledger) Emit(reg *telemetry.Registry, ms ...*perflog.Manifest) error {
 	if l.Path == "" || len(ms) == 0 {
 		return nil

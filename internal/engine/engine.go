@@ -23,7 +23,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,7 +80,7 @@ type Options struct {
 	// Parallel is the worker count; <= 0 means GOMAXPROCS.
 	Parallel int
 	// Metrics, when non-nil, accumulates run counts and RMR statistics
-	// across Run calls (used by cmd/rmrbench's machine-readable output).
+	// across Run calls (cmd/rmrbench records them in its ledger manifests).
 	Metrics *Metrics
 	// Trace, when non-nil, captures every run's full event stream. The batch
 	// reserves a contiguous block of submission-order slots up front, so
@@ -279,8 +278,7 @@ func execOne(w *Worker, i int, spec *RunSpec, m *Metrics, tc *trace.Capture, slo
 	}
 	if m != nil {
 		m.Add(1, r.Steps, r.MaxRMR(spec.Session.Model))
-		m.AddPassages(s.Stats(), s.Config().Model)
-		m.AddCells(s.Machine().CellRMRStats())
+		m.passages.Add(int64(len(s.Stats())))
 	}
 	w.Release(s)
 	return r
@@ -368,22 +366,14 @@ func (w *Worker) Close() {
 
 // Metrics accumulates run statistics across engine launches; all methods
 // are safe for concurrent use. cmd/rmrbench threads one Metrics through
-// each experiment to report runs and max/avg RMRs in BENCH_results.json.
+// each experiment and records its snapshot's counters in the experiment's
+// perf-ledger manifest.
 type Metrics struct {
 	runs      atomic.Int64
 	steps     atomic.Int64
 	maxRMR    atomic.Int64
 	sumMaxRMR atomic.Int64
-
-	// The histogram maps are mutex-guarded (not atomics) because they are
-	// touched once per run, not once per step; the hot path stays lock-free.
-	mu       sync.Mutex
-	passages map[int]int64       // per-passage RMR count (run's model) -> passages
-	cells    map[string]*cellAgg // cell label -> RMR totals
-}
-
-type cellAgg struct {
-	cc, dsm int64
+	passages  atomic.Int64
 }
 
 // Add records runs simulation runs with the given total step count and
@@ -401,82 +391,19 @@ func (m *Metrics) Add(runs, steps, maxRMR int) {
 	}
 }
 
-// AddPassages folds one run's completed passages into the per-passage RMR
-// histogram, each counted under the run's own configured model.
-func (m *Metrics) AddPassages(stats []mutex.PassageStat, model sim.Model) {
-	if len(stats) == 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.passages == nil {
-		m.passages = make(map[int]int64)
-	}
-	for _, p := range stats {
-		m.passages[p.RMRs(model)]++
-	}
-}
-
-// AddCells folds one run's per-cell RMR totals into the cross-run cell
-// table, keyed by label (allocation ids are per-machine).
-func (m *Metrics) AddCells(cells []sim.CellRMRs) {
-	if len(cells) == 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cells == nil {
-		m.cells = make(map[string]*cellAgg)
-	}
-	for _, c := range cells {
-		a, ok := m.cells[c.Label]
-		if !ok {
-			a = &cellAgg{}
-			m.cells[c.Label] = a
-		}
-		a.cc += int64(c.RMRCC)
-		a.dsm += int64(c.RMRDSM)
-	}
-}
-
-// PassageBucket is one row of the per-passage RMR histogram.
-type PassageBucket struct {
-	// RMRs is the passage cost under the run's configured model.
-	RMRs int `json:"rmrs"`
-	// Passages is how many passages cost exactly that much.
-	Passages int64 `json:"passages"`
-}
-
-// CellTotal is one row of the cross-run per-cell RMR table.
-type CellTotal struct {
-	Label  string `json:"label"`
-	RMRCC  int64  `json:"rmr_cc"`
-	RMRDSM int64  `json:"rmr_dsm"`
-}
-
-// maxSnapshotCells caps the cell table in snapshots so machine-readable
-// reports stay bounded on huge sweeps; the omitted count is reported.
-const maxSnapshotCells = 40
-
 // MetricsSnapshot is a point-in-time reading.
 type MetricsSnapshot struct {
 	// Runs is the number of simulation runs executed.
-	Runs int64 `json:"runs"`
+	Runs int64
 	// Steps is the total number of scheduled actions across runs.
-	Steps int64 `json:"steps"`
+	Steps int64
 	// MaxRMR is the worst per-passage RMR count observed in any run (under
 	// each run's own configured model).
-	MaxRMR int64 `json:"max_rmr"`
+	MaxRMR int64
 	// AvgMaxRMR averages the per-run worst passage cost over all runs.
-	AvgMaxRMR float64 `json:"avg_max_rmr"`
+	AvgMaxRMR float64
 	// Passages counts completed passages across runs.
-	Passages int64 `json:"passages,omitempty"`
-	// PassageRMRHist is the passage-cost histogram, ascending by cost.
-	PassageRMRHist []PassageBucket `json:"passage_rmr_hist,omitempty"`
-	// Cells are per-cell RMR totals, hottest (CC+DSM) first, capped at
-	// maxSnapshotCells rows; CellsOmitted counts the rows cut.
-	Cells        []CellTotal `json:"cells,omitempty"`
-	CellsOmitted int         `json:"cells_omitted,omitempty"`
+	Passages int64
 }
 
 // Counters returns the snapshot's scalars as perf-ledger counters, AvgMaxRMR
@@ -491,39 +418,16 @@ func (s MetricsSnapshot) Counters() map[string]int64 {
 	}
 }
 
-// Snapshot returns the current totals. The histogram and cell slices are
-// sorted copies, so encoding a snapshot is deterministic.
+// Snapshot returns the current totals.
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	s := MetricsSnapshot{
-		Runs:   m.runs.Load(),
-		Steps:  m.steps.Load(),
-		MaxRMR: m.maxRMR.Load(),
+		Runs:     m.runs.Load(),
+		Steps:    m.steps.Load(),
+		MaxRMR:   m.maxRMR.Load(),
+		Passages: m.passages.Load(),
 	}
 	if s.Runs > 0 {
 		s.AvgMaxRMR = math.Round(float64(m.sumMaxRMR.Load())/float64(s.Runs)*100) / 100
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for rmrs, n := range m.passages {
-		s.PassageRMRHist = append(s.PassageRMRHist, PassageBucket{RMRs: rmrs, Passages: n})
-		s.Passages += n
-	}
-	sort.Slice(s.PassageRMRHist, func(i, j int) bool {
-		return s.PassageRMRHist[i].RMRs < s.PassageRMRHist[j].RMRs
-	})
-	for label, a := range m.cells {
-		s.Cells = append(s.Cells, CellTotal{Label: label, RMRCC: a.cc, RMRDSM: a.dsm})
-	}
-	sort.Slice(s.Cells, func(i, j int) bool {
-		ti, tj := s.Cells[i].RMRCC+s.Cells[i].RMRDSM, s.Cells[j].RMRCC+s.Cells[j].RMRDSM
-		if ti != tj {
-			return ti > tj
-		}
-		return s.Cells[i].Label < s.Cells[j].Label
-	})
-	if len(s.Cells) > maxSnapshotCells {
-		s.CellsOmitted = len(s.Cells) - maxSnapshotCells
-		s.Cells = s.Cells[:maxSnapshotCells]
 	}
 	return s
 }

@@ -232,16 +232,23 @@ func TestForEachLowestError(t *testing.T) {
 	}
 }
 
-// TestMetrics accumulates across parallel runs.
+// TestMetrics accumulates across parallel runs, and the snapshot is the same
+// at any parallelism.
 func TestMetrics(t *testing.T) {
-	m := &Metrics{}
 	specs := gridSpecs()
-	Run(specs, Options{Parallel: 4, Metrics: m})
-	snap := m.Snapshot()
+	snapFor := func(par int) MetricsSnapshot {
+		m := &Metrics{}
+		Run(specs, Options{Parallel: par, Metrics: m})
+		return m.Snapshot()
+	}
+	snap := snapFor(4)
 	if snap.Runs != int64(len(specs)) {
 		t.Errorf("Runs = %d, want %d", snap.Runs, len(specs))
 	}
-	if snap.MaxRMR <= 0 || snap.AvgMaxRMR <= 0 || snap.Steps <= 0 {
+	if snap.MaxRMR <= 0 || snap.AvgMaxRMR <= 0 || snap.Steps <= 0 || snap.Passages <= 0 {
 		t.Errorf("degenerate snapshot: %+v", snap)
+	}
+	if serial := snapFor(1); serial != snap {
+		t.Errorf("snapshot differs across parallelism:\n 1: %+v\n 4: %+v", serial, snap)
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"rme/internal/algorithms/watree"
@@ -95,44 +94,4 @@ func TestTraceOverridesNoTrace(t *testing.T) {
 	if runs[0].Label != "watree" {
 		t.Errorf("label = %q, want the algorithm name", runs[0].Label)
 	}
-}
-
-// TestMetricsHistogramsDeterministic: the expanded snapshot (passage
-// histogram, cell table) is identical across parallelism and across
-// repeated snapshots.
-func TestMetricsHistogramsDeterministic(t *testing.T) {
-	snapFor := func(par int) MetricsSnapshot {
-		m := &Metrics{}
-		Run(gridSpecs(), Options{Parallel: par, Metrics: m})
-		return m.Snapshot()
-	}
-	a, b := snapFor(1), snapFor(8)
-	if len(a.PassageRMRHist) == 0 || a.Passages == 0 {
-		t.Fatalf("empty passage histogram: %+v", a)
-	}
-	if len(a.Cells) == 0 {
-		t.Fatal("empty cell table")
-	}
-	ka, kb := metricsKey(a), metricsKey(b)
-	if ka != kb {
-		t.Errorf("snapshot differs across parallelism:\n--- 1 ---\n%s--- 8 ---\n%s", ka, kb)
-	}
-	var total int64
-	for _, bk := range a.PassageRMRHist {
-		total += bk.Passages
-	}
-	if total != a.Passages {
-		t.Errorf("histogram sums to %d, Passages = %d", total, a.Passages)
-	}
-}
-
-func metricsKey(s MetricsSnapshot) string {
-	out := ""
-	for _, b := range s.PassageRMRHist {
-		out += fmt.Sprintf("h %d %d\n", b.RMRs, b.Passages)
-	}
-	for _, c := range s.Cells {
-		out += fmt.Sprintf("c %s %d %d\n", c.Label, c.RMRCC, c.RMRDSM)
-	}
-	return out
 }

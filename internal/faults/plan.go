@@ -115,10 +115,11 @@ func (pl Plan) drive(s *mutex.Session, bound int, observe func(decision int, ev 
 		if len(poised) == 0 {
 			return mutex.ErrStuck
 		}
-		// Pick the process to step: seeded-random, or round-robin (the first
-		// poised process by id; combined with the sweep-free loop this is the
-		// lowest-id-first fair policy, which visits every process because
-		// stepping p usually re-poises a successor).
+		// Pick the process to step: seeded-random, or round-robin, which
+		// takes poised[decision%len(poised)] of the ascending poised ids, so
+		// while the poised set stays the same successive decisions cycle
+		// through it. Recorded reproducers and the rmefault baseline anchor
+		// depend on this exact choice.
 		var p int
 		if rng != nil {
 			p = poised[rng.Intn(len(poised))]

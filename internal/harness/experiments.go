@@ -36,7 +36,7 @@ type Options struct {
 	Parallel int
 	// Metrics, when non-nil, accumulates run statistics (run counts, steps,
 	// max/avg RMRs) across experiments — cmd/rmrbench threads one through
-	// for its machine-readable report.
+	// each experiment for its ledger manifest.
 	Metrics *engine.Metrics
 	// Seed offsets every experiment's fixed base seeds. 0 reproduces the
 	// published tables; any other value reruns the randomized experiments on
@@ -146,37 +146,15 @@ func runE1(opts Options) ([]Table, error) {
 		models = append(models, sim.DSM)
 	}
 
-	type point struct {
-		model sim.Model
-		n     int
-		w     word.Width
-	}
-	var pts []point
+	var cfgs []mutex.Config
 	for _, model := range models {
 		for _, n := range ns {
 			for _, w := range ws {
-				pts = append(pts, point{model, n, w})
+				cfgs = append(cfgs, mutex.Config{Procs: n, Width: w, Model: model, Algorithm: watree.New()})
 			}
 		}
 	}
-	// One adversary construction per grid point, distributed over engine
-	// workers; reports land by index, so table order never depends on
-	// completion order.
-	reps := make([]*adversary.Report, len(pts))
-	err := engine.ForEach(len(pts), opts.Parallel, func(i int) error {
-		pt := pts[i]
-		rep, err := runAdversary(mutex.Config{
-			Procs: pt.n, Width: pt.w, Model: pt.model, Algorithm: watree.New(),
-		}, 0, opts)
-		if err != nil {
-			return fmt.Errorf("E1 n=%d w=%d: %w", pt.n, pt.w, err)
-		}
-		if len(rep.InvariantViolations) > 0 {
-			return fmt.Errorf("E1 n=%d w=%d: invariant violations: %v", pt.n, pt.w, rep.InvariantViolations)
-		}
-		reps[i] = rep
-		return nil
-	})
+	reps, err := adversaryGrid("E1", cfgs, 0, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -212,21 +190,11 @@ func runE1(opts Options) ([]Table, error) {
 			"(the Anderson–Kim construction [1]); the forced cost grows with log n " +
 			"independent of w.",
 	}
-	repsB := make([]*adversary.Report, len(ns))
-	err = engine.ForEach(len(ns), opts.Parallel, func(i int) error {
-		n := ns[i]
-		rep, err := runAdversary(mutex.Config{
-			Procs: n, Width: 16, Model: sim.CC, Algorithm: yatree.New(),
-		}, 0, opts)
-		if err != nil {
-			return fmt.Errorf("E1b n=%d: %w", n, err)
-		}
-		if len(rep.InvariantViolations) > 0 {
-			return fmt.Errorf("E1b n=%d: %v", n, rep.InvariantViolations)
-		}
-		repsB[i] = rep
-		return nil
-	})
+	cfgsB := make([]mutex.Config, len(ns))
+	for i, n := range ns {
+		cfgsB[i] = mutex.Config{Procs: n, Width: 16, Model: sim.CC, Algorithm: yatree.New()}
+	}
+	repsB, err := adversaryGrid("E1b", cfgsB, 0, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -238,17 +206,37 @@ func runE1(opts Options) ([]Table, error) {
 	return tables, nil
 }
 
-func runAdversary(cfg mutex.Config, k int, opts Options) (*adversary.Report, error) {
-	adv, err := adversary.New(adversary.Config{Session: cfg, K: k})
-	if err != nil {
-		return nil, err
-	}
-	defer adv.Close()
-	rep, err := adv.Run()
-	if err == nil && opts.Metrics != nil {
-		opts.Metrics.Add(1, rep.Steps, rep.ForcedRMRs())
-	}
-	return rep, err
+// adversaryGrid runs one adversary construction (contention threshold k, 0
+// for the default) per session config, distributed over engine workers.
+// Reports land by index, so table order never depends on completion order.
+// A construction that fails or reports an invariant violation fails the
+// grid with the lowest such index, labelled with the experiment id.
+func adversaryGrid(id string, cfgs []mutex.Config, k int, opts Options) ([]*adversary.Report, error) {
+	reps := make([]*adversary.Report, len(cfgs))
+	err := engine.ForEach(len(cfgs), opts.Parallel, func(i int) error {
+		cfg := cfgs[i]
+		fail := func(err error) error {
+			return fmt.Errorf("%s %s %s n=%d w=%d: %w", id, cfg.Algorithm.Name(), cfg.Model, cfg.Procs, cfg.Width, err)
+		}
+		adv, err := adversary.New(adversary.Config{Session: cfg, K: k})
+		if err != nil {
+			return fail(err)
+		}
+		defer adv.Close()
+		rep, err := adv.Run()
+		if err != nil {
+			return fail(err)
+		}
+		if len(rep.InvariantViolations) > 0 {
+			return fail(fmt.Errorf("invariant violations: %v", rep.InvariantViolations))
+		}
+		if opts.Metrics != nil {
+			opts.Metrics.Add(1, rep.Steps, rep.ForcedRMRs())
+		}
+		reps[i] = rep
+		return nil
+	})
+	return reps, err
 }
 
 // --- E2 ----------------------------------------------------------------------
@@ -600,17 +588,11 @@ func runE7(opts Options) ([]Table, error) {
 		grlock.New(),
 		watree.New(watree.WithFanout(2)),
 	}
-	reps := make([]*adversary.Report, len(algs))
-	err := engine.ForEach(len(algs), opts.Parallel, func(i int) error {
-		rep, err := runAdversary(mutex.Config{
-			Procs: n, Width: 16, Model: sim.CC, Algorithm: algs[i],
-		}, 4, opts)
-		if err != nil {
-			return fmt.Errorf("E7 %s: %w", algs[i].Name(), err)
-		}
-		reps[i] = rep
-		return nil
-	})
+	cfgs := make([]mutex.Config, len(algs))
+	for i, alg := range algs {
+		cfgs[i] = mutex.Config{Procs: n, Width: 16, Model: sim.CC, Algorithm: alg}
+	}
+	reps, err := adversaryGrid("E7", cfgs, 4, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -640,41 +622,22 @@ func runE8(opts Options) ([]Table, error) {
 			"materialized); rollbacks = erasures rejected by the observable comparison " +
 			"(handled conservatively); violations must be zero.",
 	}
-	type point struct {
-		model sim.Model
-		n     int
-		alg   mutex.Algorithm
-	}
-	var pts []point
+	var cfgs []mutex.Config
 	for _, model := range []sim.Model{sim.CC, sim.DSM} {
 		for _, n := range ns {
 			for _, alg := range []mutex.Algorithm{watree.New(), grlock.New()} {
-				pts = append(pts, point{model, n, alg})
+				cfgs = append(cfgs, mutex.Config{Procs: n, Width: 8, Model: model, Algorithm: alg})
 			}
 		}
 	}
-	reps := make([]*adversary.Report, len(pts))
-	err := engine.ForEach(len(pts), opts.Parallel, func(i int) error {
-		pt := pts[i]
-		rep, err := runAdversary(mutex.Config{
-			Procs: pt.n, Width: 8, Model: pt.model, Algorithm: pt.alg,
-		}, 0, opts)
-		if err != nil {
-			return fmt.Errorf("E8 %s %s n=%d: %w", pt.alg.Name(), pt.model, pt.n, err)
-		}
-		if len(rep.InvariantViolations) > 0 {
-			return fmt.Errorf("E8: %v", rep.InvariantViolations)
-		}
-		reps[i] = rep
-		return nil
-	})
+	reps, err := adversaryGrid("E8", cfgs, 0, opts)
 	if err != nil {
 		return nil, err
 	}
-	for i, pt := range pts {
+	for i, cfg := range cfgs {
 		rep := reps[i]
-		t.AddRow(pt.alg.Name(), pt.model.String(), pt.n, 8, rep.Replays, rep.RemovalRollbacks,
-			len(rep.InvariantViolations))
+		t.AddRow(cfg.Algorithm.Name(), cfg.Model.String(), cfg.Procs, int(cfg.Width),
+			rep.Replays, rep.RemovalRollbacks, len(rep.InvariantViolations))
 	}
 	return []Table{t}, nil
 }

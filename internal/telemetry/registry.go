@@ -9,9 +9,9 @@
 // counters; nothing ever reads them back into a decision, so every
 // byte-stability guarantee of the instrumented tools (-json stdout parity
 // across -parallel values, byte-identical replay) holds with telemetry
-// enabled. In the spirit of the sim observer funnel, every handle is
-// nil-safe: a nil *Registry hands out nil *Counter/*Gauge/*Histogram whose
-// methods are no-ops, so instrumentation costs one nil check when disabled.
+// enabled. Every handle is nil-safe: a nil *Registry hands out nil
+// *Counter/*Gauge/*Histogram whose methods are no-ops, so instrumentation
+// costs one nil check when disabled.
 package telemetry
 
 import (
