@@ -68,7 +68,6 @@ func run(args []string) error {
 	k := fs.Int("k", 0, "high-contention threshold (0 = w^2)")
 	sweep := fs.String("sweep", "", "comma-separated n values; runs one construction per n and prints a summary table")
 	parallel := fs.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS); summary rows are identical at any value")
-	seed := fs.Int64("seed", 0, "accepted for CLI uniformity; the construction is deterministic and ignores it")
 	diag := cliutil.Flags(fs)
 	tr := diag.TraceFlags(fs, "replay the final adversarial schedule traced and export it to this file",
 		"print the N hottest cells/procs of the traced replay to stderr (0 = off)")
@@ -100,9 +99,6 @@ func run(args []string) error {
 		model, err := sim.ParseModel(*modelName)
 		if err != nil {
 			return nil, err
-		}
-		if *seed != 0 {
-			fmt.Fprintln(os.Stderr, "note: the adversary construction is fully deterministic; -seed has no effect")
 		}
 		if *sweep != "" {
 			return runSweep(alg, *sweep, *w, model, *k, *parallel, diag.Registry())

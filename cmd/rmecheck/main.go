@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rmecheck [-alg watree] [-n 2] [-w 8] [-model cc] [-crashes 1] [-max 50000] [-stress 200] [-seed S] [-parallel N]
-//	         [-memo] [-por] [-symmetry] [-snapshot K] [-maxstates N] [-json]
+//	         [-memo] [-por] [-symmetry] [-maxstates N] [-json]
 //	         [-sharedset] [-wave K] [-maxwaves K] [-membudget BYTES] [-spilldir DIR] [-resume]
 //	         [-trace FILE] [-traceformat jsonl|chrome] [-top N]
 //	         [-cpuprofile FILE] [-memprofile FILE]
@@ -25,7 +25,7 @@
 //
 // The exhaustive search runs stateful by default: visited-state memoization
 // (-memo) and sleep-set partial-order reduction (-por) prune redundant
-// interleavings, and a checkpoint stack (-snapshot) bounds backtracking
+// interleavings, and a checkpoint stack every 32 levels bounds backtracking
 // replay. Disable both (-memo=false -por=false) to enumerate raw schedules
 // like the reference explorer. -json emits one JSON report on stdout instead
 // of text; both are byte-identical at any -parallel value.
@@ -137,7 +137,6 @@ func run(args []string) error {
 	memo := fs.Bool("memo", true, "memoize visited canonical states (fingerprint pruning)")
 	por := fs.Bool("por", true, "sleep-set partial-order reduction over step footprints")
 	symmetry := fs.Bool("symmetry", false, "canonicalize state keys over the algorithm's declared process symmetry group")
-	snapshot := fs.Int("snapshot", check.DefaultSnapshotInterval, "checkpoint spacing for backtrack restores (negative = replay from the root)")
 	maxStates := fs.Int("maxstates", check.DefaultMaxStates, "visited-state cap for -memo")
 	sharedSet := fs.Bool("sharedset", false, "share visited sets across root branches in sealed waves (implies -memo)")
 	wave := fs.Int("wave", check.DefaultWaveSize, "root branches per wave for -sharedset")
@@ -165,22 +164,21 @@ func run(args []string) error {
 			Session: mutex.Config{
 				Procs: *n, Width: word.Width(*w), Model: model, Algorithm: alg,
 			},
-			MaxSchedules:     *maxSched,
-			CrashesPerProc:   *crashes,
-			Parallel:         *parallel,
-			Seed:             *seed,
-			Memo:             *memo,
-			POR:              *por,
-			Symmetry:         *symmetry,
-			SnapshotInterval: *snapshot,
-			MaxStates:        *maxStates,
-			SharedVisited:    *sharedSet,
-			WaveSize:         *wave,
-			MaxWaves:         *maxWaves,
-			MemBudget:        *memBudget,
-			SpillDir:         *spillDir,
-			Resume:           *resume,
-			Telemetry:        diag.Registry(),
+			MaxSchedules:   *maxSched,
+			CrashesPerProc: *crashes,
+			Parallel:       *parallel,
+			Seed:           *seed,
+			Memo:           *memo,
+			POR:            *por,
+			Symmetry:       *symmetry,
+			MaxStates:      *maxStates,
+			SharedVisited:  *sharedSet,
+			WaveSize:       *wave,
+			MaxWaves:       *maxWaves,
+			MemBudget:      *memBudget,
+			SpillDir:       *spillDir,
+			Resume:         *resume,
+			Telemetry:      diag.Registry(),
 		}
 		if tr.Enabled() {
 			if err := traceReference(cfg.Session, tr); err != nil {
@@ -200,8 +198,7 @@ func run(args []string) error {
 		}
 
 		// The semantic configuration for the perf ledger: every flag that
-		// shapes the Result (including -snapshot, which moves work between
-		// machine and replay steps), never the execution layout (-parallel),
+		// shapes the Result, never the execution layout (-parallel),
 		// spill plumbing (-membudget, -spilldir, -resume — results are
 		// byte-identical with or without spilling), or observability flags.
 		m := perflog.New("rmecheck")
@@ -216,7 +213,6 @@ func run(args []string) error {
 		m.SetConfig("memo", *memo)
 		m.SetConfig("por", *por)
 		m.SetConfig("symmetry", *symmetry)
-		m.SetConfig("snapshot", *snapshot)
 		m.SetConfig("maxstates", *maxStates)
 		m.SetConfig("sharedset", *sharedSet)
 		m.SetConfig("wave", *wave)

@@ -190,13 +190,21 @@ func TestDebugEndpointsDuringSearch(t *testing.T) {
 	if !strings.Contains(prom, "# TYPE check_states_visited counter") {
 		t.Errorf("prometheus exposition missing TYPE line:\n%s", prom)
 	}
+	// The counters are registered before the first state is visited, so a
+	// scrape can land between the two; poll until a visit shows.
 	var js struct {
 		Counters map[string]int64 `json:"counters"`
 	}
-	if err := json.Unmarshal([]byte(pollGet(t, base+"/metrics?format=json", "check_states_visited")), &js); err != nil {
-		t.Errorf("JSON /metrics: %v", err)
-	} else if js.Counters["check_states_visited"] == 0 {
-		t.Errorf("JSON /metrics shows no visited states: %v", js.Counters)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if err := json.Unmarshal([]byte(pollGet(t, base+"/metrics?format=json", "check_states_visited")), &js); err != nil {
+			t.Fatalf("JSON /metrics: %v", err)
+		}
+		if js.Counters["check_states_visited"] > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("JSON /metrics shows no visited states: %v", js.Counters)
+		}
 	}
 	pollGet(t, base+"/debug/vars", "rme_telemetry")
 	pollGet(t, base+"/debug/pprof/", "goroutine")

@@ -77,15 +77,24 @@ func run(args []string) error {
 			capture = &trace.Capture{}
 		}
 
+		exps := harness.All()
 		want := map[string]bool{}
 		if *only != "" {
+			known := map[string]bool{}
+			for _, exp := range exps {
+				known[exp.ID] = true
+			}
 			for _, id := range strings.Split(*only, ",") {
-				want[strings.ToUpper(strings.TrimSpace(id))] = true
+				id = strings.ToUpper(strings.TrimSpace(id))
+				if !known[id] {
+					return nil, fmt.Errorf("-only: no experiment %q", id)
+				}
+				want[id] = true
 			}
 		}
 
 		var ms []*perflog.Manifest
-		for _, exp := range harness.All() {
+		for _, exp := range exps {
 			if len(want) > 0 && !want[exp.ID] {
 				continue
 			}

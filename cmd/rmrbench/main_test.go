@@ -219,3 +219,28 @@ func TestSeedChangesRandomizedTables(t *testing.T) {
 		t.Fatal("-seed 12345 produced the same E11 tables as -seed 0")
 	}
 }
+
+// TestOnlyRejectsUnknownID checks that an -only id naming no experiment is
+// an error naming it, raised before any experiment runs: a typo in a gated
+// -only list must not gate nothing.
+func TestOnlyRejectsUnknownID(t *testing.T) {
+	out, err := captureStdout(t, func() error { return run([]string{"-only", "E2,E99"}) })
+	if err == nil || !strings.Contains(err.Error(), `"E99"`) {
+		t.Fatalf("want an error naming E99, got %v", err)
+	}
+	if out != "" {
+		t.Fatalf("an unknown id still ran experiments:\n%s", out)
+	}
+}
+
+// TestFullE8Completes runs E8's enlarged grid, whose n=256 rows include
+// grlock, and requires its manifest.
+func TestFullE8Completes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the -full E8 grid")
+	}
+	ms := ledgerRun(t, "-full", "-only", "E8")
+	if len(ms) != 1 || ms[0].Config["experiment"] != "E8" || ms[0].Config["full"] != "true" {
+		t.Fatalf("want one full E8 manifest, got %+v", ms)
+	}
+}

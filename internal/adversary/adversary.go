@@ -202,22 +202,6 @@ func (r *Report) ForcedRMRs() int {
 	return maxRMR
 }
 
-// MinSurvivorRMRs returns the minimum RMR count over survivors (every
-// survivor is charged every round, so this equals the round count in a
-// clean construction).
-func (r *Report) MinSurvivorRMRs() int {
-	if len(r.SurvivorRMRs) == 0 {
-		return 0
-	}
-	minRMR := r.SurvivorRMRs[0]
-	for _, v := range r.SurvivorRMRs[1:] {
-		if v < minRMR {
-			minRMR = v
-		}
-	}
-	return minRMR
-}
-
 // Counters returns the construction's outcome statistics as perf-ledger
 // counters; the construction is deterministic, so all are exactly gateable.
 func (r *Report) Counters() map[string]int64 {

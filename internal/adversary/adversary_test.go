@@ -168,9 +168,6 @@ func TestRoundReportsConsistent(t *testing.T) {
 		}
 		prev = r.ActiveAfter
 	}
-	if rep.MinSurvivorRMRs() > rep.ForcedRMRs() {
-		t.Error("min survivor RMRs above max")
-	}
 }
 
 func TestForcedRMRsGrowWithN(t *testing.T) {

@@ -1,0 +1,110 @@
+package adversary_test
+
+import (
+	"testing"
+
+	"rme"
+	"rme/internal/adversary"
+	"rme/internal/mutex"
+	"rme/internal/sim"
+	"rme/internal/word"
+)
+
+// FuzzAdversary property-tests the lower-bound construction over random
+// configurations: any registry algorithm, n from 2 to 64, w from 2 to 64,
+// CC or DSM, and K from 0 (the default) to n. Configurations adversary.New
+// rejects (ids or tickets that do not fit the word) are skipped. It asserts:
+//   - checkSoundness: a clean audit, and every survivor charged at least one
+//     RMR per viable round (I6, I10);
+//   - when the last round was viable, the final schedule replays on a fresh
+//     traced session under the rule rmeadversary -trace uses (every action
+//     applies, and every step is taken by a poised process), and at the end
+//     of that one clean run each survivor has exactly its reported RMR
+//     count, has never crashed or finished, and at no point reached the CS.
+//     That checks the construction's thousands of Reset replays against a
+//     machine that never saw one.
+//
+// The seed corpus (n <= 32) runs with the ordinary tests; its first entry is
+// the n=16 rmeadversary anchor of the perf ledger.
+func FuzzAdversary(f *testing.F) {
+	// Algorithm selectors index rme.AlgorithmNames().
+	f.Add(uint8(8), uint8(14), uint8(2), false, uint8(0))  // watree n=16 w=4 CC (ledger anchor)
+	f.Add(uint8(8), uint8(14), uint8(2), true, uint8(0))   // watree n=16 w=4 DSM
+	f.Add(uint8(8), uint8(30), uint8(6), false, uint8(6))  // watree n=32 w=8 K=6
+	f.Add(uint8(9), uint8(22), uint8(6), true, uint8(6))   // watree2 n=24 w=8 DSM K=6
+	f.Add(uint8(10), uint8(14), uint8(6), false, uint8(4)) // watree-fast n=16 w=8 K=4
+	f.Add(uint8(6), uint8(22), uint8(6), true, uint8(6))   // grlock n=24 w=8 DSM K=6
+	f.Add(uint8(7), uint8(10), uint8(14), false, uint8(4)) // rspin n=12 w=16 K=4
+	f.Add(uint8(2), uint8(10), uint8(14), false, uint8(4)) // mcs n=12 w=16 K=4
+	f.Add(uint8(5), uint8(22), uint8(6), true, uint8(6))   // yatree n=24 w=8 DSM K=6
+	f.Add(uint8(4), uint8(22), uint8(6), false, uint8(6))  // tournament n=24 w=8 K=6
+	f.Add(uint8(0), uint8(6), uint8(6), false, uint8(0))   // tas n=8 w=8
+	f.Add(uint8(1), uint8(6), uint8(6), true, uint8(0))    // ticket n=8 w=8 DSM
+	f.Add(uint8(3), uint8(6), uint8(6), false, uint8(3))   // clh n=8 w=8 K=3
+	f.Add(uint8(11), uint8(6), uint8(62), false, uint8(0)) // qword n=8 w=64
+	f.Add(uint8(11), uint8(30), uint8(6), false, uint8(0)) // qword n=32 w=8: rejected, skipped
+	f.Add(uint8(6), uint8(10), uint8(34), true, uint8(1))  // grlock n=12 w=36 DSM K=1: owners of read cells (I8)
+	f.Fuzz(func(t *testing.T, algSel, nSel, wSel uint8, dsm bool, kSel uint8) {
+		names := rme.AlgorithmNames()
+		n := 2 + int(nSel)%63
+		session := mutex.Config{
+			Procs:     n,
+			Width:     word.Width(2 + int(wSel)%63),
+			Model:     sim.CC,
+			Algorithm: rme.MustAlgorithm(names[int(algSel)%len(names)]),
+		}
+		if dsm {
+			session.Model = sim.DSM
+		}
+		cfg := adversary.Config{Session: session, K: int(kSel) % (n + 1)}
+		adv, err := adversary.New(cfg)
+		if err != nil {
+			t.Skipf("%s n=%d w=%d: %v", session.Algorithm.Name(), n, session.Width, err)
+		}
+		defer adv.Close()
+		rep, err := adv.Run()
+		if err != nil {
+			t.Fatalf("%s n=%d w=%d %s K=%d: %v", session.Algorithm.Name(), n, session.Width, session.Model, cfg.K, err)
+		}
+		checkSoundness(t, rep)
+		if rep.ViableRounds == len(rep.Rounds) {
+			replaySurvivors(t, session, rep)
+		}
+	})
+}
+
+// replaySurvivors replays rep.Schedule on a fresh traced session and checks
+// the reported survivors against that single clean run.
+func replaySurvivors(t *testing.T, session mutex.Config, rep *adversary.Report) {
+	t.Helper()
+	s, err := mutex.NewSession(session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	m := s.Machine()
+	for i, act := range rep.Schedule {
+		if !act.Crash && !m.Poised(act.Proc) {
+			t.Fatalf("action %d (%s): p%d is not poised", i, act, act.Proc)
+		}
+		if _, err := s.Apply(act); err != nil {
+			t.Fatalf("action %d (%s): %v", i, act, err)
+		}
+		for _, p := range rep.Survivors {
+			if tag := m.Tag(p); tag == mutex.TagCS || tag == mutex.TagExit {
+				t.Fatalf("after action %d (%s): survivor p%d reached phase %s", i, act, p, mutex.TagName(tag))
+			}
+		}
+	}
+	for i, p := range rep.Survivors {
+		if got := m.RMRs(p); got != rep.SurvivorRMRs[i] {
+			t.Errorf("survivor p%d: %d RMRs on replay, reported %d", p, got, rep.SurvivorRMRs[i])
+		}
+		if m.Crashes(p) > 0 {
+			t.Errorf("survivor p%d crashed %d times on replay", p, m.Crashes(p))
+		}
+		if m.ProcDone(p) {
+			t.Errorf("survivor p%d finished on replay", p)
+		}
+	}
+}

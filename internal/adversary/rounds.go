@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"rme/internal/memory"
+	"rme/internal/sim"
 	"rme/internal/word"
 )
 
@@ -107,12 +108,19 @@ func (a *Adversary) highRound(rep *Round, high, low []group) error {
 	}
 
 	// Remove actives that last accessed a group cell (they would be
-	// discovered by the group's steps) — the proof's pre-filter. Removal
-	// replays replace the session; re-fetch the machine each iteration.
+	// discovered by the group's steps) — the proof's pre-filter — and, in
+	// the DSM model, the active owner of a group cell, whose segment the
+	// group's steps would touch (invariant I8; the owner's own steps there
+	// are local, so it is never a member). Removal replays replace the
+	// session; re-fetch the machine each iteration.
 	for _, g := range high {
 		m := a.session.Machine()
-		if last := m.LastAccessor(g.cell(m)); last != -1 && a.status[last] == Active && !inHigh[last] {
+		c := g.cell(m)
+		if last := m.LastAccessor(c); last != -1 && a.status[last] == Active && !inHigh[last] {
 			a.removeOrBlock(last, rep)
+		}
+		if owner := c.Owner(); a.cfg.Session.Model == sim.DSM && owner != memory.Shared && a.status[owner] == Active {
+			a.removeOrBlock(owner, rep)
 		}
 	}
 

@@ -61,11 +61,6 @@ type Config struct {
 	// one cell) was already explored and no process is in a multi-cell wait.
 	// Crash branches are never reduced.
 	POR bool
-	// SnapshotInterval is the checkpoint spacing K of the incremental
-	// explorer: restores replay at most ~K actions when a trailing checkpoint
-	// is fresh, and full-prefix replays rebuild one checkpoint en route.
-	// 0 means DefaultSnapshotInterval; negative disables checkpoints.
-	SnapshotInterval int
 	// MaxStates caps the visited-state set under Memo (default 4,000,000,
 	// split over root branches like MaxSchedules). 0 means the default.
 	MaxStates int
@@ -115,9 +110,8 @@ type Config struct {
 
 // Default caps for the stateful explorer.
 const (
-	DefaultSnapshotInterval = 32
-	DefaultMaxStates        = 4_000_000
-	DefaultWaveSize         = 4
+	DefaultMaxStates = 4_000_000
+	DefaultWaveSize  = 4
 )
 
 func (c Config) withDefaults() Config {
@@ -126,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDepth == 0 {
 		c.MaxDepth = 400
-	}
-	if c.SnapshotInterval == 0 {
-		c.SnapshotInterval = DefaultSnapshotInterval
 	}
 	if c.MaxStates == 0 {
 		c.MaxStates = DefaultMaxStates

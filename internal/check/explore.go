@@ -87,9 +87,9 @@ type checkTelemetry struct {
 	restoreLen                *telemetry.Histogram
 }
 
-// restoreLenBounds buckets restore replay lengths: with SnapshotInterval K a
-// fresh checkpoint bounds replays near K, so the tail buckets expose how
-// often the explorer fell back to full-prefix replay.
+// restoreLenBounds buckets restore replay lengths: a fresh checkpoint bounds
+// replays near snapshotInterval, so the tail buckets expose how often the
+// explorer fell back to full-prefix replay.
 var restoreLenBounds = []int64{1, 4, 16, 64, 256, 1024, 4096}
 
 func newCheckTelemetry(reg *telemetry.Registry) checkTelemetry {
@@ -106,6 +106,11 @@ func newCheckTelemetry(reg *telemetry.Registry) checkTelemetry {
 		restoreLen:   reg.Histogram("check_restore_replay_len", restoreLenBounds),
 	}
 }
+
+// snapshotInterval is the checkpoint spacing K: restores replay at most ~K
+// actions when a trailing checkpoint is fresh, and full-prefix replays
+// rebuild one checkpoint en route.
+const snapshotInterval = 32
 
 type checkpoint struct {
 	depth int
@@ -184,7 +189,7 @@ func (e *explorer) replay(s *mutex.Session, from, to int) error {
 // target belong to the abandoned subtree and are recycled first; the deepest
 // surviving checkpoint, if any, is consumed and advanced the remaining
 // distance. Otherwise the live session replays the full prefix, and a fresh
-// checkpoint is rebuilt at the last SnapshotInterval boundary below the
+// checkpoint is rebuilt at the last snapshotInterval boundary below the
 // target so the next backtrack to this neighborhood is cheap again.
 func (e *explorer) restore(target int) error {
 	if e.tm.restoreLen != nil {
@@ -202,21 +207,19 @@ func (e *explorer) restore(target int) error {
 		e.live = cp.sess
 		return e.replay(e.live, cp.depth, target)
 	}
-	if k := e.cfg.SnapshotInterval; k > 0 {
-		c := target - target%k
-		if c == target {
-			c -= k
+	c := target - target%snapshotInterval
+	if c == target {
+		c -= snapshotInterval
+	}
+	if c > 0 {
+		cs, err := e.worker.Session(e.cfg.Session)
+		if err != nil {
+			return err
 		}
-		if c > 0 {
-			cs, err := e.worker.Session(e.cfg.Session)
-			if err != nil {
-				return err
-			}
-			if err := e.replay(cs, 0, c); err != nil {
-				return err
-			}
-			e.cps = append(e.cps, checkpoint{depth: c, sess: cs})
+		if err := e.replay(cs, 0, c); err != nil {
+			return err
 		}
+		e.cps = append(e.cps, checkpoint{depth: c, sess: cs})
 	}
 	if err := e.live.Reset(); err != nil {
 		return err

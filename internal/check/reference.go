@@ -11,7 +11,7 @@ import (
 // ExhaustiveReference is the original stateless bounded-exhaustive search:
 // a DFS over schedule prefixes that rebuilds the machine for every node by
 // replaying its full prefix on a single recycled session. It ignores Memo,
-// POR, SnapshotInterval, MaxStates, and Parallel.
+// POR, MaxStates, and Parallel, and keeps no checkpoints.
 //
 // It is kept as the oracle for the stateful explorer: its branch enumeration
 // defines the canonical search order, the differential tests pin Exhaustive

@@ -268,7 +268,7 @@ type spillRunEntry struct {
 // manifestVersion changes whenever the manifest layout or the configDigest
 // inputs do, so an older checkpoint fails with a version error rather than
 // a misleading digest mismatch.
-const manifestVersion = 2
+const manifestVersion = 3
 
 func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
 
@@ -281,9 +281,9 @@ func configDigest(cfg Config, branches int) string {
 	fmt.Fprintf(h, "alg=%s procs=%d width=%d model=%d passes=%d maxsteps=%d\n",
 		cfg.Session.Algorithm.Name(), cfg.Session.Procs, cfg.Session.Width,
 		cfg.Session.Model, cfg.Session.Passes, cfg.Session.MaxSteps)
-	fmt.Fprintf(h, "sched=%d depth=%d crashes=%d states=%d seed=%d snap=%d\n",
+	fmt.Fprintf(h, "sched=%d depth=%d crashes=%d states=%d seed=%d\n",
 		cfg.MaxSchedules, cfg.MaxDepth, cfg.CrashesPerProc, cfg.MaxStates,
-		cfg.Seed, cfg.SnapshotInterval)
+		cfg.Seed)
 	fmt.Fprintf(h, "memo=%t por=%t sym=%t wave=%d branches=%d\n",
 		cfg.Memo, cfg.POR, cfg.Symmetry, cfg.WaveSize, branches)
 	return hex.EncodeToString(h.Sum(nil))

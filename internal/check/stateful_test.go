@@ -2,8 +2,8 @@ package check
 
 // Tests for the stateful explorer's own guarantees: depth-truncation
 // accounting, the machine-step economy of checkpoint/restore + memoization,
-// determinism across -parallel and snapshot-interval settings, and the
-// env-gated n=3 exhaustive runs.
+// determinism across -parallel settings, and the env-gated n=3 exhaustive
+// runs.
 
 import (
 	"os"
@@ -131,32 +131,6 @@ func TestResultStableAcrossParallelism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("result differs at parallel=%d:\n got %+v\nwant %+v", par, got, want)
-		}
-	}
-}
-
-// TestResultStableAcrossSnapshotInterval: the checkpoint stride is a replay
-// cost knob, never a search-semantics knob. Everything except the machine-step
-// accounting must be identical whether checkpoints are dense, sparse, or off.
-func TestResultStableAcrossSnapshotInterval(t *testing.T) {
-	base := yatreeCrashConfig()
-	base.Memo, base.POR = true, true
-	var want *Result
-	for _, k := range []int{4, 32, -1} {
-		cfg := base
-		cfg.SnapshotInterval = k
-		got, err := Exhaustive(cfg)
-		if err != nil {
-			t.Fatalf("snapshot=%d: %v", k, err)
-		}
-		norm := *got
-		norm.MachineSteps, norm.ReplaySteps = 0, 0
-		if want == nil {
-			want = &norm
-			continue
-		}
-		if !reflect.DeepEqual(&norm, want) {
-			t.Fatalf("result differs at snapshot=%d:\n got %+v\nwant %+v", k, &norm, want)
 		}
 	}
 }

@@ -316,7 +316,7 @@ func (c Campaign) minimize(cfg mutex.Config, fail *Failure, oracle Oracle) {
 	if c.NoShrink {
 		return
 	}
-	shrunk, replays := Shrink(cfg, fail.Schedule, oracle, shrinkReplays)
+	shrunk, replays := Shrink(cfg, fail.Schedule, oracle)
 	fail.Shrunk = shrunk
 	fail.ShrinkReplays = replays
 	c.Telemetry.Counter("faults_shrinks").Inc()

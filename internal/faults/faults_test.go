@@ -48,9 +48,9 @@ func TestBrokenCampaignShrinksToReplayableReproducer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSchedule(%q): %v", fail.Shrunk.String(), err)
 	}
-	out, err := Replay(cfg, parsed)
+	_, out, err := ReplayTraced(cfg, parsed)
 	if err != nil {
-		t.Fatalf("Replay: %v", err)
+		t.Fatalf("ReplayTraced: %v", err)
 	}
 	if len(out.Violations) == 0 {
 		t.Fatalf("replay of %q produced no violation", fail.Shrunk.String())
@@ -127,6 +127,19 @@ func TestCrashSourcesRejectedForNonRecoverable(t *testing.T) {
 	_, err := Campaign{Session: cfg, Sources: []Source{ExhaustiveCrashes{Crashes: 1}}}.Run()
 	if err == nil || !strings.Contains(err.Error(), "not recoverable") {
 		t.Fatalf("want not-recoverable error, got %v", err)
+	}
+}
+
+// TestRepeatedSourceNameRejected checks that a source list naming one axis
+// twice is an error naming it: the report and its ledger counters keep one
+// row per source name, so the second row would overwrite the first.
+func TestRepeatedSourceNameRejected(t *testing.T) {
+	cfg := mutex.Config{Procs: 2, Width: 8, Model: sim.CC, Algorithm: rspin.New()}
+	_, err := Campaign{Session: cfg, Sources: []Source{
+		ExhaustiveCrashes{Crashes: 1}, RMRTargeted{}, ExhaustiveCrashes{Crashes: 1},
+	}}.Run()
+	if err == nil || !strings.Contains(err.Error(), "exhaustive-single") {
+		t.Fatalf("want an error naming exhaustive-single, got %v", err)
 	}
 }
 

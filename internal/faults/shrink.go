@@ -10,24 +10,21 @@ import (
 )
 
 // Shrink delta-debugs a failing concrete schedule down to a minimal
-// reproducer: the shortest action sequence it can find (within maxReplays
-// candidate replays) that still violates the same oracle. The reduction has
-// three phases — truncate to the earliest failing prefix, greedily drop
-// crash steps (the paper's executions are judged by where crashes land, so
-// a reproducer with fewer crashes is strictly more telling), then
-// ddmin-style chunk removal over the remaining actions. Every candidate is
-// validated by replay on a recycled engine worker; candidates whose actions
-// no longer apply (a removed step changed who is poised) simply don't
-// count as failing. The returned schedule replays byte-identically: apply
-// it to a fresh session of the same configuration and the same oracle
-// fires.
-func Shrink(cfg mutex.Config, sched sim.Schedule, oracle Oracle, maxReplays int) (sim.Schedule, int) {
-	if maxReplays <= 0 {
-		maxReplays = 400
-	}
+// reproducer: the shortest action sequence it can find (within
+// shrinkReplays candidate replays) that still violates the same oracle. The
+// reduction has three phases — truncate to the earliest failing prefix,
+// greedily drop crash steps (the paper's executions are judged by where
+// crashes land, so a reproducer with fewer crashes is strictly more
+// telling), then ddmin-style chunk removal over the remaining actions. Every
+// candidate is validated by replay on a recycled engine worker; candidates
+// whose actions no longer apply (a removed step changed who is poised)
+// simply don't count as failing. The returned schedule replays
+// byte-identically: apply it to a fresh session of the same configuration
+// and the same oracle fires.
+func Shrink(cfg mutex.Config, sched sim.Schedule, oracle Oracle) (sim.Schedule, int) {
 	w := engine.NewWorker()
 	defer w.Close()
-	sh := &shrinker{cfg: cfg, oracle: oracle, worker: w, budget: maxReplays}
+	sh := &shrinker{cfg: cfg, oracle: oracle, worker: w, budget: shrinkReplays}
 
 	// Phase 1: truncate to the earliest failing prefix (monotone oracles
 	// fire mid-replay; end-state oracles keep the full length).
@@ -181,29 +178,16 @@ func replayOutcome(s *mutex.Session, atEnd bool) *Outcome {
 	return snapshot(s, err)
 }
 
-// Replay applies a concrete schedule to a fresh session of the given
-// configuration and returns the outcome — the verification half of the
-// "(seed, schedule) reproduces the violation" contract. It errors if an
+// ReplayTraced applies a concrete schedule to a fresh traced session of the
+// given configuration and returns the replay's full step-level trace and
+// its outcome — the verification half of the "(seed, schedule) reproduces
+// the violation" contract. Campaigns force NoTrace for throughput, so this
+// is how a failure's shrunken reproducer (or the probe run) gets its
+// per-access story back for export (rmefault -trace). It errors if an
 // action no longer applies, which means the schedule does not belong to
 // this configuration.
-func Replay(cfg mutex.Config, sched sim.Schedule) (*Outcome, error) {
-	cfg.NoTrace = true
-	_, out, err := replay(cfg, sched)
-	return out, err
-}
-
-// ReplayTraced is Replay with event retention: it returns the replay's full
-// step-level trace alongside the outcome. Campaigns force NoTrace for
-// throughput, so this is how a failure's shrunken reproducer (or the probe
-// run) gets its per-access story back for export (rmefault -trace).
 func ReplayTraced(cfg mutex.Config, sched sim.Schedule) ([]sim.Event, *Outcome, error) {
 	cfg.NoTrace = false
-	return replay(cfg, sched)
-}
-
-// replay is the body of Replay and ReplayTraced; the returned trace is
-// empty under NoTrace.
-func replay(cfg mutex.Config, sched sim.Schedule) ([]sim.Event, *Outcome, error) {
 	s, err := mutex.NewSession(cfg)
 	if err != nil {
 		return nil, nil, err

@@ -37,17 +37,15 @@ type Source interface {
 // version of the paper's adversarially-chosen individual crash placement.
 // With Crashes=1 and Stride=1 it covers every crash window of the base run;
 // Crashes=2 additionally covers crashes that hit an earlier crash's
-// recovery.
+// recovery, placing the second crash up to 4 decisions past the base
+// execution length (windows that only exist because the earlier crash
+// lengthened the run).
 type ExhaustiveCrashes struct {
 	// Crashes is the number of crashes per run (1 or 2; default 1).
 	Crashes int
 	// Stride samples every Stride-th index (default 1 for single crashes,
 	// steps/6+1 for double — the density the conformance suite always used).
 	Stride int
-	// Slack extends placement past the base execution length, covering
-	// windows that only exist because the earlier crash lengthened the run
-	// (default 0 for single, 4 for double).
-	Slack int
 }
 
 // Name identifies the source.
@@ -67,12 +65,8 @@ func (e ExhaustiveCrashes) Plans(pr Probe) []Plan {
 		if stride <= 0 {
 			stride = pr.Steps/6 + 1
 		}
-		slack := e.Slack
-		if slack == 0 {
-			slack = 4
-		}
 		for i := 0; i < pr.Steps; i += stride {
-			for j := i + 1; j < pr.Steps+slack; j += stride {
+			for j := i + 1; j < pr.Steps+4; j += stride {
 				plans = append(plans, Plan{Seed: -1, Crashes: []Crash{
 					{At: i, Victim: VictimScheduled},
 					{At: j, Victim: VictimScheduled},
@@ -84,7 +78,7 @@ func (e ExhaustiveCrashes) Plans(pr Probe) []Plan {
 		if stride <= 0 {
 			stride = 1
 		}
-		for at := 0; at < pr.Steps+e.Slack; at += stride {
+		for at := 0; at < pr.Steps; at += stride {
 			plans = append(plans, Plan{Seed: -1, Crashes: []Crash{{At: at, Victim: VictimScheduled}}})
 		}
 	}
@@ -133,25 +127,19 @@ func (p ParkedCrashes) Plans(pr Probe) []Plan {
 	return plans
 }
 
-// SystemWideCrashes crashes every live process simultaneously at sampled
-// decisions — the system-wide failure model of Golab–Hendler and
-// Jayanti–Jayanti–Joshi the paper contrasts with its individual-crash model
-// (§4). Individual-crash recoverability implies system-wide recoverability,
-// so every recoverable algorithm must survive it.
-type SystemWideCrashes struct {
-	// Stride samples every Stride-th decision (default steps/8+1).
-	Stride int
-}
+// SystemWideCrashes crashes every live process simultaneously at every
+// (steps/8+1)-th decision — the system-wide failure model of Golab–Hendler
+// and Jayanti–Jayanti–Joshi the paper contrasts with its individual-crash
+// model (§4). Individual-crash recoverability implies system-wide
+// recoverability, so every recoverable algorithm must survive it.
+type SystemWideCrashes struct{}
 
 // Name identifies the source.
 func (SystemWideCrashes) Name() string { return "system-wide" }
 
 // Plans enumerates the crash-wave placements.
-func (s SystemWideCrashes) Plans(pr Probe) []Plan {
-	stride := s.Stride
-	if stride <= 0 {
-		stride = pr.Steps/8 + 1
-	}
+func (SystemWideCrashes) Plans(pr Probe) []Plan {
+	stride := pr.Steps/8 + 1
 	var plans []Plan
 	for at := 0; at < pr.Steps; at += stride {
 		plans = append(plans, Plan{Seed: -1, Crashes: []Crash{{At: at, Victim: VictimAll}}})
@@ -161,7 +149,8 @@ func (s SystemWideCrashes) Plans(pr Probe) []Plan {
 
 // RandomCrashes is the seeded-random campaign axis for configurations too
 // large to enumerate: each run drives a seeded-random schedule and injects
-// up to MaxCrashes crashes on random live victims at random decisions. Every
+// up to MaxCrashes crashes on random live victims at random decisions below
+// 4x the base execution length plus 64. Every
 // run is a pure function of its derived seed, so campaign results are
 // parallelism-independent and any failure replays from the printed plan.
 type RandomCrashes struct {
@@ -172,8 +161,6 @@ type RandomCrashes struct {
 	MaxCrashes int
 	// Seed is the campaign base seed; run i derives its plan from Seed and i.
 	Seed int64
-	// Horizon bounds crash decision indices (default 4x the base execution).
-	Horizon int
 }
 
 // Name identifies the source.
@@ -186,10 +173,7 @@ func (r RandomCrashes) Plans(pr Probe) []Plan {
 		runs = 32
 	}
 	maxCrashes := r.MaxCrashes
-	horizon := r.Horizon
-	if horizon <= 0 {
-		horizon = 4*pr.Steps + 64
-	}
+	horizon := 4*pr.Steps + 64
 	plans := make([]Plan, 0, runs)
 	for i := 0; i < runs; i++ {
 		seed := deriveSeed(r.Seed, i)
@@ -220,10 +204,18 @@ func deriveSeed(base int64, i int) int64 {
 	return int64(z >> 1)
 }
 
-// validSources checks a source list against an algorithm's recoverability:
-// crash-injecting sources are rejected for non-recoverable algorithms
-// (drivers refuse to crash them, so the campaign would only report errors).
+// validSources checks a source list: names must be distinct (the report
+// and its ledger counters keep one row per name), and crash-injecting
+// sources are rejected for non-recoverable algorithms (drivers refuse to
+// crash them, so the campaign would only report errors).
 func validSources(recoverable bool, sources []Source) error {
+	seen := make(map[string]bool, len(sources))
+	for _, src := range sources {
+		if seen[src.Name()] {
+			return fmt.Errorf("faults: source %s is listed twice", src.Name())
+		}
+		seen[src.Name()] = true
+	}
 	if recoverable {
 		return nil
 	}

@@ -220,8 +220,6 @@ func (m *Machine) Reset() {
 		c.accessed.ClearAll()
 		c.watchers.ClearAll()
 		c.lastAccessor = -1
-		c.rmrCC = 0
-		c.rmrDSM = 0
 	}
 	m.trace = m.trace[:0]
 	m.schedule = m.schedule[:0]
@@ -275,12 +273,10 @@ func (m *Machine) registerWait(p *Proc) ([]word.Word, bool) {
 		remote := c.owner != p.id
 		if missCC {
 			p.rmrCC++
-			c.rmrCC++
 			c.cached.Set(p.id)
 		}
 		if remote {
 			p.rmrDSM++
-			c.rmrDSM++
 		}
 		if missCC || remote {
 			m.seq++
@@ -382,12 +378,10 @@ func (m *Machine) resolveWakes(c *simCell) error {
 		}
 		// Phantom recheck: the touch invalidated q's copy of c.
 		qr.rmrCC++
-		c.rmrCC++
 		c.cached.Set(q)
 		remote := c.owner != q
 		if remote {
 			qr.rmrDSM++
-			c.rmrDSM++
 		}
 		vals := make([]word.Word, len(qr.pending.multi))
 		for i, wc := range qr.pending.multi {
@@ -449,11 +443,9 @@ func (m *Machine) applyStep(pr *Proc, req *stepReq) Event {
 
 	if rmrCC {
 		pr.rmrCC++
-		c.rmrCC++
 	}
 	if rmrDSM {
 		pr.rmrDSM++
-		c.rmrDSM++
 	}
 	pr.steps++
 
@@ -716,27 +708,6 @@ func (m *Machine) Accessors(c memory.Cell) []int {
 	return m.own(c).accessed.AppendTo(nil)
 }
 
-// CellRMRs is one cell's RMR attribution row: how many RMR charges, under
-// each model, were incurred by operations (and spin rechecks) on this cell.
-// Summed over cells it equals the sum of the per-process counters.
-type CellRMRs struct {
-	Cell   int
-	Label  string
-	Owner  int
-	RMRCC  int
-	RMRDSM int
-}
-
-// CellRMRStats returns the per-cell RMR attribution table in allocation
-// order (deterministic across replays of the same construction).
-func (m *Machine) CellRMRStats() []CellRMRs {
-	out := make([]CellRMRs, len(m.cells))
-	for i, c := range m.cells {
-		out[i] = CellRMRs{Cell: c.id, Label: c.label, Owner: c.owner, RMRCC: c.rmrCC, RMRDSM: c.rmrDSM}
-	}
-	return out
-}
-
 // HasCache reports whether p holds a valid cache copy of c (CC model state).
 func (m *Machine) HasCache(p int, c memory.Cell) bool { return m.own(c).cached.Test(p) }
 
@@ -796,12 +767,6 @@ type simCell struct {
 	accessed     word.Bitset
 	lastAccessor int
 	watchers     word.Bitset
-	// rmrCC/rmrDSM attribute RMR charges to the cell they were incurred on
-	// (the per-process counters answer "who paid", these answer "where").
-	// They are bumped inside branches that already execute on a charge, so
-	// the disabled-tracing hot path is unchanged.
-	rmrCC  int
-	rmrDSM int
 }
 
 var _ memory.Cell = (*simCell)(nil)

@@ -31,8 +31,6 @@ type ProcStat struct {
 	Proc    int
 	Steps   int
 	Crashes int
-	Parks   int // failed spin probes (the process parked)
-	Wakes   int // multi-cell spin rechecks
 	RMRCC   int
 	RMRDSM  int
 }
@@ -95,9 +93,6 @@ func Attribute(events []sim.Event) Attribution {
 			c.Steps++
 			p.Steps++
 			a.Steps++
-			if ev.Parked {
-				p.Parks++
-			}
 			if ev.RMRCC {
 				c.RMRCC++
 				p.RMRCC++
@@ -111,7 +106,6 @@ func Attribute(events []sim.Event) Attribution {
 		case sim.EvWake:
 			c := cell(ev)
 			c.Wakes++
-			p.Wakes++
 			if ev.RMRCC {
 				c.RMRCC++
 				p.RMRCC++
@@ -182,8 +176,6 @@ func Merge(runs []Run) Attribution {
 			}
 			t.Steps += p.Steps
 			t.Crashes += p.Crashes
-			t.Parks += p.Parks
-			t.Wakes += p.Wakes
 			t.RMRCC += p.RMRCC
 			t.RMRDSM += p.RMRDSM
 		}

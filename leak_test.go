@@ -22,15 +22,17 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		run  func(t *testing.T, start int)
 	}{
 		{"TruncatedExhaustive", func(t *testing.T, _ int) {
+			// The budget lets the search restore nodes deeper than the
+			// 32-step checkpoint stride, so checkpoint sessions are built
+			// before the cut.
 			res, err := rme.Exhaustive(rme.CheckConfig{
-				Session:          rme.Config{Procs: 3, Width: 8, Model: rme.CC, Algorithm: rme.MustAlgorithm("rspin")},
-				CrashesPerProc:   1,
-				Memo:             true,
-				POR:              true,
-				SnapshotInterval: 4,
-				MaxSchedules:     40,
-				MaxStates:        3000,
-				Parallel:         2,
+				Session:        rme.Config{Procs: 3, Width: 8, Model: rme.CC, Algorithm: rme.MustAlgorithm("rspin")},
+				CrashesPerProc: 1,
+				Memo:           true,
+				POR:            true,
+				MaxSchedules:   4000,
+				MaxStates:      70000,
+				Parallel:       2,
 			})
 			if err != nil {
 				t.Fatal(err)
