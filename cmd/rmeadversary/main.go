@@ -65,7 +65,7 @@ func run(args []string) error {
 	n := fs.Int("n", 64, "number of processes")
 	w := fs.Int("w", 8, "word size in bits")
 	modelName := fs.String("model", "cc", "cost model: cc or dsm")
-	k := fs.Int("k", 0, "high-contention threshold (0 = w^2)")
+	k := fs.Int("k", 0, "high-contention threshold (0 = max(4, w^2) capped at n)")
 	sweep := fs.String("sweep", "", "comma-separated n values; runs one construction per n and prints a summary table")
 	parallel := fs.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS); summary rows are identical at any value")
 	diag := cliutil.Flags(fs)
@@ -112,12 +112,7 @@ func run(args []string) error {
 func runSingle(alg mutex.Algorithm, n, w int, model sim.Model, k int, tr *cliutil.Trace, reg *telemetry.Registry) ([]*perflog.Manifest, error) {
 	start := time.Now()
 	session := mutex.Config{Procs: n, Width: word.Width(w), Model: model, Algorithm: alg}
-	adv, err := adversary.New(adversary.Config{Session: session, K: k, Telemetry: reg})
-	if err != nil {
-		return nil, err
-	}
-	defer adv.Close()
-	rep, err := adv.Run()
+	rep, err := construct(session, k, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -160,21 +155,32 @@ func runSingle(alg mutex.Algorithm, n, w int, model sim.Model, k int, tr *cliuti
 		return nil, fmt.Errorf("%d invariant violations", len(rep.InvariantViolations))
 	}
 	fmt.Printf("invariant audit:    clean\n")
-	m := advManifest(alg.Name(), rep.Procs, w, model, k, rep)
+	m := advManifest(alg.Name(), rep)
 	m.Sample("wall_ms", float64(time.Since(start).Microseconds())/1000)
 	return []*perflog.Manifest{m}, nil
 }
 
+// construct runs one adversary construction and returns its report.
+func construct(session mutex.Config, k int, reg *telemetry.Registry) (*adversary.Report, error) {
+	adv, err := adversary.New(adversary.Config{Session: session, K: k, Telemetry: reg})
+	if err != nil {
+		return nil, err
+	}
+	defer adv.Close()
+	return adv.Run()
+}
+
 // advManifest builds one construction's perf-ledger entry. Single-
 // construction runs and sweep rows share the same config shape (alg, n, w,
-// model, k): a sweep baseline gates later single runs.
-func advManifest(alg string, n, w int, model sim.Model, k int, rep *adversary.Report) *perflog.Manifest {
+// model, k): a sweep baseline gates later single runs. k is the threshold
+// the construction ran with, so -k 0 and its default value share a digest.
+func advManifest(alg string, rep *adversary.Report) *perflog.Manifest {
 	m := perflog.New("rmeadversary")
 	m.SetConfig("alg", alg)
-	m.SetConfig("n", n)
-	m.SetConfig("w", w)
-	m.SetConfig("model", model)
-	m.SetConfig("k", k)
+	m.SetConfig("n", rep.Procs)
+	m.SetConfig("w", rep.Width)
+	m.SetConfig("model", rep.Model)
+	m.SetConfig("k", rep.K)
 	m.AddCounters("", rep.Counters())
 	return m
 }
@@ -194,18 +200,9 @@ func runSweep(alg mutex.Algorithm, sweep string, w int, model sim.Model, k, para
 	}
 	reps := make([]*adversary.Report, len(ns))
 	err := engine.ForEach(len(ns), parallel, func(i int) error {
-		adv, err := adversary.New(adversary.Config{
-			Session: mutex.Config{
-				Procs: ns[i], Width: word.Width(w), Model: model, Algorithm: alg,
-			},
-			K:         k,
-			Telemetry: reg,
-		})
-		if err != nil {
-			return fmt.Errorf("n=%d: %w", ns[i], err)
-		}
-		defer adv.Close()
-		rep, err := adv.Run()
+		rep, err := construct(mutex.Config{
+			Procs: ns[i], Width: word.Width(w), Model: model, Algorithm: alg,
+		}, k, reg)
 		if err != nil {
 			return fmt.Errorf("n=%d: %w", ns[i], err)
 		}
@@ -232,8 +229,8 @@ func runSweep(alg mutex.Algorithm, sweep string, w int, model sim.Model, k, para
 	}
 	fmt.Printf("\ninvariant audit:    clean\n")
 	ms := make([]*perflog.Manifest, len(ns))
-	for i, n := range ns {
-		ms[i] = advManifest(alg.Name(), n, w, model, k, reps[i])
+	for i, rep := range reps {
+		ms[i] = advManifest(alg.Name(), rep)
 	}
 	return ms, nil
 }

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rme/internal/perflog"
 )
 
 // captureStdout runs fn with stdout redirected to a pipe and returns what it
@@ -88,5 +91,30 @@ func TestSweepRejectsTraceFlags(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("a rejected -sweep run wrote %s", path)
+	}
+}
+
+// TestDefaultKRecordedAsUsed: the manifest records the threshold the
+// construction ran with, so -k 0 (the default) and the value it stands for
+// append the same semantic manifest.
+func TestDefaultKRecordedAsUsed(t *testing.T) {
+	var got [][]byte
+	for _, extra := range [][]string{nil, {"-k", "16"}} {
+		path := filepath.Join(t.TempDir(), "ledger.jsonl")
+		args := append([]string{"-alg", "watree", "-n", "16", "-w", "4", "-ledger", path}, extra...)
+		if _, err := captureStdout(t, func() error { return run(args) }); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+		ms, err := perflog.Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != 1 {
+			t.Fatalf("run(%v) appended %d manifests, want 1", args, len(ms))
+		}
+		got = append(got, ms[0].SemanticBytes())
+	}
+	if !bytes.Equal(got[0], got[1]) {
+		t.Fatalf("-k 0 and -k 16 recorded different manifests:\n%s\n%s", got[0], got[1])
 	}
 }

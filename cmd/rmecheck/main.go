@@ -25,10 +25,10 @@
 //
 // The exhaustive search runs stateful by default: visited-state memoization
 // (-memo) and sleep-set partial-order reduction (-por) prune redundant
-// interleavings, and a checkpoint stack every 32 levels bounds backtracking
-// replay. Disable both (-memo=false -por=false) to enumerate raw schedules
-// like the reference explorer. -json emits one JSON report on stdout instead
-// of text; both are byte-identical at any -parallel value.
+// interleavings, and a trailing checkpoint at a 32-level boundary bounds
+// backtracking replay. Disable both (-memo=false -por=false) to enumerate
+// raw schedules like the reference explorer. -json emits one JSON report on
+// stdout instead of text; both are byte-identical at any -parallel value.
 //
 // Three scale-out reductions stack on top for large configurations:
 // -symmetry canonicalizes state keys over the algorithm's declared process
@@ -152,6 +152,16 @@ func run(args []string) error {
 		return err
 	}
 	return diag.Do("check", telemetryView(*memo || *sharedSet, *sharedSet), func() ([]*perflog.Manifest, error) {
+		// The ledger records these flags as typed, and check.Config reads
+		// 0 as its default, so a 0 would give one search two digests.
+		for _, f := range []struct {
+			name string
+			v    int
+		}{{"-max", *maxSched}, {"-maxstates", *maxStates}, {"-wave", *wave}} {
+			if f.v <= 0 {
+				return nil, fmt.Errorf("%s must be positive, got %d", f.name, f.v)
+			}
+		}
 		alg, err := rme.NewAlgorithm(*algName)
 		if err != nil {
 			return nil, err
@@ -187,12 +197,7 @@ func run(args []string) error {
 		}
 
 		start := time.Now()
-		var exh, stress *check.Result
-		if *jsonOut {
-			exh, stress, err = runJSON(cfg, *stressN)
-		} else {
-			exh, stress, err = runText(cfg, *stressN)
-		}
+		exh, stress, err := search(cfg, *stressN, *jsonOut)
 		if err != nil {
 			return nil, err
 		}
@@ -224,50 +229,6 @@ func run(args []string) error {
 		m.Sample("wall_ms", float64(time.Since(start).Microseconds())/1000)
 		return []*perflog.Manifest{m}, nil
 	})
-}
-
-// runText runs the exhaustive phase and, when it is clean and stress > 0,
-// the stress phase, printing the text report; it returns both phases'
-// results for the perf ledger.
-func runText(cfg check.Config, stress int) (*check.Result, *check.Result, error) {
-	fmt.Printf("exhaustive: %s n=%d w=%d model=%s crashes<=%d memo=%v por=%v symmetry=%v\n",
-		cfg.Session.Algorithm.Name(), cfg.Session.Procs, cfg.Session.Width, cfg.Session.Model,
-		cfg.CrashesPerProc, cfg.Memo, cfg.POR, cfg.Symmetry)
-	start := time.Now()
-	res, err := check.Exhaustive(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	fmt.Printf("  %d complete schedules (truncated: %v, depth-truncated prefixes: %d)\n",
-		res.Complete, res.Truncated, res.DepthTruncated)
-	if cfg.Memo || cfg.SharedVisited {
-		fmt.Printf("  states: %d visited, %d revisits pruned, %d sleep-set skips\n",
-			res.StatesVisited, res.StatesPruned, res.SleepPruned)
-	}
-	if cfg.SharedVisited {
-		fmt.Printf("  shared: %d waves, %d cross-branch prunes\n", res.Waves, res.SharedPruned)
-	}
-	fmt.Printf("  steps: %d machine, %d replay\n", res.MachineSteps, res.ReplaySteps)
-	// Timing goes to stderr: stdout is byte-identical at any -parallel value.
-	fmt.Fprintf(os.Stderr, "  (exhaustive in %v)\n", time.Since(start).Round(time.Millisecond))
-	if err := report(res); err != nil {
-		return nil, nil, err
-	}
-
-	var stressRes *check.Result
-	if stress > 0 {
-		fmt.Printf("stress: %d random schedules with crash injection\n", stress)
-		stressRes, err = check.Stress(cfg, stress, 0.05)
-		if err != nil {
-			return nil, nil, err
-		}
-		fmt.Printf("  %d complete\n", stressRes.Complete)
-		if err := report(stressRes); err != nil {
-			return nil, nil, err
-		}
-	}
-	fmt.Println("OK")
-	return res, stressRes, nil
 }
 
 // telemetryView is the checker's heartbeat layout: with memoization the
@@ -307,43 +268,84 @@ func telemetryView(memo, sharedSet bool) telemetry.View {
 	return v
 }
 
-// runJSON runs the same phases as the text path but emits one JSON document,
-// returning both phases' results for the perf ledger.
-func runJSON(cfg check.Config, stress int) (*check.Result, *check.Result, error) {
-	res, err := check.Exhaustive(cfg)
+// search runs the exhaustive phase and, when it is clean and stress > 0,
+// the stress phase, then renders both phases as text or as one JSON
+// document. It returns both results for the perf ledger (a nil stress
+// result when that phase did not run), and the first violation or deadlock
+// as the error.
+func search(cfg check.Config, stress int, jsonOut bool) (*check.Result, *check.Result, error) {
+	start := time.Now()
+	exh, err := check.Exhaustive(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
+	// Timing goes to stderr: stdout is byte-identical at any -parallel value.
+	fmt.Fprintf(os.Stderr, "  (exhaustive in %v)\n", time.Since(start).Round(time.Millisecond))
+	var st *check.Result
+	if exh.Ok() && stress > 0 {
+		if st, err = check.Stress(cfg, stress, 0.05); err != nil {
+			return nil, nil, err
+		}
+	}
+	if jsonOut {
+		err = writeJSON(cfg, exh, st)
+	} else {
+		writeText(cfg, exh, st, stress)
+	}
+	if err == nil {
+		err = exh.Err()
+	}
+	if err == nil && st != nil {
+		err = st.Err()
+	}
+	return exh, st, err
+}
+
+// writeText prints the text report of one search.
+func writeText(cfg check.Config, exh, st *check.Result, stress int) {
+	fmt.Printf("exhaustive: %s n=%d w=%d model=%s crashes<=%d memo=%v por=%v symmetry=%v\n",
+		cfg.Session.Algorithm.Name(), cfg.Session.Procs, cfg.Session.Width, cfg.Session.Model,
+		cfg.CrashesPerProc, cfg.Memo, cfg.POR, cfg.Symmetry)
+	fmt.Printf("  %d complete schedules (truncated: %v, depth-truncated prefixes: %d)\n",
+		exh.Complete, exh.Truncated, exh.DepthTruncated)
+	if cfg.Memo || cfg.SharedVisited {
+		fmt.Printf("  states: %d visited, %d revisits pruned, %d sleep-set skips\n",
+			exh.StatesVisited, exh.StatesPruned, exh.SleepPruned)
+	}
+	if cfg.SharedVisited {
+		fmt.Printf("  shared: %d waves, %d cross-branch prunes\n", exh.Waves, exh.SharedPruned)
+	}
+	fmt.Printf("  steps: %d machine, %d replay\n", exh.MachineSteps, exh.ReplaySteps)
+	printFailures(exh)
+	if st != nil {
+		fmt.Printf("stress: %d random schedules with crash injection\n", stress)
+		fmt.Printf("  %d complete\n", st.Complete)
+		printFailures(st)
+	}
+	if exh.Ok() && (st == nil || st.Ok()) {
+		fmt.Println("OK")
+	}
+}
+
+// writeJSON encodes the -json document of one search to stdout.
+func writeJSON(cfg check.Config, exh, st *check.Result) error {
 	doc := jsonReport{
 		Algorithm: cfg.Session.Algorithm.Name(), Procs: cfg.Session.Procs, Width: int(cfg.Session.Width),
 		Model: cfg.Session.Model.String(), Crashes: cfg.CrashesPerProc, Memo: cfg.Memo || cfg.SharedVisited,
 		POR: cfg.POR, Symmetry: cfg.Symmetry, SharedSet: cfg.SharedVisited,
-		Exhaustive: toReport(res), OK: res.Ok(), Provenance: perflog.Build(),
+		Exhaustive: toReport(exh), OK: exh.Ok(), Provenance: perflog.Build(),
 	}
 	if cfg.SharedVisited {
 		doc.WaveSize = cfg.WaveSize
 	}
-	firstErr := res.Err()
-	var stressRes *check.Result
-	if stress > 0 {
-		sres, err := check.Stress(cfg, stress, 0.05)
-		if err != nil {
-			return nil, nil, err
-		}
-		stressRes = sres
-		sr := toReport(sres)
+	if st != nil {
+		sr := toReport(st)
 		doc.Stress = &sr
-		doc.OK = doc.OK && sres.Ok()
-		if firstErr == nil {
-			firstErr = sres.Err()
-		}
+		doc.OK = doc.OK && st.Ok()
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return nil, nil, err
-	}
-	return res, stressRes, firstErr
+	return enc.Encode(doc)
 }
 
 // traceReference runs the checked configuration crash-free round-robin on a
@@ -365,12 +367,12 @@ func traceReference(cfg mutex.Config, tr *cliutil.Trace) error {
 	return tr.Write(os.Stderr, runs, cfg.Model)
 }
 
-func report(res *check.Result) error {
+// printFailures prints a phase's violations and deadlocks.
+func printFailures(res *check.Result) {
 	for _, v := range res.Violations {
 		fmt.Printf("  VIOLATION: %s\n", v)
 	}
 	for _, d := range res.Deadlocks {
 		fmt.Printf("  DEADLOCK:  %s\n", d)
 	}
-	return res.Err()
 }

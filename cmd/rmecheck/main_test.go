@@ -7,6 +7,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rme/internal/check"
+	"rme/internal/faults"
+	"rme/internal/mutex"
+	"rme/internal/sim"
 )
 
 // captureStdout runs fn with stdout redirected to a pipe and returns what it
@@ -214,5 +219,51 @@ func TestNameFlags(t *testing.T) {
 	err := run([]string{"-model", "dms", "-n", "2", "-stress", "0"})
 	if err == nil || !strings.Contains(err.Error(), `"dms"`) {
 		t.Fatalf("-model dms: err = %v; want an error naming the value", err)
+	}
+}
+
+// TestFailedSearchRunsNoStress: stress runs only after a clean exhaustive
+// search, so a failing search reports no stress phase in text or -json.
+func TestFailedSearchRunsNoStress(t *testing.T) {
+	cfg := check.Config{
+		Session:        mutex.Config{Procs: 2, Width: 8, Model: sim.CC, Algorithm: faults.BrokenTAS{}},
+		CrashesPerProc: 1,
+		Memo:           true,
+		POR:            true,
+	}
+	for _, jsonOut := range []bool{false, true} {
+		out, err := captureStdout(t, func() error {
+			_, _, err := search(cfg, 50, jsonOut)
+			return err
+		})
+		if err == nil {
+			t.Fatalf("json=%v: broken-tas passed the search:\n%s", jsonOut, out)
+		}
+		if jsonOut {
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(out), &doc); err != nil {
+				t.Fatalf("decoding -json output: %v\n%s", err, out)
+			}
+			if _, ok := doc["stress"]; ok || string(doc["ok"]) != "false" {
+				t.Errorf("-json after a failed search: want ok false and no stress key:\n%s", out)
+			}
+			continue
+		}
+		failures := strings.Contains(out, "VIOLATION") || strings.Contains(out, "DEADLOCK")
+		if strings.Contains(out, "stress:") || !failures {
+			t.Errorf("text after a failed search: want its failures and no stress phase:\n%s", out)
+		}
+	}
+}
+
+// TestNonPositiveBudgetFlagsRejected: check.Config reads a 0 cap as its
+// default, so a 0 flag would record one search under two config digests;
+// each such flag is an error naming it.
+func TestNonPositiveBudgetFlagsRejected(t *testing.T) {
+	for _, name := range []string{"-max", "-maxstates", "-wave"} {
+		err := run([]string{"-alg", "rspin", "-n", "2", "-stress", "0", name, "0"})
+		if err == nil || !strings.HasPrefix(err.Error(), name+" ") {
+			t.Errorf("%s 0: err = %v; want an error naming %s", name, err, name)
+		}
 	}
 }

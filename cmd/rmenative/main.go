@@ -47,6 +47,7 @@ import (
 	"rme/internal/cliutil"
 	"rme/internal/mutex"
 	"rme/internal/perflog"
+	"rme/internal/perfstat"
 	"rme/internal/sim"
 	"rme/internal/telemetry"
 	"rme/internal/word"
@@ -276,9 +277,9 @@ func runPoint(alg mutex.Algorithm, n int, w word.Width, passes, warmup, crashEve
 	if len(all) > 0 {
 		pt.Latency = latencySummary{
 			MinNS:  all[0],
-			P50NS:  percentile(all, 50),
-			P90NS:  percentile(all, 90),
-			P99NS:  percentile(all, 99),
+			P50NS:  perfstat.Percentile(all, 50),
+			P90NS:  perfstat.Percentile(all, 90),
+			P99NS:  perfstat.Percentile(all, 99),
 			MaxNS:  all[len(all)-1],
 			MeanNS: float64(sum) / float64(len(all)),
 		}
@@ -349,19 +350,6 @@ func parseInts(list string) ([]int, error) {
 		return nil, fmt.Errorf("empty list")
 	}
 	return out, nil
-}
-
-// percentile returns the p-th percentile of sorted samples
-// (nearest-rank method).
-func percentile(sorted []int64, p int) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := (len(sorted)*p + 99) / 100
-	if i > 0 {
-		i--
-	}
-	return sorted[i]
 }
 
 // metricName sanitizes an algorithm name for the telemetry registry's

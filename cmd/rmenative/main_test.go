@@ -101,21 +101,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	s := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	for _, tc := range []struct {
-		p    int
-		want int64
-	}{{50, 50}, {90, 90}, {99, 100}, {100, 100}} {
-		if got := percentile(s, tc.p); got != tc.want {
-			t.Errorf("p%d = %d, want %d", tc.p, got, tc.want)
-		}
-	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Errorf("empty percentile = %d", got)
-	}
-}
-
 func TestMetricName(t *testing.T) {
 	for in, want := range map[string]string{
 		"mcs":         "mcs",

@@ -22,11 +22,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"rme/internal/cliutil"
-	"rme/internal/perflog"
 	"rme/internal/sim"
 	"rme/internal/telemetry"
 	"rme/internal/trace"
@@ -85,12 +83,11 @@ func runSummarize(args []string) error {
 	fs := flag.NewFlagSet("rmetrace summarize", flag.ContinueOnError)
 	modelName := fs.String("model", "cc", "rank by RMRs under this cost model: cc or dsm")
 	top := fs.Int("top", 10, "rows per attribution table")
-	ledger := cliutil.LedgerFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: rmetrace summarize [-model cc|dsm] [-top N] [-ledger FILE] FILE")
+		return fmt.Errorf("usage: rmetrace summarize [-model cc|dsm] [-top N] FILE")
 	}
 	model, err := sim.ParseModel(*modelName)
 	if err != nil {
@@ -100,45 +97,14 @@ func runSummarize(args []string) error {
 	if err != nil {
 		return err
 	}
-	var tot summaryTotals
 	fmt.Printf("%d runs:\n", len(runs))
 	for _, r := range runs {
 		a := trace.Attribute(r.Events)
 		fmt.Printf("  run %d: %s (%s, n=%d) — %d events, %d steps, %d RMRs\n",
 			r.Index, r.Label, r.Model, r.Procs, a.Events, a.Steps, a.RMRs(r.Model))
-		tot.runs++
-		tot.events += int64(a.Events)
-		tot.steps += int64(a.Steps)
-		tot.rmrCC += int64(a.RMRCC)
-		tot.rmrDSM += int64(a.RMRDSM)
 	}
 	trace.WriteSummary(os.Stdout, trace.Merge(runs), model, *top)
-
-	// The file's base name identifies the artifact in the config (its
-	// directory is host layout, not semantics).
-	m := perflog.New("rmetrace")
-	m.SetConfig("subcommand", "summarize")
-	m.SetConfig("file", filepath.Base(fs.Arg(0)))
-	m.SetConfig("model", model)
-	m.SetConfig("top", *top)
-	m.AddCounters("", tot.Counters())
-	return ledger.Emit(nil, m)
-}
-
-// summaryTotals aggregates a summarized trace file. The summary is a pure
-// function of the file, so its Counters are exactly gateable.
-type summaryTotals struct {
-	runs, events, steps, rmrCC, rmrDSM int64
-}
-
-func (t summaryTotals) Counters() map[string]int64 {
-	return map[string]int64{
-		"runs":    t.runs,
-		"events":  t.events,
-		"steps":   t.steps,
-		"rmr_cc":  t.rmrCC,
-		"rmr_dsm": t.rmrDSM,
-	}
+	return nil
 }
 
 // runMetrics summarizes a telemetry JSONL stream: per-series first, min,

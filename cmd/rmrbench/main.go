@@ -7,9 +7,9 @@
 // Grids run on the engine's deterministic worker pool: the rendered tables
 // are byte-identical at any -parallel value (including 1), only wall time
 // changes. Each experiment's machine-readable record — run counts, RMR
-// statistics, table count and wall time — is one perf-ledger manifest,
-// appended to the -ledger file (see internal/perflog and cmd/rmereport) for
-// cross-run regression gating.
+// statistics, table count, a digest of the rendered tables (table_sha) and
+// wall time — is one perf-ledger manifest, appended to the -ledger file (see
+// internal/perflog and cmd/rmereport) for cross-run regression gating.
 //
 // Step-level observability: -trace FILE captures every engine run's event
 // stream (JSONL, or Chrome trace_event JSON with -traceformat chrome, for
@@ -32,6 +32,9 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -108,8 +111,12 @@ func run(args []string) error {
 				return nil, fmt.Errorf("%s: %w", exp.ID, err)
 			}
 			wall := time.Since(start)
+			var rendered bytes.Buffer
 			for i := range tables {
-				tables[i].Render(os.Stdout)
+				tables[i].Render(&rendered)
+			}
+			if _, err := os.Stdout.Write(rendered.Bytes()); err != nil {
+				return nil, err
 			}
 			// Timings go to stderr: stdout is byte-identical at any -parallel
 			// value, so runs can be diffed directly.
@@ -124,6 +131,10 @@ func run(args []string) error {
 			m.SetConfig("seed", *seed)
 			m.AddCounters("", metrics.Snapshot().Counters())
 			m.Counters["tables"] = int64(len(tables))
+			// table_sha gates the rendered bytes: any change to any table
+			// drifts it, also where the other counters cannot see.
+			sum := sha256.Sum256(rendered.Bytes())
+			m.Counters["table_sha"] = int64(binary.BigEndian.Uint64(sum[:8]))
 			m.Sample("wall_ms", float64(wall.Microseconds())/1000)
 			ms = append(ms, m)
 		}

@@ -12,23 +12,6 @@ import (
 // the remainder section within its budgets.
 var errCompletionStuck = errors.New("adversary: completion stuck")
 
-// crashAndFinish delivers p's (single) crash step and drives its recovery
-// to completion.
-func (a *Adversary) crashAndFinish(p int) error {
-	m := a.session.Machine()
-	if m.ProcDone(p) {
-		a.status[p] = Finished
-		return nil
-	}
-	if a.cfg.Session.Algorithm.Recoverable() && m.Crashes(p) == 0 {
-		// Assumption (A3): at most one crash per process.
-		if _, err := a.session.CrashProc(p); err != nil {
-			return err
-		}
-	}
-	return a.finishSet([]int{p})
-}
-
 // finishProcess runs p to the end of its super-passage.
 func (a *Adversary) finishProcess(p int) error {
 	return a.finishSet([]int{p})

@@ -6,9 +6,9 @@
 // process steps next; optionally, whether it crashes instead) by depth-first
 // search. Unlike a stateless schedule-prefix search, the explorer is
 // incremental: it steps a live machine forward along the current branch and
-// restores on backtrack from a checkpoint stack of trailing sessions,
-// replaying prefixes only across snapshot gaps. With Memo it fingerprints
-// every canonical state (sim.Machine.Fingerprint mixed with the monitor's CS
+// restores on backtrack from a trailing checkpoint session, replaying
+// prefixes only across snapshot gaps. With Memo it fingerprints every
+// canonical state (sim.Machine.Fingerprint mixed with the monitor's CS
 // ownership) and prunes interleavings that converge on a visited state; with
 // POR it additionally skips sleep-set branches whose effect is covered by a
 // commuting sibling explored earlier. The search is exact up to its caps: if

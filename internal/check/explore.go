@@ -20,10 +20,10 @@ const maskProcs = 64
 
 // explorer is the stateful DFS for one root branch. It keeps a live session
 // positioned at the current search node, stepping forward into each first
-// child for free; backtracking restores the node from the deepest fresh
-// checkpoint (a trailing session left at a shallower prefix) or, failing
-// that, by replaying the prefix from the root — rebuilding one checkpoint en
-// route so later siblings backtrack cheaply.
+// child for free; backtracking restores the node from the checkpoint (a
+// trailing session left at a shallower prefix) or, failing that, by
+// replaying the prefix from the root — rebuilding the checkpoint en route so
+// later siblings backtrack cheaply.
 type explorer struct {
 	cfg         Config
 	res         *Result
@@ -65,10 +65,12 @@ type explorer struct {
 	// worker supplies the live and checkpoint sessions and takes back the
 	// ones restore drops.
 	worker *engine.Worker
-	// cps holds trailing checkpoints in strictly increasing depth; every
-	// entry's prefix path[:depth] matches the current path (restore drops
-	// entries from abandoned subtrees before they could go stale).
-	cps []checkpoint
+	// cp is the trailing checkpoint, if cp.sess is non-nil; its prefix
+	// path[:cp.depth] matches the current path (restore drops it when it
+	// belongs to an abandoned subtree, before it could go stale). A restore
+	// consumes it and only a full-prefix replay rebuilds it, so one slot
+	// holds every checkpoint the explorer has.
+	cp checkpoint
 
 	// tm mirrors res increments into live telemetry series; every handle is
 	// a nil-safe no-op when Config.Telemetry is nil.
@@ -108,8 +110,8 @@ func newCheckTelemetry(reg *telemetry.Registry) checkTelemetry {
 }
 
 // snapshotInterval is the checkpoint spacing K: restores replay at most ~K
-// actions when a trailing checkpoint is fresh, and full-prefix replays
-// rebuild one checkpoint en route.
+// actions when the trailing checkpoint is fresh, and full-prefix replays
+// rebuild it en route.
 const snapshotInterval = 32
 
 type checkpoint struct {
@@ -138,8 +140,8 @@ func (e *explorer) close() {
 	if e.live != nil {
 		e.live.Close()
 	}
-	for _, cp := range e.cps {
-		cp.sess.Close()
+	if e.cp.sess != nil {
+		e.cp.sess.Close()
 	}
 	e.worker.Close()
 }
@@ -185,24 +187,23 @@ func (e *explorer) replay(s *mutex.Session, from, to int) error {
 }
 
 // restore repositions the live session at the current path (length target),
-// abandoning whatever subtree state it holds. Checkpoints deeper than the
-// target belong to the abandoned subtree and are recycled first; the deepest
-// surviving checkpoint, if any, is consumed and advanced the remaining
-// distance. Otherwise the live session replays the full prefix, and a fresh
-// checkpoint is rebuilt at the last snapshotInterval boundary below the
-// target so the next backtrack to this neighborhood is cheap again.
+// abandoning whatever subtree state it holds. A checkpoint deeper than the
+// target belongs to the abandoned subtree and is recycled first; a surviving
+// checkpoint is consumed and advanced the remaining distance. Otherwise the
+// live session replays the full prefix, and the checkpoint is rebuilt at the
+// last snapshotInterval boundary below the target so the next backtrack to
+// this neighborhood is cheap again.
 func (e *explorer) restore(target int) error {
 	if e.tm.restoreLen != nil {
 		before := e.res.ReplaySteps
 		defer func() { e.tm.restoreLen.Observe(e.res.ReplaySteps - before) }()
 	}
-	for n := len(e.cps); n > 0 && e.cps[n-1].depth > target; n = len(e.cps) {
-		e.worker.Release(e.cps[n-1].sess)
-		e.cps = e.cps[:n-1]
+	if e.cp.sess != nil && e.cp.depth > target {
+		e.worker.Release(e.cp.sess)
+		e.cp = checkpoint{}
 	}
-	if n := len(e.cps); n > 0 {
-		cp := e.cps[n-1]
-		e.cps = e.cps[:n-1]
+	if cp := e.cp; cp.sess != nil {
+		e.cp = checkpoint{}
 		e.worker.Release(e.live)
 		e.live = cp.sess
 		return e.replay(e.live, cp.depth, target)
@@ -219,7 +220,7 @@ func (e *explorer) restore(target int) error {
 		if err := e.replay(cs, 0, c); err != nil {
 			return err
 		}
-		e.cps = append(e.cps, checkpoint{depth: c, sess: cs})
+		e.cp = checkpoint{depth: c, sess: cs}
 	}
 	if err := e.live.Reset(); err != nil {
 		return err

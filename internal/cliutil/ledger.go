@@ -9,11 +9,11 @@ import (
 	"rme/internal/telemetry"
 )
 
-// Ledger bundles the perf-ledger flags (-ledger, -runlabel): part of the Run
-// bundle, and registered on its own by rmetrace summarize. Like telemetry,
-// it is strictly off the result path: the flags decide only whether a run
-// manifest is appended to a JSONL ledger after the run, never what the run
-// computes, so all -json parity guarantees hold with the ledger on or off.
+// Ledger bundles the perf-ledger flags (-ledger, -runlabel) of the Run
+// bundle. Like telemetry, it is strictly off the result path: the flags
+// decide only whether a run manifest is appended to a JSONL ledger after the
+// run, never what the run computes, so all -json parity guarantees hold with
+// the ledger on or off.
 type Ledger struct {
 	// Path is the JSONL ledger file to append run manifests to ("" = off).
 	Path string
@@ -22,9 +22,9 @@ type Ledger struct {
 	Label string
 }
 
-// LedgerFlags registers the shared flags on fs and returns the holder to
+// ledgerFlags registers the shared flags on fs and returns the holder to
 // Emit after the run.
-func LedgerFlags(fs *flag.FlagSet) *Ledger {
+func ledgerFlags(fs *flag.FlagSet) *Ledger {
 	l := &Ledger{}
 	fs.StringVar(&l.Path, "ledger", "",
 		"append run manifests (config digest, deterministic counters, wall samples) to this JSONL perf ledger")

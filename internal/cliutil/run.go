@@ -39,7 +39,7 @@ func Flags(fs *flag.FlagSet) *Run {
 	fs.StringVar(&r.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&r.memProfile, "memprofile", "", "write a pprof heap profile to this file")
 	r.tele = telemetryFlags(fs)
-	r.ledger = LedgerFlags(fs)
+	r.ledger = ledgerFlags(fs)
 	return r
 }
 

@@ -94,10 +94,6 @@ func (h *NativeHandle) Unlock() { h.h.Unlock() }
 // Recover runs the recover protocol after a crash.
 func (h *NativeHandle) Recover() RecoverStatus { return h.h.Recover() }
 
-// Ops returns the number of shared-memory operations this handle has
-// performed (spin re-polls each count as one operation).
-func (h *NativeHandle) Ops() int64 { return h.env.ops.Load() }
-
 // Crashes returns the number of injected crashes Super has absorbed.
 func (h *NativeHandle) Crashes() int64 { return h.crashes.Load() }
 
@@ -202,20 +198,18 @@ func (h *NativeHandle) call(f func()) (ok bool) {
 	return true
 }
 
-// crashEnv wraps a native memory.Env with an operation counter and the
-// crash fuse. Counting happens before the wrapped operation executes, so a
-// firing fuse preempts the step entirely (the simulator's crash semantics:
-// the interrupted step never takes effect).
+// crashEnv wraps a native memory.Env with the crash fuse. The fuse counts
+// down before the wrapped operation executes, so a firing fuse preempts the
+// step entirely (the simulator's crash semantics: the interrupted step never
+// takes effect).
 type crashEnv struct {
 	inner memory.Env
-	ops   atomic.Int64
 	fuse  atomic.Int64 // remaining ops before injected crash; negative = disarmed
 }
 
 var _ memory.Env = (*crashEnv)(nil)
 
 func (e *crashEnv) tick() {
-	e.ops.Add(1)
 	if e.fuse.Load() < 0 {
 		return
 	}

@@ -253,19 +253,3 @@ func TestNativeLockRebindRestart(t *testing.T) {
 	h2.Unlock()
 	<-done
 }
-
-// TestNativeLockOpsCounting sanity-checks the op counter: a passage costs a
-// nonzero number of env operations and the counter is monotone.
-func TestNativeLockOpsCounting(t *testing.T) {
-	lock, err := mutex.NewNativeLock(mcs.New(), 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := lock.Bind(0)
-	before := h.Ops()
-	h.Lock()
-	h.Unlock()
-	if h.Ops() <= before {
-		t.Fatalf("Ops did not advance: %d -> %d", before, h.Ops())
-	}
-}

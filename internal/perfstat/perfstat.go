@@ -78,6 +78,19 @@ func medianCI(sorted []float64) (lo, hi float64) {
 	return sorted[loIdx], sorted[hiIdx]
 }
 
+// Percentile is the nearest-rank p-th percentile of an ascending slice, or
+// 0 for an empty one.
+func Percentile(sorted []int64, p int) int64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := (len(sorted)*p + 99) / 100
+	if i > 0 {
+		i--
+	}
+	return sorted[i]
+}
+
 // MannWhitney computes the two-sided p-value of the Mann-Whitney U test for
 // samples a and b, using the normal approximation with tie correction and a
 // continuity correction. Returns NaN when either sample is empty, and 1 when

@@ -24,6 +24,21 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+func TestPercentile(t *testing.T) {
+	s := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+	for _, tc := range []struct {
+		p    int
+		want int64
+	}{{50, 50}, {90, 90}, {99, 100}, {100, 100}} {
+		if got := Percentile(s, tc.p); got != tc.want {
+			t.Errorf("p%d = %d, want %d", tc.p, got, tc.want)
+		}
+	}
+	if got := Percentile(nil, 50); got != 0 {
+		t.Errorf("empty percentile = %d", got)
+	}
+}
+
 // TestMedianCIKnownValues pins the binomial order-statistic interval against
 // hand-checked values: for n=10, P(X<=1) = 11/1024 ≈ 0.0107 <= 0.025 and
 // P(X<=2) ≈ 0.0547 > 0.025, so k=2 and the CI is (x_(3), x_(8)).

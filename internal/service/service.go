@@ -7,6 +7,7 @@ import (
 
 	"rme/internal/engine"
 	"rme/internal/mutex"
+	"rme/internal/perfstat"
 	"rme/internal/sim"
 	"rme/internal/telemetry"
 	"rme/internal/trace"
@@ -437,9 +438,9 @@ func latencyStats(lat []int64) LatencyStats {
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	return LatencyStats{
 		Min: lat[0],
-		P50: percentile(lat, 50),
-		P90: percentile(lat, 90),
-		P99: percentile(lat, 99),
+		P50: perfstat.Percentile(lat, 50),
+		P90: perfstat.Percentile(lat, 90),
+		P99: perfstat.Percentile(lat, 99),
 		Max: lat[len(lat)-1],
 	}
 }
@@ -466,20 +467,11 @@ func fairnessStats(served []int32) FairnessStats {
 	return FairnessStats{
 		ClientsServed: len(counts),
 		Min:           counts[0],
-		P50:           percentile(counts, 50),
-		P99:           percentile(counts, 99),
+		P50:           perfstat.Percentile(counts, 50),
+		P99:           perfstat.Percentile(counts, 99),
 		Max:           counts[len(counts)-1],
 		JainIndex:     math.Round(jain*1e4) / 1e4,
 	}
-}
-
-// percentile is the nearest-rank p-th percentile of an ascending slice.
-func percentile(sorted []int64, p int) int64 {
-	i := (len(sorted)*p + 99) / 100
-	if i > 0 {
-		i--
-	}
-	return sorted[i]
 }
 
 func round2(x float64) float64 { return math.Round(x*100) / 100 }

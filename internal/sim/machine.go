@@ -708,9 +708,6 @@ func (m *Machine) Accessors(c memory.Cell) []int {
 	return m.own(c).accessed.AppendTo(nil)
 }
 
-// HasCache reports whether p holds a valid cache copy of c (CC model state).
-func (m *Machine) HasCache(p int, c memory.Cell) bool { return m.own(c).cached.Test(p) }
-
 // CachedCells returns the ids of cells p holds valid cache copies of.
 func (m *Machine) CachedCells(p int) []int {
 	var out []int

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"rme/internal/memory"
@@ -121,7 +122,7 @@ func TestRMRAccountingCC(t *testing.T) {
 	if got := m.RMRsIn(CC, 1); got != 1 {
 		t.Errorf("p1 CC RMRs = %d, want 1", got)
 	}
-	if m.HasCache(1, c) {
+	if slices.Contains(m.CachedCells(1), c.CellID()) {
 		t.Error("p1's cache copy should have been invalidated by p0's write")
 	}
 }

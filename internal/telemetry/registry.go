@@ -264,27 +264,3 @@ func (r *Registry) Export() map[string]int64 {
 	}
 	return r.Snapshot().Flat()
 }
-
-// Get returns the named scalar from the snapshot (counters first, then
-// gauges, then flattened histogram series).
-func (s Snapshot) Get(name string) (int64, bool) {
-	for _, p := range s.Counters {
-		if p.Name == name {
-			return p.Value, true
-		}
-	}
-	for _, p := range s.Gauges {
-		if p.Name == name {
-			return p.Value, true
-		}
-	}
-	for _, h := range s.Histograms {
-		if h.Name+"_count" == name {
-			return h.Count, true
-		}
-		if h.Name+"_sum" == name {
-			return h.Sum, true
-		}
-	}
-	return 0, false
-}

@@ -106,14 +106,15 @@ func TestSnapshotSortedAndGet(t *testing.T) {
 	if s.Counters[0].Name != "a" || s.Counters[1].Name != "b" {
 		t.Fatalf("counters not sorted: %+v", s.Counters)
 	}
+	flat := s.Flat()
 	for name, want := range map[string]int64{"a": 1, "b": 2, "z": 26, "h_count": 1, "h_sum": 3} {
-		got, ok := s.Get(name)
+		got, ok := flat[name]
 		if !ok || got != want {
-			t.Fatalf("Get(%q) = %d,%v want %d,true", name, got, ok, want)
+			t.Fatalf("Flat()[%q] = %d,%v want %d,true", name, got, ok, want)
 		}
 	}
-	if _, ok := s.Get("missing"); ok {
-		t.Fatal("Get found a missing series")
+	if _, ok := flat["missing"]; ok {
+		t.Fatal("Flat holds a missing series")
 	}
 }
 

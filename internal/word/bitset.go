@@ -44,16 +44,6 @@ func (b Bitset) ClearAll() {
 	}
 }
 
-// Empty reports whether the set has no members.
-func (b Bitset) Empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Count returns the number of members.
 func (b Bitset) Count() int {
 	n := 0

@@ -7,7 +7,7 @@ import (
 
 func TestBitsetBasics(t *testing.T) {
 	b := NewBitset(130)
-	if !b.Empty() || b.Count() != 0 {
+	if b.Count() != 0 {
 		t.Fatalf("new set not empty: count=%d", b.Count())
 	}
 	for _, i := range []int{0, 1, 63, 64, 65, 129} {
@@ -32,7 +32,7 @@ func TestBitsetBasics(t *testing.T) {
 		t.Errorf("ForEach order = %v", seen)
 	}
 	b.ClearAll()
-	if !b.Empty() {
+	if b.Count() != 0 {
 		t.Error("not empty after ClearAll")
 	}
 	if got := b.AppendTo(seen[:0]); len(got) != 0 {
@@ -49,7 +49,7 @@ func TestBitsetSetClearIdempotent(t *testing.T) {
 	}
 	b.Clear(7)
 	b.Clear(7)
-	if !b.Empty() {
+	if b.Count() != 0 {
 		t.Error("not empty after double Clear")
 	}
 }

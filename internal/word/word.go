@@ -6,11 +6,7 @@
 // which is the resource the paper's lower bound is about.
 package word
 
-import (
-	"fmt"
-	"math"
-	"math/bits"
-)
+import "math"
 
 // Word is the value stored in a single shared-memory cell. Simulated cells
 // truncate it to the configured width; the native runtime uses the full 64
@@ -44,32 +40,6 @@ func (w Width) Add(a, b Word) Word { return w.Trunc(a + b) }
 
 // Fits reports whether v is representable in w bits.
 func (w Width) Fits(v Word) bool { return v == w.Trunc(v) }
-
-// Bit returns the word with only bit i set, or an error if i is out of range
-// for the width.
-func (w Width) Bit(i int) (Word, error) {
-	if i < 0 || i >= int(w) {
-		return 0, fmt.Errorf("word: bit %d out of range for %d-bit word", i, w)
-	}
-	return Word(1) << uint(i), nil
-}
-
-// PopCount returns the number of set bits in v.
-func PopCount(v Word) int { return bits.OnesCount64(v) }
-
-// Bits returns the indices of set bits in v, ascending.
-func Bits(v Word) []int {
-	if v == 0 {
-		return nil
-	}
-	out := make([]int, 0, bits.OnesCount64(v))
-	for v != 0 {
-		i := bits.TrailingZeros64(v)
-		out = append(out, i)
-		v &^= Word(1) << uint(i)
-	}
-	return out
-}
 
 // Log computes floor(log_base(n)) for base ≥ 2, n ≥ 1; it is the number of
 // complete levels of a base-ary arbitration tree over n leaves, and the shape

@@ -1,7 +1,6 @@
 package word
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -88,51 +87,6 @@ func TestWidthAddProperties(t *testing.T) {
 		fits := func(a, b Word) bool { return w.Fits(w.Add(a, b)) }
 		if err := quick.Check(fits, nil); err != nil {
 			t.Errorf("width %d: addition escapes the domain: %v", w, err)
-		}
-	}
-}
-
-func TestBit(t *testing.T) {
-	var w Width = 8
-	for i := 0; i < 8; i++ {
-		got, err := w.Bit(i)
-		if err != nil {
-			t.Fatalf("Bit(%d): %v", i, err)
-		}
-		if got != 1<<uint(i) {
-			t.Errorf("Bit(%d) = %#x, want %#x", i, got, 1<<uint(i))
-		}
-	}
-	if _, err := w.Bit(8); err == nil {
-		t.Error("Bit(8) on 8-bit word: want error")
-	}
-	if _, err := w.Bit(-1); err == nil {
-		t.Error("Bit(-1): want error")
-	}
-}
-
-func TestBitsRoundTrip(t *testing.T) {
-	f := func(v Word) bool {
-		var back Word
-		for _, i := range Bits(v) {
-			back |= 1 << uint(i)
-		}
-		return back == v && len(Bits(v)) == PopCount(v)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBitsAscending(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200; i++ {
-		v := Word(rng.Uint64())
-		bs := Bits(v)
-		for j := 1; j < len(bs); j++ {
-			if bs[j-1] >= bs[j] {
-				t.Fatalf("Bits(%#x) not ascending: %v", v, bs)
-			}
 		}
 	}
 }
