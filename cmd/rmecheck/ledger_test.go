@@ -61,7 +61,8 @@ func TestManifestSemanticBytesDeterministic(t *testing.T) {
 
 // TestConfigDigestStability checks what the digest must and must not react
 // to: stable under non-semantic flags (-parallel, -heartbeat, the ledger
-// path itself, -runlabel), different under semantic ones (-alg, -n).
+// path itself, -runlabel) and under -wave and -maxwaves without -sharedset,
+// different under semantic ones (-alg, -n, and -wave with -sharedset).
 func TestConfigDigestStability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs exhaustive searches")
@@ -74,6 +75,9 @@ func TestConfigDigestStability(t *testing.T) {
 		"-parallel":  ledgerRun(t, "-parallel", "4"),
 		"-heartbeat": ledgerRun(t, "-heartbeat", "1h"),
 		"-runlabel":  ledgerRun(t, "-runlabel", "other"),
+		// A private search runs one wave, so the wave flags are inert.
+		"-wave":     ledgerRun(t, "-wave", "2"),
+		"-maxwaves": ledgerRun(t, "-maxwaves", "1"),
 	} {
 		// Each helper call already uses a different ledger path, so path
 		// independence is exercised by every comparison here.
@@ -86,6 +90,9 @@ func TestConfigDigestStability(t *testing.T) {
 	}
 	if m := ledgerRun(t, "-n", "3"); m.ConfigDigest == base.ConfigDigest {
 		t.Error("-n change did not move the config digest")
+	}
+	if a, b := ledgerRun(t, "-sharedset"), ledgerRun(t, "-sharedset", "-wave", "2"); a.ConfigDigest == b.ConfigDigest {
+		t.Error("-wave change did not move the config digest of a -sharedset search")
 	}
 }
 

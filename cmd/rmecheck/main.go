@@ -220,8 +220,13 @@ func run(args []string) error {
 		m.SetConfig("symmetry", *symmetry)
 		m.SetConfig("maxstates", *maxStates)
 		m.SetConfig("sharedset", *sharedSet)
-		m.SetConfig("wave", *wave)
-		m.SetConfig("maxwaves", *maxWaves)
+		if *sharedSet {
+			// A private search runs one wave, where -wave and -maxwaves
+			// change nothing; recording them would give one search a
+			// digest per value.
+			m.SetConfig("wave", *wave)
+			m.SetConfig("maxwaves", *maxWaves)
+		}
 		m.AddCounters("", exh.Counters())
 		if stress != nil {
 			m.AddCounters("stress_", stress.Counters())

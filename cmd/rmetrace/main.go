@@ -56,19 +56,21 @@ func run(args []string) error {
 	}
 }
 
+// openInput opens the named file, or stdin for "-".
+func openInput(path string) (io.ReadCloser, error) {
+	if path == "-" {
+		return io.NopCloser(os.Stdin), nil
+	}
+	return os.Open(path)
+}
+
 // readRuns loads a JSONL trace from the named file or stdin ("-").
 func readRuns(path string) ([]trace.Run, error) {
-	var r io.Reader
-	if path == "-" {
-		r = os.Stdin
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
+	r, err := openInput(path)
+	if err != nil {
+		return nil, err
 	}
+	defer r.Close()
 	runs, err := trace.ReadJSONL(r)
 	if err != nil {
 		return nil, err
@@ -119,17 +121,11 @@ func runMetrics(args []string) error {
 		return fmt.Errorf("usage: rmetrace metrics FILE")
 	}
 	path := fs.Arg(0)
-	var r io.Reader
-	if path == "-" {
-		r = os.Stdin
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r = f
+	r, err := openInput(path)
+	if err != nil {
+		return err
 	}
+	defer r.Close()
 	recs, err := telemetry.ReadRecords(r)
 	if err != nil {
 		return err

@@ -9,6 +9,7 @@ package check_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -293,6 +294,55 @@ func TestResumeValidation(t *testing.T) {
 	mismatched.Seed = 17 // part of the config digest
 	if _, err := check.Exhaustive(mismatched); err == nil || !strings.Contains(err.Error(), "configuration") {
 		t.Fatalf("Resume with mismatched config: got err %v", err)
+	}
+}
+
+// TestResumeRejectsOldHash pins that a checkpoint written under the
+// previous fingerprint hash fails with a version error: the spill run
+// (version 1) and the manifest (version 3) each on their own.
+func TestResumeRejectsOldHash(t *testing.T) {
+	dir := t.TempDir()
+	partial := certConfig(t, dir)
+	partial.MaxWaves = 1
+	mustExhaustive(t, partial)
+	resume := certConfig(t, dir)
+	resume.Resume = true
+
+	runPath := filepath.Join(dir, "wave0000.run")
+	run, err := os.ReadFile(runPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Clone(run)
+	old[8] = 1 // little-endian version word at offset 8
+	if err := os.WriteFile(runPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := check.Exhaustive(resume); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Resume over a version-1 spill run: got err %v", err)
+	}
+	if err := os.WriteFile(runPath, run, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	manPath := filepath.Join(dir, "manifest.json")
+	data, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["version"] = 3
+	if data, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := check.Exhaustive(resume); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("Resume from a version-3 manifest: got err %v", err)
 	}
 }
 

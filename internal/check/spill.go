@@ -25,9 +25,13 @@ import (
 //	offset 12  4 bytes  reserved (zero)
 //	offset 16  8 bytes  record count
 //	offset 24  count x 24-byte records: fingerprint Hi, Lo, sleep mask
+//
+// The version changes with the layout and with the fingerprint hash
+// (sim.Fingerprint), so a run written under another hash fails to open
+// instead of answering lookups for states it never saw.
 const (
 	spillMagic      = "RMESPILL"
-	spillVersion    = 1
+	spillVersion    = 2
 	spillHeaderSize = 24
 	spillRecordSize = 24
 )
@@ -265,10 +269,11 @@ type spillRunEntry struct {
 	Entries int64 `json:"entries"`
 }
 
-// manifestVersion changes whenever the manifest layout or the configDigest
-// inputs do, so an older checkpoint fails with a version error rather than
-// a misleading digest mismatch.
-const manifestVersion = 3
+// manifestVersion changes whenever the manifest layout, the configDigest
+// inputs or the fingerprint hash do, so an older checkpoint fails with a
+// version error rather than a misleading digest mismatch or a resume
+// against fingerprints the search no longer computes.
+const manifestVersion = 4
 
 func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
 

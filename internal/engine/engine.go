@@ -10,8 +10,9 @@
 //     new one, which removes the dominant construction cost from
 //     replay-heavy workloads (the checker for every DFS branch and
 //     checkpoint, the adversary for every erasure audit, the service for
-//     every shard batch). A reset still allocates one algorithm handle and
-//     one goroutine launch per process (mutex.Session.Reset).
+//     every shard batch). A reset keeps each process's body goroutine and
+//     still allocates one algorithm handle per process
+//     (mutex.Session.Reset).
 //
 //   - Parallelism with determinism. Run executes a batch of RunSpecs on a
 //     pool of workers and merges results in submission order regardless of

@@ -179,9 +179,10 @@ func (s *Session) Machine() *sim.Machine { return s.mach }
 // observationally identical to a fresh NewSession with the same Config —
 // the engine's worker pool and the replay-heavy consumers (model checker,
 // adversary erasure verification) rely on this to avoid per-run machine
-// construction. What a Reset still allocates is one algorithm handle per
-// process (Instance.Bind in each body's Run) and the launch of one body
-// goroutine per process; DESIGN.md §6 gives the counts.
+// construction. The machine's body goroutines survive the Reset, parked at
+// the step gate, so a session that has been Reset must still be Closed.
+// What a Reset still allocates is one algorithm handle per process
+// (Instance.Bind in each body's Run); DESIGN.md §6 gives the counts.
 func (s *Session) Reset() error {
 	s.mach.Reset()
 	s.csOwner = -1
@@ -216,7 +217,8 @@ func sameAlgorithm(a, b Algorithm) (eq bool) {
 // Config returns the session configuration (with defaults applied).
 func (s *Session) Config() Config { return s.cfg }
 
-// Close releases the underlying machine.
+// Close releases the underlying machine and ends its body goroutines. Every
+// session must be Closed, including one that has been Reset.
 func (s *Session) Close() { s.mach.Close() }
 
 // StepProc advances process p by one step and runs the safety monitors.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -36,19 +37,21 @@ func (f Fingerprint) Mix(v uint64) Fingerprint {
 	return h.sum()
 }
 
-// stateHasher is a two-lane incremental hash over 64-bit words. Lane 1 is
-// FNV-1a with the 64-bit prime; lane 2 is a multiply–xorshift accumulator
-// (splitmix-style finalizer). The lanes use unrelated constants, so a
-// collision needs the same input to collide under two independent mixing
-// functions; the package test checks ≥10^5 distinct canonical states hash
-// without collision against a full-state map model.
+// stateHasher is a two-lane incremental hash over 64-bit words. Lane 1 is an
+// xor–multiply–xorshift chain, one multiply per word; lane 2 is a
+// multiply–xorshift accumulator (splitmix-style finalizer). Each lane's
+// step is a bijection of the word for a fixed lane state, so inputs that
+// differ in one word always differ in both lanes. The lanes use unrelated
+// constants, so a collision needs the same input to collide under two
+// independent mixing functions; the package test checks ≥10^5 distinct
+// canonical states hash without collision against a full-state map model.
 type stateHasher struct {
 	h1, h2 uint64
 }
 
 const (
 	fnvOffset64 = 0xcbf29ce484222325
-	fnvPrime64  = 0x100000001b3
+	lane1Mult   = 0xff51afd7ed558ccd
 	mixMult1    = 0x9e3779b97f4a7c15
 	mixMult2    = 0xbf58476d1ce4e5b9
 )
@@ -62,11 +65,9 @@ func newStateHasher(seed uint64) stateHasher {
 
 // word absorbs one 64-bit word into both lanes.
 func (h *stateHasher) word(v uint64) {
-	// Lane 1: FNV-1a over the 8 bytes, unrolled to one multiply per byte.
-	x := h.h1
-	for i := 0; i < 8; i++ {
-		x = (x ^ (v >> (8 * i) & 0xff)) * fnvPrime64
-	}
+	// Lane 1: xor in, multiply, fold the high half down.
+	x := (h.h1 ^ v) * lane1Mult
+	x ^= x >> 32
 	h.h1 = x
 	// Lane 2: multiply–xorshift accumulate.
 	y := h.h2 + v*mixMult1
@@ -148,8 +149,7 @@ func (m *Machine) Fingerprint(seed uint64) Fingerprint {
 func hashBuf(seed uint64, buf []byte) Fingerprint {
 	h := newStateHasher(seed)
 	for len(buf) >= 8 {
-		h.word(uint64(buf[0]) | uint64(buf[1])<<8 | uint64(buf[2])<<16 | uint64(buf[3])<<24 |
-			uint64(buf[4])<<32 | uint64(buf[5])<<40 | uint64(buf[6])<<48 | uint64(buf[7])<<56)
+		h.word(binary.LittleEndian.Uint64(buf))
 		buf = buf[8:]
 	}
 	var tail uint64

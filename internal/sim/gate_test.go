@@ -91,8 +91,9 @@ func gateStates(c gateCells) []gateState {
 }
 
 // waitGoroutines waits until the process has at most want goroutines. A body
-// goroutine exits right after sending its fin message, so the count may lag
-// the controller by a few scheduling rounds.
+// goroutine exits right after acknowledging Close's kill, and a subtest's
+// goroutine right after it reports, so the count may lag by a few
+// scheduling rounds.
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -104,16 +105,19 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
-// TestKillFromEveryGateState ends a run with Reset or Close from each state a
-// body can be in at the step gate — blocked on a verdict, parked on a
-// single-cell spin, parked in a multi-cell wait, mid-recovery after a
-// crash, and finished — 1000 times each, and checks that every body
-// goroutine is gone afterwards. The machine is reused throughout.
+// TestKillFromEveryGateState abandons a run from each state a body can be in
+// at the step gate — blocked on a verdict, parked on a single-cell spin,
+// parked in a multi-cell wait, mid-recovery after a crash, and finished —
+// 1000 times each, either by Reset (the next Start relaunches the parked
+// bodies) or by Close (the next Start launches new ones). The bodies must
+// stay parked across Reset and be gone after Close. The machine is reused
+// throughout.
 func TestKillFromEveryGateState(t *testing.T) {
 	rounds := 1000
 	if testing.Short() {
 		rounds = 100
 	}
+	base := runtime.NumGoroutine()
 	m, err := New(Config{Procs: 2, Width: 8, Model: CC, NoTrace: true})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +131,11 @@ func TestKillFromEveryGateState(t *testing.T) {
 	for _, st := range gateStates(c) {
 		for _, end := range []string{"Reset", "Close"} {
 			t.Run(st.name+"/"+end, func(t *testing.T) {
-				start := runtime.NumGoroutine() // no body is live between subtests
+				// Count from a process where the previous subtest's bodies
+				// and goroutine have exited; this subtest's goroutine is
+				// the one above base.
+				waitGoroutines(t, base+1)
+				start := runtime.NumGoroutine()
 				for i := 0; i < rounds; i++ {
 					m.Reset()
 					if err := m.Start(progs); err != nil {
@@ -139,56 +147,104 @@ func TestKillFromEveryGateState(t *testing.T) {
 					}
 				}
 				m.Reset()
+				if end == "Reset" {
+					// A body ended by Reset would exit within a few
+					// scheduling rounds; give it those rounds. Parked
+					// bodies keep the count above start.
+					for i := 0; i < 100; i++ {
+						runtime.Gosched()
+					}
+					if n := runtime.NumGoroutine(); n <= start {
+						t.Fatalf("%d goroutines after Reset, started from %d: the two bodies should stay parked", n, start)
+					}
+				}
+				m.Close()
 				waitGoroutines(t, start)
 			})
 		}
 	}
 }
 
-// TestKillAckMustBeFin pins that killLive fails loudly when a body answers a
-// kill with anything but its fin message — here, algorithm code that
-// swallows the kill sentinel and announces another step.
+// TestKillAckMustBeFin pins that a body answering a kill with anything but
+// its fin message fails loudly — here, algorithm code that swallows the kill
+// sentinel and announces another step. The kill comes either from Close, or
+// from the relaunch of a Start after Reset, where the swallowed step would
+// otherwise pass for the new program's first announcement.
 func TestKillAckMustBeFin(t *testing.T) {
-	start := runtime.NumGoroutine()
-	m, err := New(Config{Procs: 1, Width: 8, Model: CC})
+	for _, path := range []string{"Close", "relaunch"} {
+		t.Run(path, func(t *testing.T) {
+			start := runtime.NumGoroutine()
+			m, err := New(Config{Procs: 1, Width: 8, Model: CC})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := m.NewCell("c", memory.Shared, 0)
+			prog := ProgramFuncs{RunFunc: func(p *Proc) {
+				defer func() {
+					if recover() != nil {
+						p.Read(c)
+					}
+				}()
+				p.Read(c)
+			}}
+			if err := m.Start([]Program{prog}); err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "not fin") {
+						t.Errorf("%s panicked with %q, want a non-fin acknowledgement panic", path, msg)
+					}
+				}()
+				if path == "Close" {
+					m.Close()
+					return
+				}
+				m.Reset()
+				m.Start([]Program{prog})
+			}()
+			// The body is blocked in its deferred Read, whose recover is
+			// spent; Close's kill unwinds it for good.
+			m.Close()
+			waitGoroutines(t, start)
+		})
+	}
+}
+
+// TestResetStartAllocatesNothing pins that a relaunch reuses the body
+// goroutines: once a machine has been started, Reset plus Start allocates
+// nothing when the programs themselves allocate nothing — here one body
+// abandoned mid-program and one finished.
+func TestResetStartAllocatesNothing(t *testing.T) {
+	m, err := New(Config{Procs: 2, Width: 8, Model: CC, NoTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := m.NewCell("c", memory.Shared, 0)
-	prog := ProgramFuncs{RunFunc: func(p *Proc) {
-		defer func() {
-			if recover() != nil {
-				p.Read(c)
-			}
-		}()
-		p.Read(c)
-	}}
-	if err := m.Start([]Program{prog}); err != nil {
+	progs := []Program{
+		ProgramFuncs{RunFunc: func(p *Proc) { p.Read(c) }},
+		ProgramFuncs{RunFunc: func(*Proc) {}},
+	}
+	if err := m.Start(progs); err != nil {
 		t.Fatal(err)
 	}
-	func() {
-		defer func() {
-			msg, _ := recover().(string)
-			if !strings.Contains(msg, "not fin") {
-				t.Errorf("Close panicked with %q, want a non-fin acknowledgement panic", msg)
-			}
-		}()
-		m.Close()
-	}()
-	// The body is blocked in its deferred Read; a second kill unwinds it
-	// for good.
-	pr := m.procs[0]
-	pr.resumeCh <- verdict{kill: true}
-	if ack := <-pr.pendingCh; !ack.fin {
-		t.Fatal("second kill not acknowledged with fin")
+	defer m.Close()
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Reset()
+		if err := m.Start(progs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset+Start allocated %v times, want 0", allocs)
 	}
-	pr.done = true
-	waitGoroutines(t, start)
 }
 
 // TestCloseAfterFailedStart pins that a Start cut short by a body failure
 // leaves nothing for Close to wait on: processes after the failed one were
-// never launched and count as done.
+// never launched and count as done. On a reset machine such a process still
+// has the body its earlier run left parked, which Close ends.
 func TestCloseAfterFailedStart(t *testing.T) {
 	start := runtime.NumGoroutine()
 	m, err := New(Config{Procs: 3, Width: 8, Model: CC})
@@ -198,9 +254,21 @@ func TestCloseAfterFailedStart(t *testing.T) {
 	c := m.NewCell("c", memory.Shared, 0)
 	read := ProgramFuncs{RunFunc: func(p *Proc) { p.Read(c) }}
 	fail := ProgramFuncs{RunFunc: func(*Proc) { panic("bind failed") }}
-	if err := m.Start([]Program{read, fail, read}); err == nil {
-		t.Fatal("Start should surface the body failure")
+	for _, earlier := range [][]Program{nil, {read, read, read}} {
+		if earlier != nil {
+			m.Reset()
+			if err := m.Start(earlier); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Reset()
+		if err := m.Start([]Program{read, fail, read}); err == nil {
+			t.Fatal("Start should surface the body failure")
+		}
+		if !m.ProcDone(2) || m.Poised(2) {
+			t.Fatal("process 2 was never launched and should count as done")
+		}
+		m.Close()
+		waitGoroutines(t, start)
 	}
-	m.Close()
-	waitGoroutines(t, start)
 }

@@ -165,7 +165,9 @@ func (m *Machine) NewCell(label string, owner int, init word.Word) memory.Cell {
 // Start launches one process per program. Processes are started one at a
 // time and each is run until its first shared-memory step (or completion),
 // so bodies never execute concurrently. After a Reset, Start reuses the
-// existing process structures and gate channels instead of allocating.
+// existing process structures, gate channels and body goroutines: each body
+// takes one kill verdict, unwinds the program Reset abandoned, and runs its
+// new one.
 func (m *Machine) Start(programs []Program) error {
 	if m.started {
 		return ErrStarted
@@ -195,13 +197,18 @@ func (m *Machine) Start(programs []Program) error {
 // Reset returns the machine to its post-construction, pre-Start state:
 // every cell reverts to its initial value with empty cache/accessor/watcher
 // sets, the trace and schedule buffers are truncated in place, all counters
-// clear, and process structures are retained for the next Start. Live
-// process goroutines are terminated first (as in Close), so Reset is legal
-// at any point, including mid-run and after Close.
+// clear, and process structures are retained for the next Start. Reset is
+// legal at any point, including mid-run and after Close.
 //
-// Reset itself allocates nothing. The Start that follows reuses the process
-// structures and gate channels and allocates only what launching one body
-// goroutine per process costs (see DESIGN.md §6 for the per-process count).
+// Reset leaves every body goroutine parked at the step gate, mid-program or
+// idle after its program ended, and the next Start relaunches each with one
+// kill verdict. So a machine that has been started must be Closed even
+// after a Reset, or its parked bodies leak.
+//
+// Once the bodies exist, neither Reset nor the Start that follows allocates
+// in the simulator: process structures, gate channels and body goroutines
+// are all reused, and what a reset run still allocates is its programs'
+// own (see DESIGN.md §6).
 //
 // Equivalence guarantee: a machine that is Reset and re-Started with an
 // identical construction replays byte-identical traces, schedules, and
@@ -209,11 +216,12 @@ func (m *Machine) Start(programs []Program) error {
 // TestResetEquivalence). Allocation stays sealed: NewCell after Reset
 // panics, because new cells would break that guarantee.
 func (m *Machine) Reset() {
-	if m.started && !m.closed {
-		m.killLive()
-	}
 	m.started = false
 	m.closed = false
+	for _, p := range m.procs {
+		// Until Start relaunches it, a process counts as done, as after New.
+		p.done, p.pending, p.parked = true, nil, false
+	}
 	for _, c := range m.cells {
 		c.val = c.init
 		c.cached.ClearAll()
@@ -248,6 +256,9 @@ func (m *Machine) waitQuiescent(p *Proc) error {
 		p.pending = &p.slot
 	}
 	if p.err != nil {
+		if errors.Is(p.err, errSwallowed) {
+			panic(swallowedKill(p))
+		}
 		return fmt.Errorf("sim: process %d failed: %w", p.id, p.err)
 	}
 	if p.done || !p.pending.isWait() {
@@ -518,35 +529,38 @@ func (m *Machine) record(ev Event) {
 	}
 }
 
-// Close shuts the machine down, terminating all process goroutines. It is
-// idempotent and must be called (typically deferred) to avoid goroutine
-// leaks when an execution is abandoned before all processes finish.
+// Close shuts the machine down and ends every body goroutine. It is
+// idempotent, and every machine that has been started must be Closed
+// (typically deferred) — whether its processes finished, were abandoned
+// mid-run, or were Reset — because bodies outlive both their programs and
+// Reset.
+//
+// Every controller call ends in waitQuiescent, so each body is blocked on
+// resumeCh: awaiting a verdict in its program or idle after its fin. One
+// kill-and-stop verdict unwinds the program, if any, and the body
+// acknowledges with fin and exits. Any other acknowledgement means
+// algorithm code swallowed the kill sentinel and went on announcing steps,
+// which no schedule can account for, so Close panics; Start does the same
+// when a relaunch is answered that way (see waitQuiescent).
 func (m *Machine) Close() {
-	if m.closed || !m.started {
-		m.closed = true
-		return
-	}
 	m.closed = true
-	m.killLive()
-}
-
-// killLive terminates every live body goroutine. Every controller call ends
-// in waitQuiescent, so a body that is not done is blocked on resumeCh
-// awaiting a verdict; the kill unwinds it and it acknowledges with its fin
-// message. Any other acknowledgement means algorithm code swallowed the
-// kill sentinel and went on announcing steps, which no schedule can
-// account for, so it panics.
-func (m *Machine) killLive() {
-	for _, pr := range m.procs {
-		if pr.done {
+	for _, p := range m.procs {
+		if !p.body {
 			continue
 		}
-		pr.resumeCh <- verdict{kill: true}
-		if ack := <-pr.pendingCh; !ack.fin {
-			panic(fmt.Sprintf("sim: process %d answered a kill with another operation, not fin", pr.id))
+		p.resumeCh <- verdict{kill: true, stop: true}
+		if ack := <-p.pendingCh; !ack.fin {
+			panic(swallowedKill(p))
 		}
-		pr.done = true
+		p.body = false
+		p.done = true
 	}
+}
+
+// swallowedKill is the panic message for a body that answered a kill with
+// another operation.
+func swallowedKill(p *Proc) string {
+	return fmt.Sprintf("sim: process %d answered a kill with another operation, not fin", p.id)
 }
 
 // --- controller queries -----------------------------------------------------

@@ -28,17 +28,26 @@ type Proc struct {
 
 	// Controller-side state; only touched while the body is blocked.
 	// pending points at slot, where the controller receives each
-	// announcement, so announcing allocates nothing.
+	// announcement, so announcing allocates nothing. body records that the
+	// body goroutine exists: it is started by the first launch and ended
+	// only by Machine.Close.
 	pending *stepReq
 	slot    stepReq
 	parked  bool
 	done    bool
+	body    bool
 	err     error
 	crashes int
 	steps   int
 	rmrCC   int
 	rmrDSM  int
 	tag     int
+
+	// Body-side state; only touched by the body goroutine. unwinding is set
+	// while a kill verdict unwinds the running program, and stopping when
+	// that verdict also ends the body.
+	unwinding bool
+	stopping  bool
 }
 
 var _ memory.Env = (*Proc)(nil)
@@ -55,29 +64,38 @@ type stepReq struct {
 	multi     []*simCell
 	multiPred func([]word.Word) bool
 
-	// fin marks the body's last message: the program returned (or failed with
-	// p.err set), or the body acknowledges a kill, and no further operations
-	// follow. Delivering completion on the announcement channel keeps every
-	// controller wait a plain channel receive instead of a two-way select —
-	// the step gate is the simulator's hottest path (see EXPERIMENTS.md E15).
+	// fin marks the last message of a program: it returned (or failed with
+	// p.err set), or the body acknowledges Close's kill, and no further
+	// operations follow. Delivering completion on the announcement channel
+	// keeps every controller wait a plain channel receive instead of a
+	// two-way select — the step gate is the simulator's hottest path (see
+	// EXPERIMENTS.md E15).
 	fin bool
 }
 
 // isWait reports whether the request is a multi-cell wait (not a step).
 func (r *stepReq) isWait() bool { return r.multi != nil }
 
-// verdict is the controller's response to an announced operation.
+// verdict is the controller's response to an announced operation, or the
+// next launch of a body that has sent its fin.
 type verdict struct {
 	ret   word.Word
 	vals  []word.Word // SpinUntilMulti results
 	crash bool
-	kill  bool
+	// kill abandons the running program, if any: the body unwinds it and
+	// runs the program installed since, or with stop set acknowledges with
+	// fin and exits.
+	kill bool
+	stop bool
 }
 
 // Sentinels unwinding the body goroutine.
 var (
 	errCrashed = errors.New("sim: crash step")
 	errKilled  = errors.New("sim: killed")
+	// errSwallowed marks an operation announced while a kill unwinds: the
+	// program recovered the kill sentinel (or a deferred call took a step).
+	errSwallowed = errors.New("sim: operation announced while unwinding a kill")
 )
 
 // newProc returns a process with no body goroutine, which counts as done
@@ -94,8 +112,8 @@ func newProc(m *Machine, id int) *Proc {
 
 // reset prepares the process for a (re-)launch: the program is installed
 // and all controller-side state and counters clear. The unbuffered gate
-// channels are reused: the previous body, if any, ended with its fin
-// message, so it holds neither and both are empty.
+// channels are reused: a body from an earlier launch is blocked receiving
+// on resumeCh, so neither channel holds a message.
 func (p *Proc) reset(program Program) {
 	p.program = program
 	p.pending = nil
@@ -109,22 +127,65 @@ func (p *Proc) reset(program Program) {
 	p.tag = 0
 }
 
-// launch starts the body goroutine. The controller must waitQuiescent
-// immediately after, so bodies never run concurrently.
+// launch runs the installed program up to its first announcement. The
+// controller must waitQuiescent immediately after, so bodies never run
+// concurrently. Only the first launch of a body starts its goroutine; a
+// body from an earlier Start is parked at the gate, either awaiting a
+// verdict in the program Reset abandoned or idle after its fin, and one
+// kill verdict relaunches it.
 func (p *Proc) launch() {
-	go p.runLoop()
+	if !p.body {
+		p.body = true
+		go p.serve()
+		return
+	}
+	// The abandoned program unwinds now, after p.reset and after
+	// mutex.Session.Reset has cleared the driver bodies. No body or
+	// algorithm defer reads that state or annotates the new run (SetTag,
+	// Mark); a deferred step is reported as errSwallowed.
+	p.resumeCh <- verdict{kill: true}
 }
 
-// runLoop runs the program, restarting with Recover after each crash step.
-// Its last act is always a fin message on the gate channel — after normal
-// completion, after a body failure (p.err set), and as the acknowledgement
-// of a kill — so the controller never waits on anything but pendingCh.
-func (p *Proc) runLoop() {
-	recovering := false
-	for p.runOnce(recovering) {
-		recovering = true
+// serve is the body goroutine, which lives until Close: it runs each
+// launched program, restarting with Recover after each crash step. Between
+// programs the controller waits on nothing but pendingCh: a program that
+// returns or fails ends with a fin message, and a killed one either hands
+// over to the next program's first announcement or acknowledges Close's
+// kill with fin.
+func (p *Proc) serve() {
+	for {
+		recovering := false
+		for p.runOnce(recovering) {
+			recovering = true
+		}
+		if !p.next() {
+			return
+		}
 	}
-	p.pendingCh <- stepReq{fin: true}
+}
+
+// next reports whether the body goes on to a newly installed program once
+// the current one has ended. A program that returned or failed sends its fin
+// and idles until the next launch or Close; a killed one has already
+// received its verdict. A stop is acknowledged with fin.
+//
+// next is kept out of line so that its locals do not widen serve's frame,
+// which stays live beneath every program the body runs: a larger frame
+// makes a body goroutine's first program grow its stack.
+//
+//go:noinline
+func (p *Proc) next() bool {
+	stop := p.stopping
+	if !p.unwinding {
+		p.pendingCh <- stepReq{fin: true}
+		stop = (<-p.resumeCh).stop
+	}
+	p.unwinding = false
+	if stop {
+		p.pendingCh <- stepReq{fin: true}
+		return false
+	}
+	return true
 }
 
 // runOnce executes Run or Recover and reports whether it ended in a crash
@@ -150,14 +211,20 @@ func (p *Proc) runOnce(recovering bool) (crashed bool) {
 }
 
 // announce parks the body at the step gate and returns the controller's
-// verdict: the step's result, or a multi-cell wait's values.
+// verdict: the step's result, or a multi-cell wait's values. An operation
+// announced while a kill unwinds is marked with errSwallowed, which the
+// controller turns into a panic.
 func (p *Proc) announce(req stepReq) verdict {
+	if p.unwinding {
+		p.err = errSwallowed
+	}
 	p.pendingCh <- req
 	v := <-p.resumeCh
 	if v.crash {
 		panic(errCrashed)
 	}
 	if v.kill {
+		p.unwinding, p.stopping = true, v.stop
 		panic(errKilled)
 	}
 	return v

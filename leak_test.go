@@ -15,7 +15,9 @@ import (
 //     their live and checkpoint sessions and in the sessions released to
 //     their workers;
 //   - a service run, whose pool workers each hold a session per batch size;
-//   - Worker.Close on a worker holding several sessions released mid-run.
+//   - Worker.Close on a worker holding several sessions released mid-run;
+//   - Close on a session Reset mid-run, whose bodies stay parked across the
+//     Reset.
 func TestNoGoroutineLeaks(t *testing.T) {
 	cases := []struct {
 		name string
@@ -75,6 +77,22 @@ func TestNoGoroutineLeaks(t *testing.T) {
 					runtime.NumGoroutine(), start+2+3+4)
 			}
 			w.Close()
+		}},
+		{"ResetClose", func(t *testing.T, start int) {
+			s, err := rme.NewSession(rme.Config{Procs: 3, Width: 8, Model: rme.CC, Algorithm: rme.MustAlgorithm("watree")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.StepProc(0); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			if runtime.NumGoroutine() < start+3 {
+				t.Fatalf("%d goroutines after Reset; want at least %d", runtime.NumGoroutine(), start+3)
+			}
+			s.Close()
 		}},
 	}
 	for _, c := range cases {
