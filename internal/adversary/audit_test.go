@@ -76,7 +76,7 @@ func oracleErasable(t *testing.T, a *Adversary, w *engine.Worker, p int) bool {
 		t.Fatal(err)
 	}
 	defer w.Release(fresh)
-	if err := applySchedule(fresh, restricted); err != nil {
+	if err := fresh.Replay(restricted); err != nil {
 		return false
 	}
 	if len(fresh.Violations()) > 0 {

@@ -1,8 +1,6 @@
 package adversary
 
 import (
-	"fmt"
-
 	"rme/internal/memory"
 	"rme/internal/mutex"
 	"rme/internal/sim"
@@ -142,7 +140,7 @@ func (a *Adversary) buildWithout(p int) (*mutex.Session, bool) {
 // is safe and indistinguishable from the live execution to every process
 // other than p that has not been removed.
 func (a *Adversary) replayMatches(fresh *mutex.Session, p int) bool {
-	if err := applySchedule(fresh, a.replay); err != nil {
+	if err := fresh.Replay(a.replay); err != nil {
 		return false
 	}
 	if len(fresh.Violations()) > 0 {
@@ -163,15 +161,4 @@ func (a *Adversary) replayMatches(fresh *mutex.Session, p int) bool {
 		}
 	}
 	return nm.CachesAgree(old, a.cacheMask)
-}
-
-// applySchedule drives a session through a schedule via the monitored
-// step/crash entry points.
-func applySchedule(s *mutex.Session, sched sim.Schedule) error {
-	for i, act := range sched {
-		if _, err := s.Apply(act); err != nil {
-			return fmt.Errorf("replay action %d (%s): %w", i, act, err)
-		}
-	}
-	return nil
 }

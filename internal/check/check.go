@@ -330,7 +330,7 @@ func expandRoot(cfg Config) ([]sim.Action, []uint64, *Result, error) {
 // scheduling within its own wave. After a wave completes, each branch's
 // clean delta is sealed: a budget-truncated branch contributes only the
 // states whose subtrees it finished exploring before the cut (see
-// cleanVisited) — the claims a cut left unwitnessed would be unsound to
+// noteBudgetCut) — the claims a cut left unwitnessed would be unsound to
 // share.
 //
 // A wave's first visit slices the budget its predecessors left unspent
@@ -467,7 +467,7 @@ func searchWaves(cfg Config, branches []sim.Action, sleeps []uint64) (*Result, e
 			sub, err := e.run(branches[i], sleeps[i])
 			subs[i] = sub
 			if store != nil {
-				deltas[k] = e.cleanVisited()
+				deltas[k] = e.visited
 			}
 			if first {
 				branchesDone.Inc()

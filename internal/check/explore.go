@@ -48,15 +48,13 @@ type explorer struct {
 	// visited and are merged by the orchestrator after the wave completes.
 	shared *sharedView
 
-	// ancestors and tainted implement partial sealing for budget-cut
+	// ancestors and budgetCut implement partial sealing for budget-cut
 	// branches (shared mode only). ancestors is the stack of fingerprints
-	// memoized on the current DFS path; tainted snapshots that stack at the
-	// first budget cut — exactly the states whose recorded claims the cut
-	// left unwitnessed (once a cap fires, no later node memoizes, so later
-	// cuts see only a prefix of the same stack). cleanVisited removes them
-	// before the delta is sealed for other branches.
+	// memoized on the current DFS path; at the first budget cut it holds
+	// exactly the states whose recorded claims the cut left unwitnessed, and
+	// noteBudgetCut deletes them from visited, so visited is the sealable
+	// delta when the branch returns.
 	ancestors []sim.Fingerprint
-	tainted   map[sim.Fingerprint]struct{}
 	budgetCut bool
 
 	// path is the action sequence from the root to the live session's state.
@@ -172,17 +170,17 @@ func (e *explorer) advance(act sim.Action) error {
 	return nil
 }
 
-// replay applies path[from:to] to s, which must be at state path[:from].
+// replay applies path[from:to] to s, which must be at state path[:from],
+// and counts the replayed actions.
 func (e *explorer) replay(s *mutex.Session, from, to int) error {
-	for _, act := range e.path[from:to] {
-		if _, err := s.Apply(act); err != nil {
-			return fmt.Errorf("check: replaying prefix %v: %w", e.path[:to], err)
-		}
-		e.res.MachineSteps++
-		e.res.ReplaySteps++
+	if err := s.Replay(e.path[from:to]); err != nil {
+		return fmt.Errorf("check: replaying prefix %v: %w", e.path[:to], err)
 	}
-	e.tm.machineSteps.Add(int64(to - from))
-	e.tm.replaySteps.Add(int64(to - from))
+	n := int64(to - from)
+	e.res.MachineSteps += n
+	e.res.ReplaySteps += n
+	e.tm.machineSteps.Add(n)
+	e.tm.replaySteps.Add(n)
 	return nil
 }
 
@@ -218,6 +216,7 @@ func (e *explorer) restore(target int) error {
 			return err
 		}
 		if err := e.replay(cs, 0, c); err != nil {
+			e.worker.Release(cs)
 			return err
 		}
 		e.cp = checkpoint{depth: c, sess: cs}
@@ -361,29 +360,22 @@ func (e *explorer) explore(sleep uint64) error {
 	return nil
 }
 
-// noteBudgetCut records, once, the states whose subtrees the budget cut
-// leaves incomplete: the memoized ancestors of the cut point. Their claims
-// must not be sealed for other branches (the exploration that would witness
-// them never finished); everything else in visited remains fully witnessed.
+// noteBudgetCut deletes from visited, at the first budget cut, the states
+// whose subtrees the cut leaves incomplete: the memoized ancestors of the
+// cut point. Their claims must not be sealed for other branches (the
+// exploration that would witness them never finished); everything else in
+// visited remains fully witnessed. Deleting them at the cut is final: once a
+// cap fires, every later node returns at a budget check, before memoize or
+// any visited or shared lookup, so later cuts see only a prefix of the same
+// stack and the set a wave seals is visited as the branch leaves it.
 func (e *explorer) noteBudgetCut() {
 	if e.budgetCut || e.shared == nil {
 		return
 	}
 	e.budgetCut = true
-	e.tainted = make(map[sim.Fingerprint]struct{}, len(e.ancestors))
 	for _, fp := range e.ancestors {
-		e.tainted[fp] = struct{}{}
-	}
-}
-
-// cleanVisited strips the tainted entries from the visited set and returns
-// it: the sealable subset of this branch's discoveries. For an untruncated
-// branch this is the whole set.
-func (e *explorer) cleanVisited() map[sim.Fingerprint]uint64 {
-	for fp := range e.tainted {
 		delete(e.visited, fp)
 	}
-	return e.visited
 }
 
 // memoize records fp as explored under the given sleep mask.

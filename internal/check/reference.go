@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rme/internal/engine"
-	"rme/internal/mutex"
 	"rme/internal/sim"
 )
 
@@ -49,12 +48,14 @@ func (e *refExplorer) explore(prefix sim.Schedule) error {
 		return err
 	}
 	release := func() { e.worker.Release(s) }
-	if err := refApplyPrefix(s, prefix, e.res); err != nil {
+	if err := s.Replay(prefix); err != nil {
 		release()
 		// The prefix was validated when it was constructed; failure here is
 		// an internal error.
 		return fmt.Errorf("check: replaying prefix %v: %w", prefix, err)
 	}
+	e.res.MachineSteps += int64(len(prefix))
+	e.res.ReplaySteps += int64(len(prefix))
 	if v := s.Violations(); len(v) > 0 {
 		e.res.Violations = append(e.res.Violations,
 			fmt.Sprintf("%s [schedule %s]", v[0], prefix))
@@ -110,17 +111,6 @@ func (e *refExplorer) explore(prefix sim.Schedule) error {
 		if err := e.explore(next); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-func refApplyPrefix(s *mutex.Session, prefix sim.Schedule, res *Result) error {
-	for _, act := range prefix {
-		if _, err := s.Apply(act); err != nil {
-			return err
-		}
-		res.MachineSteps++
-		res.ReplaySteps++
 	}
 	return nil
 }

@@ -8,7 +8,9 @@ package check
 import (
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"rme/internal/algorithms/ticket"
 	"rme/internal/algorithms/watree"
@@ -109,6 +111,30 @@ func TestMachineStepEconomy(t *testing.T) {
 	t.Logf("machine steps: reference %d, stateful %d (%.0fx)",
 		ref.MachineSteps, got.MachineSteps,
 		float64(ref.MachineSteps)/float64(got.MachineSteps))
+}
+
+// TestRestoreReleasesFailedCheckpoint: when a restore's checkpoint rebuild
+// fails, the checkpoint session it checked out goes back to the worker, so
+// close ends that session's bodies instead of leaving them parked. The path
+// holds only invalid actions, so the rebuild fails at its first one.
+func TestRestoreReleasesFailedCheckpoint(t *testing.T) {
+	start := runtime.NumGoroutine()
+	cfg := Config{Session: mutex.Config{Procs: 2, Width: 8, Model: sim.CC, Algorithm: yatree.New()}}
+	e := newExplorer(cfg.withDefaults(), 1, 1)
+	for i := 0; i < 40; i++ {
+		e.path = append(e.path, sim.Action{Proc: 99})
+	}
+	if err := e.restore(len(e.path)); err == nil {
+		t.Fatal("restore replayed a path of invalid actions")
+	}
+	e.close()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want %d: checkpoint session bodies leaked", runtime.NumGoroutine(), start)
+		}
+		runtime.Gosched()
+	}
 }
 
 // TestResultStableAcrossParallelism: the merged Result must be deep-equal at

@@ -13,8 +13,9 @@ import (
 // walkStates enumerates reachable session states (deduplicated by plain
 // StateKey) up to limit, invoking visit with the schedule that reached each
 // state and a live session positioned there. The walk is replay-based — a
-// fresh session per node — so it stays independent of the explorer machinery
-// it is used to validate.
+// fresh session per node, replayed through Session.Replay so the safety
+// monitor sees every step — so it stays independent of the explorer
+// machinery it is used to validate.
 func walkStates(t *testing.T, cfg mutex.Config, crashes, limit int, visit func(sim.Schedule, *mutex.Session)) int {
 	t.Helper()
 	seen := make(map[sim.Fingerprint]bool)
@@ -28,7 +29,7 @@ func walkStates(t *testing.T, cfg mutex.Config, crashes, limit int, visit func(s
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Machine().Apply(sched); err != nil {
+		if err := s.Replay(sched); err != nil {
 			s.Close()
 			t.Fatalf("applying %v: %v", sched, err)
 		}
@@ -82,6 +83,8 @@ func renameSchedule(sched sim.Schedule, procTo []int) sim.Schedule {
 // π-renamed schedule, the safety monitor's CS owner must map through π, and
 // the canonical state key must equal the brute-force minimum of the renamed
 // runs' plain StateKeys. Declarations are claims; this test is the evidence.
+// Each case must walk at least one state with a CS owner, so the owner check
+// is not vacuous.
 func TestSymmetryOracle(t *testing.T) {
 	const seed = 0x5eed
 	cases := []struct {
@@ -108,7 +111,11 @@ func TestSymmetryOracle(t *testing.T) {
 			if order < 2 {
 				t.Fatalf("expected a declared symmetry group, got order %d", order)
 			}
+			owned := 0
 			states := walkStates(t, tc.cfg, tc.crashes, tc.limit, func(sched sim.Schedule, s *mutex.Session) {
+				if s.CSOwner() >= 0 {
+					owned++
+				}
 				sym := s.Symmetry()
 				m := s.Machine()
 				canonical, _ := s.CanonicalStateKey(seed)
@@ -120,7 +127,7 @@ func TestSymmetryOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					renamed := renameSchedule(sched, procTo)
-					if err := s2.Machine().Apply(renamed); err != nil {
+					if err := s2.Replay(renamed); err != nil {
 						s2.Close()
 						t.Fatalf("variant %d: renamed schedule %v not runnable: %v", i, renamed, err)
 					}
@@ -151,6 +158,9 @@ func TestSymmetryOracle(t *testing.T) {
 			})
 			if states < 50 {
 				t.Fatalf("walk covered only %d states; bounds too tight to mean anything", states)
+			}
+			if owned == 0 {
+				t.Fatalf("none of the %d walked states has a CS owner; the owner check saw nothing", states)
 			}
 		})
 	}

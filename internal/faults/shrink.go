@@ -147,6 +147,11 @@ func (sh *shrinker) fails(cand sim.Schedule) (sim.Schedule, bool) {
 
 // applyAction delivers one schedule action, reporting false when it no
 // longer applies (the candidate diverged from the captured execution).
+// Candidates replay through this loop rather than mutex.Session.Replay on
+// purpose: a step on a parked process means a shrunk candidate diverged,
+// while an erasure audit lets such a step re-probe and leaves the verdict to
+// its observables comparison, so one shared loop would have to branch on its
+// caller.
 func applyAction(s *mutex.Session, act sim.Action) bool {
 	// Steps in captured schedules always hit poised processes; a parked
 	// re-probe here means the candidate diverged.

@@ -70,7 +70,7 @@ func runE12(opts Options) ([]Table, error) {
 			return nil, fmt.Errorf("E12: unexpected algorithm type")
 		}
 		fan := depthAlg.Fanout(word.Width(tc.w), n)
-		depth := ceilLogInt(fan, n)
+		depth := word.CeilLog(fan, n)
 
 		solo, sat := results[2*i], results[2*i+1]
 		if solo.Err != nil {
@@ -107,13 +107,4 @@ func soloCollect(s *mutex.Session) (interface{}, error) {
 		}
 	}
 	return nil, fmt.Errorf("no passage stats")
-}
-
-func ceilLogInt(base, n int) int {
-	l, p := 0, 1
-	for p < n {
-		p *= base
-		l++
-	}
-	return l
 }

@@ -332,15 +332,7 @@ func runE3(opts Options) ([]Table, error) {
 }
 
 func randomHypergraph(rng *rand.Rand, k, size int) ([]hypergraph.Edge, [][]hypergraph.Vertex) {
-	parts := make([][]hypergraph.Vertex, k)
-	id := 0
-	for i := range parts {
-		parts[i] = make([]hypergraph.Vertex, size)
-		for j := range parts[i] {
-			parts[i][j] = hypergraph.Vertex(id)
-			id++
-		}
-	}
+	parts := completeParts(k, size)
 	total := 1
 	for i := 0; i < k; i++ {
 		total *= size
@@ -413,6 +405,8 @@ func runE4(opts Options) ([]Table, error) {
 	return []Table{t}, nil
 }
 
+// completeParts returns k parts of size vertices each, numbered
+// consecutively from 0.
 func completeParts(k, size int) [][]hypergraph.Vertex {
 	parts := make([][]hypergraph.Vertex, k)
 	id := 0

@@ -254,6 +254,18 @@ func (s *Session) Apply(a sim.Action) (sim.Event, error) {
 	return s.StepProc(a.Proc)
 }
 
+// Replay re-executes a recorded schedule: it delivers each action through
+// Apply, so the safety monitors observe every step, and wraps the first
+// failure with the action's index.
+func (s *Session) Replay(sched sim.Schedule) error {
+	for i, a := range sched {
+		if _, err := s.Apply(a); err != nil {
+			return fmt.Errorf("replay action %d (%s): %w", i, a, err)
+		}
+	}
+	return nil
+}
+
 // CrashAllProcs delivers a crash step to every live process at once — the
 // system-wide failure model of Golab–Hendler [11] and Jayanti–Jayanti–Joshi
 // [14], which the paper contrasts with its individual-crash model (§4: the
@@ -524,10 +536,7 @@ func (b *driverBody) reset() {
 func (b *driverBody) Run(p *sim.Proc) {
 	b.p = p
 	b.handle = b.s.inst.Bind(p)
-	for b.completed < b.s.cfg.Passes {
-		b.runSuper()
-	}
-	b.setTag(TagRemainder)
+	b.runRemaining()
 }
 
 // Recover is invoked by the machine after each crash step.
@@ -539,10 +548,7 @@ func (b *driverBody) Recover(p *sim.Proc) {
 		b.setTag(TagRecover)
 		switch st := b.handle.Recover(); st {
 		case RecoverAcquired:
-			b.criticalSection()
-			b.setTag(TagExit)
-			b.handle.Unlock()
-			b.finishSuper()
+			b.criticalSectionThenExit()
 		case RecoverReleased:
 			b.finishSuper()
 		case RecoverIdle:
@@ -563,6 +569,12 @@ func (b *driverBody) Recover(p *sim.Proc) {
 		}
 		b.closePassage(false)
 	}
+	b.runRemaining()
+}
+
+// runRemaining runs the super-passages the process still owes, then leaves
+// it in the remainder section.
+func (b *driverBody) runRemaining() {
 	for b.completed < b.s.cfg.Passes {
 		b.runSuper()
 	}
@@ -582,16 +594,18 @@ func (b *driverBody) runSuper() {
 	b.inSuper = true
 	b.setTag(TagEntry)
 	b.handle.Lock()
-	b.criticalSection()
+	b.criticalSectionThenExit()
+}
+
+// criticalSectionThenExit runs the critical section — the single
+// RMR-incurring step of assumption (A2) — and the exit protocol, and closes
+// the super-passage.
+func (b *driverBody) criticalSectionThenExit() {
+	b.setTag(TagCS)
+	b.p.Write(b.s.csCell, word.Word(b.id+1))
 	b.setTag(TagExit)
 	b.handle.Unlock()
 	b.finishSuper()
-}
-
-// criticalSection performs the single RMR-incurring step of assumption (A2).
-func (b *driverBody) criticalSection() {
-	b.setTag(TagCS)
-	b.p.Write(b.s.csCell, word.Word(b.id+1))
 }
 
 func (b *driverBody) beginPassage(recovery bool) {

@@ -2,6 +2,7 @@ package mutex_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -93,8 +94,9 @@ func TestRunRandomDeterministicPerSeed(t *testing.T) {
 
 // TestApplyReplaysCrashesAndSteps: Apply routes crash actions to CrashProc
 // and the rest to StepProc, so replaying a random crash run's schedule
-// action by action reproduces it exactly, and a crash action on a
-// non-recoverable algorithm is refused as CrashProc refuses it.
+// action by action, or whole through Replay, reproduces it exactly; a crash
+// action on a non-recoverable algorithm is refused as CrashProc refuses it,
+// and Replay names the refused action's index.
 func TestApplyReplaysCrashesAndSteps(t *testing.T) {
 	cfg := mutex.Config{Procs: 3, Width: 8, Model: sim.CC, Algorithm: rspin.New(), Passes: 2}
 	orig, err := mutex.NewSession(cfg)
@@ -109,18 +111,33 @@ func TestApplyReplaysCrashesAndSteps(t *testing.T) {
 	if !strings.Contains(want.String(), "^") {
 		t.Fatalf("seed 7 schedule has no crash action: %s", want)
 	}
-	replay, err := mutex.NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer replay.Close()
-	for _, a := range want {
-		if _, err := replay.Apply(a); err != nil {
-			t.Fatalf("Apply(%v): %v", a, err)
+	applyEach := func(s *mutex.Session, sched sim.Schedule) error {
+		for _, a := range sched {
+			if _, err := s.Apply(a); err != nil {
+				return fmt.Errorf("Apply(%v): %w", a, err)
+			}
 		}
+		return nil
 	}
-	if got := replay.Machine().Schedule(); got.String() != want.String() {
-		t.Fatalf("replayed schedule differs:\n got %s\nwant %s", got, want)
+	ways := []struct {
+		name   string
+		replay func(*mutex.Session, sim.Schedule) error
+	}{
+		{"Apply", applyEach},
+		{"Replay", (*mutex.Session).Replay},
+	}
+	for _, way := range ways {
+		replay, err := mutex.NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer replay.Close()
+		if err := way.replay(replay, want); err != nil {
+			t.Fatalf("%s: %v", way.name, err)
+		}
+		if got := replay.Machine().Schedule(); got.String() != want.String() {
+			t.Fatalf("%s: replayed schedule differs:\n got %s\nwant %s", way.name, got, want)
+		}
 	}
 
 	s, err := mutex.NewSession(mutex.Config{Procs: 2, Width: 8, Model: sim.CC, Algorithm: tas.New()})
@@ -130,6 +147,10 @@ func TestApplyReplaysCrashesAndSteps(t *testing.T) {
 	defer s.Close()
 	if _, err := s.Apply(sim.Action{Proc: 0, Crash: true}); err == nil {
 		t.Fatal("Apply delivered a crash to a non-recoverable algorithm")
+	}
+	err = s.Replay(sim.Schedule{{Proc: 0}, {Proc: 1, Crash: true}})
+	if err == nil || !strings.HasPrefix(err.Error(), "replay action 1 (1^): ") {
+		t.Fatalf("Replay of a crash on a non-recoverable algorithm: got %v, want a replay action 1 (1^) error", err)
 	}
 }
 

@@ -86,7 +86,7 @@ func TestFingerprintEqualAcrossReplay(t *testing.T) {
 	m1 := newFPMachine(t, 3, 2)
 	sched := drive(t, m1, []int{0, 1, 2, 2, 1, 0, 0, 1, 2, 0})
 	m2 := newFPMachine(t, 3, 2)
-	if err := m2.Apply(sched); err != nil {
+	if err := replaySchedule(m2, sched); err != nil {
 		t.Fatal(err)
 	}
 	if g, w := m2.Fingerprint(7), m1.Fingerprint(7); g != w {
@@ -257,7 +257,7 @@ func FuzzFingerprint(f *testing.F) {
 		// or both reads.
 		m2 := mk()
 		defer m2.Close()
-		if err := m2.Apply(taken[:k]); err != nil {
+		if err := replaySchedule(m2, taken[:k]); err != nil {
 			t.Fatal(err)
 		}
 		a, b := taken[k], taken[k+1]
@@ -275,7 +275,7 @@ func FuzzFingerprint(f *testing.F) {
 		if swapped {
 			rest = append(Schedule{b, a}, taken[k+2:]...)
 		}
-		if err := m2.Apply(rest); err != nil {
+		if err := replaySchedule(m2, rest); err != nil {
 			t.Fatal(err)
 		}
 		c1 := m1.CanonicalState(nil)

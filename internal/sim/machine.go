@@ -506,22 +506,6 @@ func (m *Machine) Crash(p int) (Event, error) {
 	return ev, m.resume(pr, verdict{crash: true})
 }
 
-// Apply executes a schedule, action by action.
-func (m *Machine) Apply(s Schedule) error {
-	for i, a := range s {
-		var err error
-		if a.Crash {
-			_, err = m.Crash(a.Proc)
-		} else {
-			_, err = m.Step(a.Proc)
-		}
-		if err != nil {
-			return fmt.Errorf("apply action %d (%s): %w", i, a, err)
-		}
-	}
-	return nil
-}
-
 // record appends an event to the trace unless tracing is disabled.
 func (m *Machine) record(ev Event) {
 	if !m.cfg.NoTrace {

@@ -414,7 +414,7 @@ func TestReplayDeterminism(t *testing.T) {
 		{Proc: 2}, {Proc: 0}, {Proc: 2}, {Proc: 1}, {Proc: 1, Crash: true},
 		{Proc: 1}, {Proc: 0}, {Proc: 2}, {Proc: 0}, {Proc: 1}, {Proc: 2}, {Proc: 0},
 	}
-	if err := m1.Apply(script); err != nil {
+	if err := replaySchedule(m1, script); err != nil {
 		t.Fatal(err)
 	}
 
@@ -423,7 +423,7 @@ func TestReplayDeterminism(t *testing.T) {
 	if err := m2.Start(progs2); err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.Apply(m1.Schedule()); err != nil {
+	if err := replaySchedule(m2, m1.Schedule()); err != nil {
 		t.Fatal(err)
 	}
 
