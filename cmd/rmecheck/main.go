@@ -7,7 +7,7 @@
 //
 //	rmecheck [-alg watree] [-n 2] [-w 8] [-model cc] [-crashes 1] [-max 50000] [-stress 200] [-seed S] [-parallel N]
 //	         [-memo] [-por] [-symmetry] [-maxstates N] [-json]
-//	         [-sharedset] [-wave K] [-maxwaves K] [-membudget BYTES] [-spilldir DIR] [-resume]
+//	         [-sharedset] [-wave K] [-maxwaves K] [-spilldir DIR] [-resume]
 //	         [-trace FILE] [-traceformat jsonl|chrome] [-top N]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //	         [-heartbeat DUR] [-metrics FILE] [-debugaddr ADDR]
@@ -34,11 +34,12 @@
 // -symmetry canonicalizes state keys over the algorithm's declared process
 // symmetry group (algorithms with no declaration are unaffected); -sharedset
 // shares visited sets across root branches in waves of -wave branches
-// (deterministic at any -parallel); -membudget/-spilldir bound resident
-// visited-set memory by spilling sealed waves to sorted run files, and with
-// -spilldir every wave is checkpointed so an interrupted run can continue
+// (deterministic at any -parallel); -spilldir checkpoints every sealed wave
+// as a sorted run file plus a manifest, so an interrupted run can continue
 // with -resume (the resumed Result is byte-identical to an uninterrupted
-// run). -maxwaves stops a run after K waves to stage long certifications.
+// run). The visited sets themselves stay in memory; the files exist only to
+// be resumed from. -maxwaves stops a run after K waves to stage long
+// certifications.
 //
 // The checker itself runs trace-free (it replays millions of branches);
 // -trace exports the step-level story of the crash-free round-robin
@@ -141,8 +142,7 @@ func run(args []string) error {
 	sharedSet := fs.Bool("sharedset", false, "share visited sets across root branches in sealed waves (implies -memo)")
 	wave := fs.Int("wave", check.DefaultWaveSize, "root branches per wave for -sharedset")
 	maxWaves := fs.Int("maxwaves", 0, "stop the -sharedset search after this many waves (0 = run all; pairs with -spilldir/-resume)")
-	memBudget := fs.Int64("membudget", 0, "resident bytes allowed for sealed shared sets before spilling to disk (0 = unbounded)")
-	spillDir := fs.String("spilldir", "", "directory for spilled waves and the resume checkpoint")
+	spillDir := fs.String("spilldir", "", "checkpoint every sealed wave to this directory (for -resume)")
 	resume := fs.Bool("resume", false, "continue a checkpointed -sharedset run from -spilldir")
 	jsonOut := fs.Bool("json", false, "emit one JSON report on stdout instead of text")
 	diag := cliutil.Flags(fs)
@@ -185,7 +185,6 @@ func run(args []string) error {
 			SharedVisited:  *sharedSet,
 			WaveSize:       *wave,
 			MaxWaves:       *maxWaves,
-			MemBudget:      *memBudget,
 			SpillDir:       *spillDir,
 			Resume:         *resume,
 			Telemetry:      diag.Registry(),
@@ -204,8 +203,9 @@ func run(args []string) error {
 
 		// The semantic configuration for the perf ledger: every flag that
 		// shapes the Result, never the execution layout (-parallel),
-		// spill plumbing (-membudget, -spilldir, -resume — results are
-		// byte-identical with or without spilling), or observability flags.
+		// checkpoint plumbing (-spilldir, -resume — results are
+		// byte-identical with or without a checkpoint), or observability
+		// flags.
 		m := perflog.New("rmecheck")
 		m.SetConfig("alg", alg.Name())
 		m.SetConfig("n", *n)
@@ -241,7 +241,7 @@ func run(args []string) error {
 // in complete schedules against the schedule cap. Either way the ratios
 // expose the prune and replay economics of the stateful explorer. Shared-set
 // runs additionally surface wave progress and the cross-branch share of the
-// prune traffic, so a long spill-backed certification is watchable live.
+// prune traffic, so a long checkpointed certification is watchable live.
 func telemetryView(memo, sharedSet bool) telemetry.View {
 	v := telemetry.View{
 		Progress: "check_schedules_complete",

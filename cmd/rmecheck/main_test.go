@@ -122,7 +122,7 @@ func TestJSONReportShape(t *testing.T) {
 func TestJSONReportScaleOutShape(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-alg", "rspin", "-n", "2", "-crashes", "1", "-max", "20000", "-stress", "0",
-		"-symmetry", "-sharedset", "-wave", "1", "-spilldir", dir, "-membudget", "4096", "-json"}
+		"-symmetry", "-sharedset", "-wave", "1", "-spilldir", dir, "-json"}
 	out, err := captureStdout(t, func() error { return run(args) })
 	if err != nil {
 		t.Fatal(err)

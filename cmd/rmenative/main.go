@@ -212,7 +212,7 @@ func runPoint(alg mutex.Algorithm, n int, w word.Width, passes, warmup, crashEve
 	gmp := runtime.GOMAXPROCS(n)
 	defer runtime.GOMAXPROCS(gmp)
 
-	hist := reg.Histogram(fmt.Sprintf("native_latency_ns_%s_n%d", metricName(alg.Name()), n), latencyBounds)
+	hist := reg.Histogram(telemetry.SanitizeName(fmt.Sprintf("native_latency_ns_%s_n%d", alg.Name(), n)), latencyBounds)
 	passCtr := reg.Counter("native_passages")
 
 	samples := make([][]int64, n)
@@ -350,19 +350,6 @@ func parseInts(list string) ([]int, error) {
 		return nil, fmt.Errorf("empty list")
 	}
 	return out, nil
-}
-
-// metricName sanitizes an algorithm name for the telemetry registry's
-// Prometheus-compatible charset (e.g. "watree(f=2)" -> "watree_f_2_").
-func metricName(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == ':':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
 }
 
 // ns renders a nanosecond latency compactly.

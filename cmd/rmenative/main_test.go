@@ -101,14 +101,20 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestMetricName: a latency series is its full name passed through
+// telemetry.SanitizeName, so algorithm names outside the Prometheus charset
+// ("watree(f=2)", "watree+fast") still give valid, distinct series.
 func TestMetricName(t *testing.T) {
-	for in, want := range map[string]string{
-		"mcs":         "mcs",
-		"watree(f=2)": "watree_f_2_",
-		"watree+fast": "watree_fast",
-	} {
-		if got := metricName(in); got != want {
-			t.Errorf("metricName(%q) = %q, want %q", in, got, want)
+	const passes = 10
+	ms := ledgerRun(t, "-algs", "mcs,watree2,watree-fast", "-procs", "1", "-passes", strconv.Itoa(passes),
+		"-warmup", "1", "-nosim", "-heartbeat", "1h")
+	want := []string{"native_latency_ns_mcs_n1", "native_latency_ns_watree_f_2__n1", "native_latency_ns_watree_fast_n1"}
+	if len(ms) != len(want) {
+		t.Fatalf("manifests = %d, want %d", len(ms), len(want))
+	}
+	for i, m := range ms {
+		if got := m.Telemetry[want[i]+"_count"]; got != passes {
+			t.Errorf("%s: %s_count = %d, want %d", m.Config["alg"], want[i], got, passes)
 		}
 	}
 }

@@ -87,13 +87,10 @@ type Config struct {
 	// completed waves, so a later Resume run picks up where this one stopped.
 	// Ignored without SharedVisited.
 	MaxWaves int
-	// MemBudget > 0 bounds the resident bytes of sealed shared sets: the
-	// oldest waves past the budget are served from their spill files
-	// (SpillDir, or a private temporary directory when unset). Pruning, and
-	// therefore the Result, is unaffected.
-	MemBudget int64
-	// SpillDir, when set, persists every sealed wave and a manifest
-	// checkpoint to this directory, enabling Resume and MemBudget eviction.
+	// SpillDir, when set, checkpoints every sealed wave (a sorted run file)
+	// and the search state (a manifest) to this directory, enabling Resume.
+	// The files are written only for Resume: the search always consults the
+	// sealed sets in memory, so the Result is the same with or without it.
 	SpillDir string
 	// Resume continues a checkpointed shared-set run from SpillDir. The
 	// configuration must match the checkpoint (a config digest is verified);
@@ -355,7 +352,6 @@ func searchWaves(cfg Config, branches []sim.Action, sleeps []uint64) (*Result, e
 		if store, err = newSharedStore(cfg); err != nil {
 			return nil, err
 		}
-		defer store.close()
 	}
 	nWaves := ceilDiv(nb, width)
 

@@ -140,7 +140,7 @@ func comparePlain(t *testing.T, c diffCase, got, ref *Result) {
 
 // compareReduced checks every reduction mode's verdicts against the
 // reference's. The scale-out mechanisms (symmetry canonicalization, shared
-// visited sets, disk spill) are reduction modes like memo and POR: each
+// visited sets) are reduction modes like memo and POR: each
 // combination must keep the reference's verdict and produce replayable
 // counterexamples. Algorithms with no declared symmetry group exercise the
 // symmetry modes as exact no-ops, which is itself part of the contract.
@@ -158,9 +158,6 @@ func compareReduced(t *testing.T, cfg Config, ref *Result) {
 		{"shared", func(c *Config) { c.SharedVisited, c.WaveSize = true, 2 }},
 		{"shared+por+sym", func(c *Config) {
 			c.SharedVisited, c.WaveSize, c.POR, c.Symmetry = true, 2, true, true
-		}},
-		{"shared+spill", func(c *Config) {
-			c.SharedVisited, c.WaveSize, c.MemBudget = true, 2, 1
 		}},
 	} {
 		cfg := cfg

@@ -28,9 +28,8 @@ const (
 //   - the Result is identical at Parallel 1 and 3 (budgets, reruns and seals
 //     are functions of merged sub-results, never of scheduling);
 //   - a shared-set search that seals at least two waves, killed after a
-//     fuzzed wave with its sealed waves spilled (a MemBudget of 1–2 bytes
-//     serves every one from disk) and then resumed at Parallel 2, returns
-//     the uninterrupted Result;
+//     fuzzed wave with its sealed waves checkpointed and then resumed from
+//     the run files at Parallel 2, returns the uninterrupted Result;
 //   - a Result that reports a violation or deadlock, truncated or not, still
 //     reports one when both caps double (more budget never hides a failure);
 //   - an untruncated Result is unchanged when both caps double;
@@ -54,8 +53,8 @@ func FuzzExhaustiveBudget(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint8(0), uint8(fuzzShared|fuzzPOR|fuzzSymmetry), uint8(0), uint16(500), uint16(9000))
 	f.Add(uint8(6), uint8(0), uint8(1), uint8(fuzzMemo), uint8(0), uint16(97), uint16(950))            // broken: truncated, 5 violations
 	f.Add(uint8(6), uint8(0), uint8(1), uint8(fuzzShared), uint8(0), uint16(27), uint16(150))          // broken shared: truncated, 1 violation
-	f.Add(uint8(2), uint8(0), uint8(1), uint8(fuzzShared), uint8(0), uint16(101), uint16(1001))        // rspin 4 waves: kill after 3, disk-served
-	f.Add(uint8(4), uint8(0), uint8(1), uint8(fuzzShared|fuzzPOR), uint8(0), uint16(61), uint16(1501)) // watree 4 waves: kill after 2, disk-served
+	f.Add(uint8(2), uint8(0), uint8(1), uint8(fuzzShared), uint8(0), uint16(101), uint16(1001))        // rspin 4 waves: kill after 3, resumed
+	f.Add(uint8(4), uint8(0), uint8(1), uint8(fuzzShared|fuzzPOR), uint8(0), uint16(61), uint16(1501)) // watree 4 waves: kill after 2, resumed
 	f.Fuzz(func(t *testing.T, algSel, nSel, crashSel, flags, waveSel uint8, schedSel, stateSel uint16) {
 		algs := []func() mutex.Algorithm{
 			func() mutex.Algorithm { return tas.New() },
@@ -108,14 +107,13 @@ func FuzzExhaustiveBudget(f *testing.F) {
 			killed := cfg
 			killed.SpillDir = t.TempDir()
 			killed.MaxWaves = 1 + int(schedSel)%(one.Waves-1)
-			killed.MemBudget = int64(stateSel % 3)
 			run(killed, 1)
 			resumed := killed
 			resumed.Resume = true
 			resumed.MaxWaves = 0
 			if got := run(resumed, 2); !reflect.DeepEqual(one, got) {
-				t.Fatalf("Result differs after a kill at wave %d (MemBudget %d) and a resume:\n%+v\nvs\n%+v",
-					killed.MaxWaves, killed.MemBudget, one, got)
+				t.Fatalf("Result differs after a kill at wave %d and a resume:\n%+v\nvs\n%+v",
+					killed.MaxWaves, one, got)
 			}
 		}
 		if one.Truncated && one.Ok() {

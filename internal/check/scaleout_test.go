@@ -1,7 +1,7 @@
 package check_test
 
 // Scale-out tests for the n=4 campaign machinery: symmetry reduction ratios,
-// shared-visited-set determinism and budget composition, and the disk-spill
+// shared-visited-set determinism and budget composition, and the
 // checkpoint/resume path. Everything here drives the public check API only;
 // the soundness of the symmetry declarations themselves is established by
 // TestSymmetryOracle, and verdict parity of every reduction mode by the
@@ -23,6 +23,7 @@ import (
 	"rme/internal/check"
 	"rme/internal/mutex"
 	"rme/internal/sim"
+	"rme/internal/telemetry"
 )
 
 func scaleCfg(alg mutex.Algorithm, n, crashes int) check.Config {
@@ -239,37 +240,10 @@ func TestSpillResumeKillEquality(t *testing.T) {
 	}
 }
 
-// TestSpillMemBudgetParity: serving sealed waves from their spill files
-// instead of resident maps must not change a single Result byte. MemBudget=1
-// forces every sealed wave to disk immediately.
-func TestSpillMemBudgetParity(t *testing.T) {
-	want := mustExhaustive(t, certConfig(t, t.TempDir()))
-	spilled := mustExhaustive(t, func() check.Config {
-		cfg := certConfig(t, t.TempDir())
-		cfg.MemBudget = 1
-		return cfg
-	}())
-	if !reflect.DeepEqual(want, spilled) {
-		t.Fatalf("MemBudget-spilled Result differs from resident run:\n%+v\nvs\n%+v", want, spilled)
-	}
-
-	// MemBudget without a SpillDir spills to a private scratch directory.
-	scratch := mustExhaustive(t, func() check.Config {
-		cfg := scaleCfg(rspin.New(), 2, 1)
-		cfg.Symmetry = true
-		cfg.SharedVisited = true
-		cfg.WaveSize = 1
-		cfg.MemBudget = 1
-		return cfg
-	}())
-	if !reflect.DeepEqual(want, scratch) {
-		t.Fatalf("scratch-dir spill Result differs:\n%+v\nvs\n%+v", want, scratch)
-	}
-}
-
 // TestResumeValidation pins the failure modes: Resume demands SharedVisited
-// and SpillDir, a checkpoint must exist, and a checkpoint written by a
-// different configuration is rejected by digest before any exploration.
+// and SpillDir, a checkpoint must exist, a checkpoint written by a
+// different configuration is rejected by digest, and a damaged one by the
+// run loader, all before any exploration.
 func TestResumeValidation(t *testing.T) {
 	cfg := scaleCfg(rspin.New(), 2, 1)
 	cfg.Resume = true
@@ -294,6 +268,76 @@ func TestResumeValidation(t *testing.T) {
 	mismatched.Seed = 17 // part of the config digest
 	if _, err := check.Exhaustive(mismatched); err == nil || !strings.Contains(err.Error(), "configuration") {
 		t.Fatalf("Resume with mismatched config: got err %v", err)
+	}
+
+	// A damaged checkpoint fails in the loader, with an error naming the run
+	// file or the wave, before any exploration.
+	for _, tc := range []struct {
+		name, want string
+		damage     func(t *testing.T, dir string)
+	}{
+		{"run size disagrees with its header count", "wave0000.run", func(t *testing.T, dir string) {
+			path := filepath.Join(dir, "wave0000.run")
+			run, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One record past the header count: the records the count covers
+			// still read back, so only the size check can notice.
+			const recordSize = 24
+			if err := os.WriteFile(path, append(run, make([]byte, recordSize)...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"run entry count disagrees with the manifest", "wave 0", func(t *testing.T, dir string) {
+			editManifest(t, dir, func(man map[string]any) {
+				run := man["runs"].([]any)[0].(map[string]any)
+				run["entries"] = run["entries"].(float64) + 1
+			})
+		}},
+		{"manifest has no run for a sealed wave", "sealed wave 0", func(t *testing.T, dir string) {
+			editManifest(t, dir, func(man map[string]any) { man["runs"] = []any{} })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			partial := certConfig(t, dir)
+			partial.MaxWaves = 1
+			mustExhaustive(t, partial)
+			tc.damage(t, dir)
+
+			resume := certConfig(t, dir)
+			resume.Resume = true
+			reg := telemetry.New()
+			resume.Telemetry = reg
+			if _, err := check.Exhaustive(resume); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Resume over a damaged checkpoint: got err %v, want one naming %q", err, tc.want)
+			}
+			if steps := reg.Snapshot().Flat()["check_machine_steps"]; steps != 0 {
+				t.Fatalf("Resume explored %d machine steps before rejecting the checkpoint", steps)
+			}
+		})
+	}
+}
+
+// editManifest rewrites the checkpoint manifest in dir through edit.
+func editManifest(t *testing.T, dir string, edit func(map[string]any)) {
+	t.Helper()
+	path := filepath.Join(dir, "manifest.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatal(err)
+	}
+	edit(man)
+	if data, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -430,12 +474,11 @@ func TestCanonicalKeyCollisionCensus(t *testing.T) {
 }
 
 // n4CertConfig is the gated n=4 certification slice: rspin with one crash
-// per process, every reduction on, one branch per wave, checkpointed spill
-// under a memory budget that forces the big first wave to disk. The full
-// n=4 crash tree is far beyond exhaustive reach, so the state cap bounds
-// the slice; the certified properties are that the bounded run finishes
-// under the memory budget, finds nothing, and reproduces byte-identically
-// from a mid-flight checkpoint.
+// per process, every reduction on, one branch per wave, every sealed wave
+// checkpointed to a run file. The full n=4 crash tree is far beyond
+// exhaustive reach, so the state cap bounds the slice; the certified
+// properties are that the bounded run finds nothing and reproduces
+// byte-identically from a mid-flight checkpoint.
 func n4CertConfig(dir string) check.Config {
 	cfg := scaleCfg(rspin.New(), 4, 1)
 	cfg.Symmetry = true
@@ -444,14 +487,13 @@ func n4CertConfig(dir string) check.Config {
 	cfg.MaxSchedules = 10_000_000
 	cfg.MaxStates = 300_000
 	cfg.SpillDir = dir
-	cfg.MemBudget = 8 << 20
 	return cfg
 }
 
 // TestCertifyN4 is the env-gated n=4 certification (RME_CHECK_N4=1; several
 // minutes of CPU). Crash-free rspin n=4 is certified in full under the
-// symmetry reduction; the crash-budget slice exercises spill and the
-// checkpoint/resume byte-identity acceptance.
+// symmetry reduction; the crash-budget slice exercises the checkpoint
+// and the resume byte-identity acceptance.
 func TestCertifyN4(t *testing.T) {
 	if os.Getenv("RME_CHECK_N4") == "" {
 		t.Skip("set RME_CHECK_N4=1 to run the n=4 certification")

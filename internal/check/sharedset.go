@@ -9,23 +9,16 @@ import (
 	"rme/internal/telemetry"
 )
 
-// sharedStore holds the sealed visited sets, one generation per wave. A
-// generation lives as an in-memory map, a sorted spill-run file, or both;
-// MemBudget evicts the oldest resident maps once their run files exist.
-// During a wave the sealed generations are strictly read-only, so concurrent
-// branch lookups need no locking.
+// sharedStore holds the sealed visited sets, one in-memory generation per
+// wave. With a SpillDir every generation is also written as a sorted run
+// file — a checkpoint only: Resume reads the runs back into generations and
+// lookups never touch disk. During a wave the sealed generations are
+// strictly read-only, so concurrent branch lookups need no locking.
 type sharedStore struct {
-	dir       string
-	ownsDir   bool
-	memBudget int64
-	waves     []storeWave
+	dir   string
+	waves []map[sim.Fingerprint]uint64
 
 	spillRuns, spillEntries, spillBytes *telemetry.Gauge
-}
-
-type storeWave struct {
-	mem map[sim.Fingerprint]uint64
-	run *spillRun
 }
 
 // sharedView is an explorer's read window onto the store: generations
@@ -43,12 +36,8 @@ type sharedView struct {
 // intersected with each other — two witnesses for W1 and W2 do not witness
 // W1∩W2.
 func (v *sharedView) filter(fp sim.Fingerprint, mask uint64) (prune bool, out uint64) {
-	n := v.maxGen
-	if n > len(v.store.waves) {
-		n = len(v.store.waves)
-	}
-	for g := 0; g < n; g++ {
-		stored, ok := v.store.waves[g].lookup(fp)
+	for _, gen := range v.store.waves[:min(v.maxGen, len(v.store.waves))] {
+		stored, ok := gen[fp]
 		if !ok {
 			continue
 		}
@@ -60,35 +49,14 @@ func (v *sharedView) filter(fp sim.Fingerprint, mask uint64) (prune bool, out ui
 	return false, mask
 }
 
-func (w *storeWave) lookup(fp sim.Fingerprint) (uint64, bool) {
-	if w.mem != nil {
-		v, ok := w.mem[fp]
-		return v, ok
-	}
-	if w.run != nil {
-		return w.run.lookup(fp)
-	}
-	return 0, false
-}
-
 func newSharedStore(cfg Config) (*sharedStore, error) {
 	st := &sharedStore{
 		dir:          cfg.SpillDir,
-		memBudget:    cfg.MemBudget,
 		spillRuns:    cfg.Telemetry.Gauge("check_spill_runs"),
 		spillEntries: cfg.Telemetry.Gauge("check_spill_entries"),
 		spillBytes:   cfg.Telemetry.Gauge("check_spill_bytes"),
 	}
-	if st.dir == "" && st.memBudget > 0 {
-		// A memory budget needs somewhere to spill; without a SpillDir the
-		// store uses a private scratch directory (no checkpoint, no Resume).
-		d, err := os.MkdirTemp("", "rmespill-")
-		if err != nil {
-			return nil, fmt.Errorf("check: creating scratch spill dir: %w", err)
-		}
-		st.dir = d
-		st.ownsDir = true
-	} else if st.dir != "" {
+	if st.dir != "" {
 		if err := os.MkdirAll(st.dir, 0o755); err != nil {
 			return nil, fmt.Errorf("check: creating spill dir: %w", err)
 		}
@@ -96,28 +64,19 @@ func newSharedStore(cfg Config) (*sharedStore, error) {
 	return st, nil
 }
 
-func (st *sharedStore) close() {
-	for i := range st.waves {
-		if st.waves[i].run != nil {
-			st.waves[i].run.close()
-		}
-	}
-	if st.ownsDir {
-		os.RemoveAll(st.dir)
-	}
-}
-
 // seal merges the given private deltas into generation `wave` and, when a
-// spill directory exists, writes the generation's sorted run file. When two
-// deltas claim the same state the stronger single claim wins (betterMask);
-// min over a total order is merge-order-free, so the sealed generation is
-// identical regardless of how the wave's branches were scheduled.
+// spill directory exists, checkpoints the generation as a sorted run file.
+// The deltas belong to finished explorers, so the first one becomes the
+// generation and absorbs the rest in place. When two deltas claim the same
+// state the stronger single claim wins (betterMask); min over a total order
+// is merge-order-free, so the sealed generation is identical regardless of
+// how the wave's branches were scheduled.
 func (st *sharedStore) seal(wave int, deltas []map[sim.Fingerprint]uint64) error {
 	for len(st.waves) <= wave {
-		st.waves = append(st.waves, storeWave{})
+		st.waves = append(st.waves, nil)
 	}
-	merged := make(map[sim.Fingerprint]uint64)
-	for _, d := range deltas {
+	merged := deltas[0]
+	for _, d := range deltas[1:] {
 		for fp, mask := range d {
 			if prev, ok := merged[fp]; ok {
 				mask = betterMask(prev, mask)
@@ -125,19 +84,15 @@ func (st *sharedStore) seal(wave int, deltas []map[sim.Fingerprint]uint64) error
 			merged[fp] = mask
 		}
 	}
-	st.waves[wave].mem = merged
-	if st.dir != "" {
-		run, err := writeSpillRun(spillRunPath(st.dir, wave), merged)
-		if err != nil {
-			return err
-		}
-		if old := st.waves[wave].run; old != nil {
-			old.close()
-		}
-		st.waves[wave].run = run
-		st.updateSpillGauges()
+	st.waves[wave] = merged
+	if st.dir == "" {
+		return nil
 	}
-	return st.enforceMemBudget()
+	if err := writeSpillRun(spillRunPath(st.dir, wave), merged); err != nil {
+		return err
+	}
+	st.updateSpillGauges()
+	return nil
 }
 
 // truncate discards every sealed generation from `wave` on — a budget
@@ -148,9 +103,8 @@ func (st *sharedStore) truncate(wave int) {
 	if wave >= len(st.waves) {
 		return
 	}
-	for i := wave; i < len(st.waves); i++ {
-		if st.waves[i].run != nil {
-			st.waves[i].run.close()
+	if st.dir != "" {
+		for i := wave; i < len(st.waves); i++ {
 			os.Remove(spillRunPath(st.dir, i))
 		}
 	}
@@ -158,31 +112,27 @@ func (st *sharedStore) truncate(wave int) {
 	st.updateSpillGauges()
 }
 
-// loadRuns attaches the checkpointed run files for the manifest's sealed
-// waves. Resumed generations are served from disk (their maps are not
-// rebuilt); lookups return the same masks either way, so the Result is
-// unaffected.
+// loadRuns reads the checkpointed run files for the manifest's sealed waves
+// back into generations, so a resumed search consults exactly the sets the
+// interrupted one sealed.
 func (st *sharedStore) loadRuns(man *spillManifest) error {
-	for len(st.waves) < man.WavesDone {
-		st.waves = append(st.waves, storeWave{})
-	}
+	st.waves = make([]map[sim.Fingerprint]uint64, man.WavesDone)
 	for _, rm := range man.Runs {
 		if rm.Wave < 0 || rm.Wave >= man.WavesDone {
 			return fmt.Errorf("check: manifest run for wave %d out of range", rm.Wave)
 		}
-		run, err := openSpillRun(spillRunPath(st.dir, rm.Wave))
+		gen, err := readSpillRun(spillRunPath(st.dir, rm.Wave))
 		if err != nil {
 			return err
 		}
-		if run.count != rm.Entries {
-			run.close()
+		if int64(len(gen)) != rm.Entries {
 			return fmt.Errorf("check: spill run for wave %d has %d entries, manifest says %d",
-				rm.Wave, run.count, rm.Entries)
+				rm.Wave, len(gen), rm.Entries)
 		}
-		st.waves[rm.Wave].run = run
+		st.waves[rm.Wave] = gen
 	}
-	for w := 0; w < man.WavesDone; w++ {
-		if st.waves[w].run == nil {
+	for w, gen := range st.waves {
+		if gen == nil {
 			return fmt.Errorf("check: manifest is missing the run for sealed wave %d", w)
 		}
 	}
@@ -190,45 +140,19 @@ func (st *sharedStore) loadRuns(man *spillManifest) error {
 	return nil
 }
 
-// enforceMemBudget drops the oldest resident maps whose run files exist
-// until the estimated resident size fits the budget.
-func (st *sharedStore) enforceMemBudget() error {
-	if st.memBudget <= 0 {
-		return nil
-	}
-	const bytesPerEntry = 48 // fingerprint + mask + map overhead, estimated
-	resident := func() int64 {
-		var total int64
-		for i := range st.waves {
-			if st.waves[i].mem != nil {
-				total += int64(len(st.waves[i].mem)) * bytesPerEntry
-			}
-		}
-		return total
-	}
-	for i := range st.waves {
-		if resident() <= st.memBudget {
-			break
-		}
-		if st.waves[i].mem != nil && st.waves[i].run != nil {
-			st.waves[i].mem = nil
-		}
-	}
-	return nil
-}
-
+// updateSpillGauges reports the run files on disk: one per sealed
+// generation when a spill directory exists, none otherwise.
 func (st *sharedStore) updateSpillGauges() {
-	var runs, entries, bytes int64
-	for i := range st.waves {
-		if r := st.waves[i].run; r != nil {
-			runs++
-			entries += r.count
-			bytes += r.sizeBytes()
+	var runs, entries int64
+	if st.dir != "" {
+		runs = int64(len(st.waves))
+		for _, gen := range st.waves {
+			entries += int64(len(gen))
 		}
 	}
 	st.spillRuns.Set(runs)
 	st.spillEntries.Set(entries)
-	st.spillBytes.Set(bytes)
+	st.spillBytes.Set(runs*spillHeaderSize + entries*spillRecordSize)
 }
 
 // betterMask picks the stronger of two independently witnessed sleep-mask

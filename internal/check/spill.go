@@ -16,9 +16,9 @@ import (
 )
 
 // Spill-run file layout: a fixed header followed by fixed-size records
-// sorted by fingerprint, so membership is a binary search over ReadAt —
-// no index needs to be resident. A small in-memory bloom filter (rebuilt on
-// open) screens out most misses before any file I/O.
+// sorted by fingerprint. A run is a checkpoint of one sealed wave: the
+// search itself reads the in-memory generation, and Resume reads the run
+// back into one.
 //
 //	offset 0   8 bytes  magic "RMESPILL"
 //	offset 8   4 bytes  version (little-endian)
@@ -27,7 +27,7 @@ import (
 //	offset 24  count x 24-byte records: fingerprint Hi, Lo, sleep mask
 //
 // The version changes with the layout and with the fingerprint hash
-// (sim.Fingerprint), so a run written under another hash fails to open
+// (sim.Fingerprint), so a run written under another hash fails to load
 // instead of answering lookups for states it never saw.
 const (
 	spillMagic      = "RMESPILL"
@@ -35,21 +35,6 @@ const (
 	spillHeaderSize = 24
 	spillRecordSize = 24
 )
-
-// Bloom sizing: ~10 bits per entry with 4 probes keeps the false-positive
-// rate around 1%, so nearly every miss is answered without touching disk.
-const (
-	bloomBitsPerEntry = 10
-	bloomProbes       = 4
-)
-
-// spillRun is one sealed wave's visited set on disk, open for concurrent
-// point lookups (File.ReadAt is safe to call from multiple goroutines).
-type spillRun struct {
-	f     *os.File
-	count int64
-	bloom []uint64
-}
 
 type spillEntry struct {
 	fp   sim.Fingerprint
@@ -61,8 +46,8 @@ func spillRunPath(dir string, wave int) string {
 }
 
 // writeSpillRun sorts the generation and writes it atomically (temp file +
-// rename), then reopens it for reads.
-func writeSpillRun(path string, gen map[sim.Fingerprint]uint64) (*spillRun, error) {
+// fsync + rename).
+func writeSpillRun(path string, gen map[sim.Fingerprint]uint64) error {
 	entries := make([]spillEntry, 0, len(gen))
 	for fp, mask := range gen {
 		entries = append(entries, spillEntry{fp: fp, mask: mask})
@@ -77,7 +62,7 @@ func writeSpillRun(path string, gen map[sim.Fingerprint]uint64) (*spillRun, erro
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return nil, fmt.Errorf("check: writing spill run: %w", err)
+		return fmt.Errorf("check: writing spill run: %w", err)
 	}
 	w := bufio.NewWriter(f)
 	var hdr [spillHeaderSize]byte
@@ -95,69 +80,61 @@ func writeSpillRun(path string, gen map[sim.Fingerprint]uint64) (*spillRun, erro
 	if err := w.Flush(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return nil, fmt.Errorf("check: writing spill run: %w", err)
+		return fmt.Errorf("check: writing spill run: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return nil, fmt.Errorf("check: syncing spill run: %w", err)
+		return fmt.Errorf("check: syncing spill run: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return nil, fmt.Errorf("check: closing spill run: %w", err)
+		return fmt.Errorf("check: closing spill run: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return nil, fmt.Errorf("check: publishing spill run: %w", err)
+		return fmt.Errorf("check: publishing spill run: %w", err)
 	}
-
-	run, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("check: reopening spill run: %w", err)
-	}
-	sr := &spillRun{f: run, count: int64(len(entries)), bloom: newBloom(len(entries))}
-	for _, e := range entries {
-		bloomAdd(sr.bloom, e.fp)
-	}
-	return sr, nil
+	return nil
 }
 
-// openSpillRun opens a checkpointed run, validates the header and the sort
-// order, and rebuilds the bloom filter with one streaming pass.
-func openSpillRun(path string) (*spillRun, error) {
+// readSpillRun loads a checkpointed run back into a generation map,
+// validating the header, the file size against the header count, and the
+// sort order (which also rules out duplicate records).
+func readSpillRun(path string) (map[sim.Fingerprint]uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("check: opening spill run: %w", err)
 	}
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 1<<16)
 	var hdr [spillHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		f.Close()
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("check: reading spill run header %s: %w", path, err)
 	}
 	if string(hdr[:8]) != spillMagic {
-		f.Close()
 		return nil, fmt.Errorf("check: %s is not a spill run (bad magic)", path)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != spillVersion {
-		f.Close()
 		return nil, fmt.Errorf("check: spill run %s has version %d, want %d", path, v, spillVersion)
 	}
-	count := int64(binary.LittleEndian.Uint64(hdr[16:24]))
-	if fi, err := f.Stat(); err != nil {
-		f.Close()
+	fi, err := f.Stat()
+	if err != nil {
 		return nil, err
-	} else if want := spillHeaderSize + count*spillRecordSize; fi.Size() != want {
-		f.Close()
-		return nil, fmt.Errorf("check: spill run %s is %d bytes, want %d", path, fi.Size(), want)
+	}
+	// Compare in records, not bytes, so a corrupt count can neither overflow
+	// the product nor size the map below.
+	count := binary.LittleEndian.Uint64(hdr[16:24])
+	body := fi.Size() - spillHeaderSize
+	if body%spillRecordSize != 0 || uint64(body/spillRecordSize) != count {
+		return nil, fmt.Errorf("check: spill run %s is %d bytes, its header counts %d records", path, fi.Size(), count)
 	}
 
-	sr := &spillRun{f: f, count: count, bloom: newBloom(int(count))}
-	r := bufio.NewReaderSize(io.NewSectionReader(f, spillHeaderSize, count*spillRecordSize), 1<<16)
+	gen := make(map[sim.Fingerprint]uint64, count)
 	var prev sim.Fingerprint
 	var rec [spillRecordSize]byte
-	for i := int64(0); i < count; i++ {
+	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			f.Close()
 			return nil, fmt.Errorf("check: reading spill run %s: %w", path, err)
 		}
 		fp := sim.Fingerprint{
@@ -165,84 +142,12 @@ func openSpillRun(path string) (*spillRun, error) {
 			Lo: binary.LittleEndian.Uint64(rec[8:16]),
 		}
 		if i > 0 && !prev.Less(fp) {
-			f.Close()
 			return nil, fmt.Errorf("check: spill run %s is not sorted at record %d", path, i)
 		}
 		prev = fp
-		bloomAdd(sr.bloom, fp)
+		gen[fp] = binary.LittleEndian.Uint64(rec[16:24])
 	}
-	return sr, nil
-}
-
-func (sr *spillRun) close() {
-	if sr.f != nil {
-		sr.f.Close()
-	}
-}
-
-func (sr *spillRun) sizeBytes() int64 {
-	return spillHeaderSize + sr.count*spillRecordSize
-}
-
-// lookup binary-searches the sorted records for fp, after the bloom filter
-// has had a chance to answer "definitely absent" for free.
-func (sr *spillRun) lookup(fp sim.Fingerprint) (uint64, bool) {
-	if sr.count == 0 || !bloomMayContain(sr.bloom, fp) {
-		return 0, false
-	}
-	lo, hi := int64(0), sr.count
-	var rec [spillRecordSize]byte
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if _, err := sr.f.ReadAt(rec[:], spillHeaderSize+mid*spillRecordSize); err != nil {
-			return 0, false
-		}
-		got := sim.Fingerprint{
-			Hi: binary.LittleEndian.Uint64(rec[0:8]),
-			Lo: binary.LittleEndian.Uint64(rec[8:16]),
-		}
-		switch {
-		case got == fp:
-			return binary.LittleEndian.Uint64(rec[16:24]), true
-		case got.Less(fp):
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return 0, false
-}
-
-func newBloom(entries int) []uint64 {
-	words := (entries*bloomBitsPerEntry + 63) / 64
-	if words < 1 {
-		words = 1
-	}
-	return make([]uint64, words)
-}
-
-// bloomIdx derives the i-th probe position by double hashing over the two
-// fingerprint words; |1 keeps the stride odd so probes never collapse.
-func bloomIdx(bloom []uint64, fp sim.Fingerprint, i uint64) (word, bit uint64) {
-	pos := (fp.Hi + i*(fp.Lo|1)) % (uint64(len(bloom)) * 64)
-	return pos / 64, pos % 64
-}
-
-func bloomAdd(bloom []uint64, fp sim.Fingerprint) {
-	for i := uint64(0); i < bloomProbes; i++ {
-		w, b := bloomIdx(bloom, fp, i)
-		bloom[w] |= 1 << b
-	}
-}
-
-func bloomMayContain(bloom []uint64, fp sim.Fingerprint) bool {
-	for i := uint64(0); i < bloomProbes; i++ {
-		w, b := bloomIdx(bloom, fp, i)
-		if bloom[w]>>b&1 == 0 {
-			return false
-		}
-	}
-	return true
+	return gen, nil
 }
 
 // spillManifest is the per-wave checkpoint written next to the run files.
@@ -279,8 +184,8 @@ func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json"
 
 // configDigest hashes every configuration field that shapes the search tree
 // or the Result bytes. Parallel is excluded (results are parallel-invariant
-// by construction), as are MaxWaves, MemBudget, SpillDir, and Resume (they
-// decide where a run stops or lives, not what it computes).
+// by construction), as are MaxWaves, SpillDir, and Resume (they decide
+// where a run stops or lives, not what it computes).
 func configDigest(cfg Config, branches int) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "alg=%s procs=%d width=%d model=%d passes=%d maxsteps=%d\n",
@@ -310,9 +215,7 @@ func writeManifest(cfg Config, branches, wavesDone, rounds int, done bool,
 		StateBudget: stateBudget,
 	}
 	for w := 0; w < wavesDone && w < len(store.waves); w++ {
-		if r := store.waves[w].run; r != nil {
-			man.Runs = append(man.Runs, spillRunEntry{Wave: w, Entries: r.count})
-		}
+		man.Runs = append(man.Runs, spillRunEntry{Wave: w, Entries: int64(len(store.waves[w]))})
 	}
 	data, err := json.MarshalIndent(&man, "", "  ")
 	if err != nil {

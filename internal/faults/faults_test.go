@@ -7,6 +7,7 @@ import (
 
 	"rme/internal/algorithms/rspin"
 	"rme/internal/algorithms/tas"
+	"rme/internal/algorithms/watree"
 	"rme/internal/mutex"
 	"rme/internal/sim"
 	"rme/internal/word"
@@ -249,24 +250,30 @@ func TestOraclesOnSyntheticOutcomes(t *testing.T) {
 }
 
 // TestDefaultBudgetShape sanity-checks the ceiling table: known algorithms
-// get positive budgets, unknown ones get none, and non-local-spin algorithms
-// have no DSM ceiling.
+// get positive budgets, unknown ones get none, non-local-spin algorithms
+// have no DSM ceiling, and a tree's ceiling follows the fan-out it builds.
 func TestDefaultBudgetShape(t *testing.T) {
-	if b := DefaultBudget("watree", 16, word.Width(8), sim.CC); b <= 0 {
+	if b := DefaultBudget(watree.New(), 16, word.Width(8), sim.CC); b <= 0 {
 		t.Errorf("watree budget = %d", b)
 	}
-	wide := DefaultBudget("watree", 64, word.Width(16), sim.CC)
-	bin := DefaultBudget("watree(f=2)", 64, word.Width(16), sim.CC)
+	wide := DefaultBudget(watree.New(), 64, word.Width(16), sim.CC)
+	bin := DefaultBudget(watree.New(watree.WithFanout(2)), 64, word.Width(16), sim.CC)
 	if bin <= wide {
 		t.Errorf("fanout-2 budget %d should exceed fanout-w budget %d (deeper tree)", bin, wide)
 	}
-	if b := DefaultBudget("watree(f=2)+fast", 64, word.Width(16), sim.CC); b != bin {
-		t.Errorf("+fast suffix changed the budget: %d vs %d", b, bin)
+	if b := DefaultBudget(watree.New(watree.WithFanout(2), watree.WithFastPath()), 64, word.Width(16), sim.CC); b != bin {
+		t.Errorf("the fast path changed the fanout-2 budget: %d vs %d", b, bin)
 	}
-	if b := DefaultBudget("tas", 4, word.Width(8), sim.DSM); b != 0 {
+	// The fast path reserves a root bit, so at n=64, w=8 the tree is built
+	// at fan-out 7 and has depth 3, one level deeper than fan-out 8.
+	plain := DefaultBudget(watree.New(), 64, word.Width(8), sim.CC)
+	if b := DefaultBudget(watree.New(watree.WithFastPath()), 64, word.Width(8), sim.CC); b != 88 || plain != 72 {
+		t.Errorf("n=64 w=8 budgets: fast %d, plain %d; want 88 (depth 3) and 72 (depth 2)", b, plain)
+	}
+	if b := DefaultBudget(tas.New(), 4, word.Width(8), sim.DSM); b != 0 {
 		t.Errorf("tas DSM budget = %d, want 0 (non-local spinning)", b)
 	}
-	if b := DefaultBudget("nosuchalg", 4, word.Width(8), sim.CC); b != 0 {
+	if b := DefaultBudget(NewBroken(), 4, word.Width(8), sim.CC); b != 0 {
 		t.Errorf("unknown algorithm budget = %d, want 0", b)
 	}
 }

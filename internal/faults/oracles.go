@@ -3,8 +3,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"rme/internal/mutex"
 	"rme/internal/sim"
@@ -143,23 +141,16 @@ func (b RMRBudget) Check(o *Outcome) string {
 // bounds with generous constant headroom — they catch complexity
 // regressions (a passage suddenly costing Θ(n) on a tree lock), not
 // off-by-one tuning.
-func DefaultBudget(alg string, n int, w word.Width, model sim.Model) int {
-	log2 := word.CeilLog(2, n) + 1 // +1 guards the log = 0 edge at small n
-	if rest, ok := strings.CutPrefix(alg, "watree"); ok {
-		// Θ(log_f n) climb for fan-out f; crashes restart one level and the
-		// fast path adds O(1). Names are "watree", "watree(f=K)", "...+fast";
-		// the default fan-out is min(w, n).
-		f := min(int(w), n)
-		rest = strings.TrimSuffix(rest, "+fast")
-		if v, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(rest, "(f="), ")")); err == nil && v >= 2 {
-			f = v
-		}
-		if f < 2 {
-			f = 2
-		}
+func DefaultBudget(alg mutex.Algorithm, n int, w word.Width, model sim.Model) int {
+	if tree, ok := alg.(interface{ Fanout(word.Width, int) int }); ok {
+		// Θ(log_f n) climb for the fan-out f the algorithm builds at this
+		// scale (a fan-out below 2 is built as 2); crashes restart one level
+		// and a fast path adds O(1).
+		f := max(tree.Fanout(w, n), 2)
 		return 16*(word.CeilLog(f, n)+1) + 24
 	}
-	switch alg {
+	log2 := word.CeilLog(2, n) + 1 // +1 guards the log = 0 edge at small n
+	switch alg.Name() {
 	case "qword":
 		// Queue-word lock: O(1) enqueue plus a bounded handoff.
 		return 64
@@ -189,8 +180,8 @@ func DefaultBudget(alg string, n int, w word.Width, model sim.Model) int {
 // known for the algorithm — RMR budgets under both models.
 func DefaultOracles(alg mutex.Algorithm, n int, w word.Width) []Oracle {
 	oracles := []Oracle{MutualExclusion{}, DeadlockFree{}, Reentry{}}
-	cc := DefaultBudget(alg.Name(), n, w, sim.CC)
-	dsm := DefaultBudget(alg.Name(), n, w, sim.DSM)
+	cc := DefaultBudget(alg, n, w, sim.CC)
+	dsm := DefaultBudget(alg, n, w, sim.DSM)
 	if cc > 0 || dsm > 0 {
 		oracles = append(oracles, RMRBudget{CC: cc, DSM: dsm})
 	}

@@ -120,14 +120,8 @@ func New(cfg Config) (*Machine, error) {
 	return &Machine{cfg: cfg}, nil
 }
 
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Procs returns the number of processes.
 func (m *Machine) Procs() int { return m.cfg.Procs }
-
-// Model returns the configured accounting model.
-func (m *Machine) Model() Model { return m.cfg.Model }
 
 // Width returns the word size in bits.
 func (m *Machine) Width() word.Width { return m.cfg.Width }

@@ -21,7 +21,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	var fams []family
 	for _, p := range s.Counters {
 		p := p
-		name := sanitizeName(p.Name)
+		name := SanitizeName(p.Name)
 		fams = append(fams, family{name: name, emit: func(w io.Writer) error {
 			_, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, p.Value)
 			return err
@@ -29,7 +29,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	}
 	for _, p := range s.Gauges {
 		p := p
-		name := sanitizeName(p.Name)
+		name := SanitizeName(p.Name)
 		fams = append(fams, family{name: name, emit: func(w io.Writer) error {
 			_, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, p.Value)
 			return err
@@ -37,7 +37,7 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	}
 	for _, h := range s.Histograms {
 		h := h
-		name := sanitizeName(h.Name)
+		name := SanitizeName(h.Name)
 		fams = append(fams, family{name: name, emit: func(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 				return err
@@ -66,9 +66,9 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	return nil
 }
 
-// sanitizeName maps a metric name into the Prometheus charset
+// SanitizeName maps a metric name into the Prometheus charset
 // [a-zA-Z_:][a-zA-Z0-9_:]*, replacing every invalid rune with '_'.
-func sanitizeName(name string) string {
+func SanitizeName(name string) string {
 	if name == "" {
 		return "_"
 	}

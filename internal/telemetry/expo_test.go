@@ -64,8 +64,8 @@ func TestSanitizeName(t *testing.T) {
 		"9leading":           "_leading",
 		"":                   "_",
 	} {
-		if got := sanitizeName(in); got != want {
-			t.Errorf("sanitizeName(%q) = %q, want %q", in, got, want)
+		if got := SanitizeName(in); got != want {
+			t.Errorf("SanitizeName(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
