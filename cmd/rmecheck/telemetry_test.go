@@ -177,8 +177,8 @@ func pollGet(t *testing.T, url, want string) string {
 }
 
 // TestDebugEndpointsDuringSearch is the -debugaddr integration check: while
-// a search runs, /metrics (both formats), /debug/vars and /debug/pprof all
-// answer on the announced address.
+// a search runs, /metrics, /debug/vars and /debug/pprof all answer on the
+// announced address.
 func TestDebugEndpointsDuringSearch(t *testing.T) {
 	addr, done := debugServedRun(t, []string{
 		"-alg", "yatree", "-n", "2", "-crashes", "1", "-max", "1000",
@@ -192,21 +192,20 @@ func TestDebugEndpointsDuringSearch(t *testing.T) {
 	}
 	// The counters are registered before the first state is visited, so a
 	// scrape can land between the two; poll until a visit shows.
-	var js struct {
-		Counters map[string]int64 `json:"counters"`
+	var vars struct {
+		Telemetry map[string]int64 `json:"rme_telemetry"`
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		if err := json.Unmarshal([]byte(pollGet(t, base+"/metrics?format=json", "check_states_visited")), &js); err != nil {
-			t.Fatalf("JSON /metrics: %v", err)
+		if err := json.Unmarshal([]byte(pollGet(t, base+"/debug/vars", "rme_telemetry")), &vars); err != nil {
+			t.Fatalf("/debug/vars: %v", err)
 		}
-		if js.Counters["check_states_visited"] > 0 {
+		if vars.Telemetry["check_states_visited"] > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("JSON /metrics shows no visited states: %v", js.Counters)
+			t.Fatalf("/debug/vars shows no visited states: %v", vars.Telemetry)
 		}
 	}
-	pollGet(t, base+"/debug/vars", "rme_telemetry")
 	pollGet(t, base+"/debug/pprof/", "goroutine")
 
 	if err := <-done; err != nil {

@@ -103,8 +103,8 @@ func pollGet(t *testing.T, url, want string) string {
 }
 
 // TestDebugEndpointsDuringCampaign is the -debugaddr integration check:
-// while a campaign runs, /metrics (both formats), /debug/vars and
-// /debug/pprof all answer on the announced address.
+// while a campaign runs, /metrics, /debug/vars and /debug/pprof all answer
+// on the announced address.
 func TestDebugEndpointsDuringCampaign(t *testing.T) {
 	addr, done := debugServedRun(t, []string{
 		"-alg", "yatree", "-n", "4", "-runs", "20000", "-parallel", "1",
@@ -116,16 +116,22 @@ func TestDebugEndpointsDuringCampaign(t *testing.T) {
 	if !strings.Contains(prom, "# TYPE faults_runs counter") {
 		t.Errorf("prometheus exposition missing TYPE line:\n%s", prom)
 	}
-	var js struct {
-		Counters map[string]int64 `json:"counters"`
-		Gauges   map[string]int64 `json:"gauges"`
+	// faults_runs is registered before the first run completes; poll until
+	// one shows.
+	var vars struct {
+		Telemetry map[string]int64 `json:"rme_telemetry"`
 	}
-	if err := json.Unmarshal([]byte(pollGet(t, base+"/metrics?format=json", "faults_runs")), &js); err != nil {
-		t.Errorf("JSON /metrics: %v", err)
-	} else if js.Gauges["faults_plans"] == 0 {
-		t.Errorf("JSON /metrics shows no planned runs: %v", js.Gauges)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if err := json.Unmarshal([]byte(pollGet(t, base+"/debug/vars", "rme_telemetry")), &vars); err != nil {
+			t.Fatalf("/debug/vars: %v", err)
+		}
+		if vars.Telemetry["faults_runs"] > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/debug/vars shows no completed runs: %v", vars.Telemetry)
+		}
 	}
-	pollGet(t, base+"/debug/vars", "rme_telemetry")
 	pollGet(t, base+"/debug/pprof/", "goroutine")
 
 	if err := <-done; err != nil {

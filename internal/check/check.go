@@ -402,15 +402,16 @@ func searchWaves(cfg Config, branches []sim.Action, sleeps []uint64) (*Result, e
 		copy(schedBudget, man.SchedBudget)
 		copy(stateBudget, man.StateBudget)
 		from, wavesDone, rounds = man.WavesDone, man.WavesDone, man.Rounds
-		if err := store.loadRuns(man); err != nil {
-			return nil, err
-		}
 		cfg.Telemetry.Gauge("check_resume_waves").Set(int64(from))
 		if man.Done {
 			// The checkpoint covers a finished run (all waves plus budget
 			// redistribution): the stored sub-results merge to the final
-			// Result with no re-exploration.
+			// Result with no re-exploration. The run files only seed later
+			// waves, so a finished run does not read them.
 			return mergeSubs(subs, wavesDone, false), nil
+		}
+		if err := store.loadRuns(man); err != nil {
+			return nil, err
 		}
 	}
 	checkpoint := func(done bool) error {

@@ -204,7 +204,8 @@ func certConfig(t *testing.T, dir string) check.Config {
 // mid-flight (MaxWaves), resume it from disk, and require the final Result
 // to be byte-identical to an uninterrupted run of the same configuration.
 func TestSpillResumeKillEquality(t *testing.T) {
-	want := mustExhaustive(t, certConfig(t, t.TempDir()))
+	finished := t.TempDir()
+	want := mustExhaustive(t, certConfig(t, finished))
 
 	dir := t.TempDir()
 	killed := mustExhaustive(t, func() check.Config {
@@ -238,6 +239,26 @@ func TestSpillResumeKillEquality(t *testing.T) {
 	if !reflect.DeepEqual(want, again) {
 		t.Fatalf("re-resumed (done) Result differs:\n%+v\nvs\n%+v", want, again)
 	}
+
+	// A finished checkpoint resumes from its manifest alone: the run files
+	// only seed later waves, so the uninterrupted run's checkpoint must
+	// resume to its Result with every run file deleted.
+	t.Run("finished-manifest-only", func(t *testing.T) {
+		runs, err := filepath.Glob(filepath.Join(finished, "wave*.run"))
+		if err != nil || len(runs) == 0 {
+			t.Fatalf("finished search left no run files to delete (%v)", err)
+		}
+		for _, path := range runs {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resume := certConfig(t, finished)
+		resume.Resume = true
+		if got := mustExhaustive(t, resume); !reflect.DeepEqual(want, got) {
+			t.Fatalf("manifest-only resume differs from the uninterrupted run:\n%+v\nvs\n%+v", want, got)
+		}
+	})
 }
 
 // TestResumeValidation pins the failure modes: Resume demands SharedVisited

@@ -15,9 +15,12 @@
 //     (mutex.Session.Reset).
 //
 //   - Parallelism with determinism. Run executes a batch of RunSpecs on a
-//     pool of workers and merges results in submission order regardless of
+//     pool of workers and returns results in submission order regardless of
 //     completion order, so a table rendered from the results is
-//     byte-identical at any parallelism level, including 1.
+//     byte-identical at any parallelism level, including 1. A result is
+//     identified by its position alone; anything a caller needs beyond the
+//     Result's counters it captures in the spec's Drive, into a slot of its
+//     own index-aligned slice.
 package engine
 
 import (
@@ -41,19 +44,17 @@ type RunSpec struct {
 	Session mutex.Config
 	// Drive executes the run; nil means Session.RunRoundRobin. It must be
 	// deterministic (seed any randomness from the spec itself) or the
-	// engine's byte-identical-at-any-parallelism guarantee is void.
+	// engine's byte-identical-at-any-parallelism guarantee is void. Drive is
+	// also the one per-run hook: it runs on the worker before the session is
+	// recycled, so a caller that needs more than the Result reads it from
+	// the session here, into a slot of its own (it must not retain the
+	// session).
 	Drive func(*mutex.Session) error
-	// Collect extracts an experiment-specific payload from the completed
-	// session into Result.Payload; optional. It runs on the worker before
-	// the session is recycled, so it must not retain the session.
-	Collect func(*mutex.Session) (interface{}, error)
 }
 
-// Result is the outcome of one RunSpec, in submission order
-// (Result[i].Index == i always).
+// Result is the outcome of one RunSpec; Run returns them in submission
+// order, so results[i] belongs to specs[i].
 type Result struct {
-	// Index is the spec's position in the submitted batch.
-	Index int
 	// MaxRMRCC/MaxRMRDSM are the worst per-passage RMR counts under each
 	// model; TotalRMRCC/TotalRMRDSM sum over all processes.
 	MaxRMRCC, MaxRMRDSM     int
@@ -62,9 +63,7 @@ type Result struct {
 	Steps int
 	// Violations are the safety-monitor failures (empty on a correct run).
 	Violations []string
-	// Payload is Collect's return value, if a Collect was given.
-	Payload interface{}
-	// Err is the first error from construction, Drive, or Collect.
+	// Err is the first error from construction or Drive.
 	Err error
 }
 
@@ -83,11 +82,12 @@ type Options struct {
 	// Metrics, when non-nil, accumulates run counts and RMR statistics
 	// across Run calls (cmd/rmrbench records them in its ledger manifests).
 	Metrics *Metrics
-	// Trace, when non-nil, captures every run's full event stream. The batch
-	// reserves a contiguous block of submission-order slots up front, so
-	// captured runs come back in spec order at any parallelism level.
-	// Capturing overrides Session.NoTrace for the duration of the run (the
-	// machine must retain events to have a trace to hand over).
+	// Trace, when non-nil, captures every run's full event stream: each run
+	// fills its own position in the batch, and the whole batch is appended
+	// once every run has finished, so captured runs come back in spec order
+	// at any parallelism level. Capturing overrides Session.NoTrace for the
+	// duration of the run (the machine must retain events to have a trace to
+	// hand over).
 	Trace *trace.Capture
 	// Telemetry, when non-nil, receives live run statistics: engine_runs /
 	// engine_run_errors counters, engine_busy_ns worker busy time,
@@ -156,9 +156,9 @@ func (pl *Pool) Close() {
 func (pl *Pool) Run(specs []RunSpec, opts Options) []Result {
 	res := make([]Result, len(specs))
 	par := min(Parallelism(opts.Parallel), len(pl.workers), len(specs))
-	base := 0
+	var runs []trace.Run
 	if opts.Trace != nil {
-		base = opts.Trace.Reserve(len(specs))
+		runs = make([]trace.Run, len(specs))
 	}
 	tm := newRunTelemetry(opts.Telemetry)
 	if tm != nil {
@@ -170,8 +170,15 @@ func (pl *Pool) Run(specs []RunSpec, opts Options) []Result {
 		w.Instrument(opts.Telemetry)
 	}
 	fanOut(len(specs), par, func(k, i int) {
-		res[i] = runOne(pl.workers[k], i, &specs[i], opts.Metrics, opts.Trace, base+i, tm)
+		var tr *trace.Run
+		if runs != nil {
+			tr = &runs[i]
+		}
+		res[i] = runOne(pl.workers[k], &specs[i], opts.Metrics, tr, tm)
 	})
+	if opts.Trace != nil {
+		opts.Trace.Append(runs)
+	}
 	return res
 }
 
@@ -226,13 +233,13 @@ func newRunTelemetry(reg *telemetry.Registry) *runTelemetry {
 
 // runOne wraps execOne with busy-time and run accounting when telemetry is
 // enabled; the timing never feeds back into the result.
-func runOne(w *Worker, i int, spec *RunSpec, m *Metrics, tc *trace.Capture, slot int, tm *runTelemetry) Result {
+func runOne(w *Worker, spec *RunSpec, m *Metrics, tr *trace.Run, tm *runTelemetry) Result {
 	if tm == nil {
-		return execOne(w, i, spec, m, tc, slot)
+		return execOne(w, spec, m, tr)
 	}
 	tm.pending.Add(-1)
 	start := time.Now()
-	r := execOne(w, i, spec, m, tc, slot)
+	r := execOne(w, spec, m, tr)
 	tm.busy.Add(time.Since(start).Nanoseconds())
 	tm.runs.Inc()
 	if r.Err != nil {
@@ -241,10 +248,11 @@ func runOne(w *Worker, i int, spec *RunSpec, m *Metrics, tc *trace.Capture, slot
 	return r
 }
 
-func execOne(w *Worker, i int, spec *RunSpec, m *Metrics, tc *trace.Capture, slot int) Result {
-	r := Result{Index: i}
+// execOne runs one spec on w; a non-nil tr receives the run's trace.
+func execOne(w *Worker, spec *RunSpec, m *Metrics, tr *trace.Run) Result {
+	var r Result
 	cfg := spec.Session
-	if tc != nil {
+	if tr != nil {
 		// The machine must retain events for the capture to hand over; the
 		// override applies to every spec in the batch, so worker reuse
 		// (Compatible includes NoTrace) is unaffected.
@@ -266,16 +274,11 @@ func execOne(w *Worker, i int, spec *RunSpec, m *Metrics, tc *trace.Capture, slo
 	r.TotalRMRDSM = s.TotalRMRs(sim.DSM)
 	r.Steps = s.Machine().Steps()
 	r.Violations = s.Violations()
-	if r.Err == nil && spec.Collect != nil {
-		r.Payload, r.Err = spec.Collect(s)
-	}
-	if tc != nil {
+	if tr != nil {
 		// Clone: Reset truncates the machine's retained trace in place.
 		events := append([]sim.Event(nil), s.Machine().Trace()...)
 		scfg := s.Config()
-		tc.Set(slot, trace.Run{
-			Label: scfg.Algorithm.Name(), Procs: scfg.Procs, Model: scfg.Model, Events: events,
-		})
+		*tr = trace.Run{Label: scfg.Algorithm.Name(), Procs: scfg.Procs, Model: scfg.Model, Events: events}
 	}
 	if m != nil {
 		m.Add(1, r.Steps, r.MaxRMR(spec.Session.Model))

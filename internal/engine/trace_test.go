@@ -2,8 +2,11 @@ package engine
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
+	"rme/internal/algorithms/grlock"
+	"rme/internal/algorithms/mcs"
 	"rme/internal/algorithms/watree"
 	"rme/internal/mutex"
 	"rme/internal/sim"
@@ -14,13 +17,13 @@ func captureBytes(t *testing.T, parallel int) []byte {
 	t.Helper()
 	var tc trace.Capture
 	specs := gridSpecs()
-	for _, r := range Run(specs, Options{Parallel: parallel, Trace: &tc}) {
+	for i, r := range Run(specs, Options{Parallel: parallel, Trace: &tc}) {
 		if r.Err != nil {
-			t.Fatalf("run %d: %v", r.Index, r.Err)
+			t.Fatalf("run %d: %v", i, r.Err)
 		}
 	}
-	if tc.Len() != len(specs) {
-		t.Fatalf("captured %d slots for %d specs", tc.Len(), len(specs))
+	if n := len(tc.Runs()); n != len(specs) {
+		t.Fatalf("captured %d runs for %d specs", n, len(specs))
 	}
 	var buf bytes.Buffer
 	if err := trace.Write(&buf, trace.FormatJSONL, tc.Runs()); err != nil {
@@ -44,6 +47,45 @@ func TestTraceIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestCaptureAcrossBatches: two traced batches share one Capture. Slots run
+// on across the batches, a spec whose session fails to build (grlock at n=256
+// overflows a w=8 word) leaves a gap rather than shifting its successors, and
+// the captured runs are identical at any parallelism.
+func TestCaptureAcrossBatches(t *testing.T) {
+	first := gridSpecs()[:4]
+	second := []RunSpec{
+		{Session: mutex.Config{Procs: 2, Width: 16, Model: sim.CC, Algorithm: mcs.New(), NoTrace: true}},
+		{Session: mutex.Config{Procs: 256, Width: 8, Model: sim.CC, Algorithm: grlock.New(), NoTrace: true}},
+		{Session: mutex.Config{Procs: 3, Width: 16, Model: sim.DSM, Algorithm: watree.New(), NoTrace: true}},
+	}
+	capture := func(par int) []trace.Run {
+		var tc trace.Capture
+		for b, specs := range [][]RunSpec{first, second} {
+			for i, r := range Run(specs, Options{Parallel: par, Trace: &tc}) {
+				if failed := b == 1 && i == 1; (r.Err != nil) != failed {
+					t.Fatalf("parallel=%d batch %d spec %d: err = %v", par, b, i, r.Err)
+				}
+			}
+		}
+		return tc.Runs()
+	}
+	serial := capture(1)
+	var slots []int
+	for _, r := range serial {
+		slots = append(slots, r.Index)
+	}
+	if want := []int{0, 1, 2, 3, 4, 6}; !reflect.DeepEqual(slots, want) {
+		t.Fatalf("captured slots %v, want %v", slots, want)
+	}
+	if serial[4].Label != "mcs" || serial[5].Label != "watree" || serial[5].Model != sim.DSM {
+		t.Errorf("second batch holds %q and %q/%v, want mcs and watree/DSM",
+			serial[4].Label, serial[5].Label, serial[5].Model)
+	}
+	if parallel := capture(3); !reflect.DeepEqual(parallel, serial) {
+		t.Error("captured runs differ between parallel=1 and parallel=3")
+	}
+}
+
 // TestTraceIdenticalAcrossReset: a Reset-reused machine emits the same
 // trace as a fresh one. The single-worker engine path reuses its machine
 // between compatible specs, so two identical specs in one batch compare a
@@ -52,9 +94,9 @@ func TestTraceIdenticalAcrossReset(t *testing.T) {
 	cfg := mutex.Config{Procs: 4, Width: 16, Model: sim.CC, Algorithm: watree.New(), Passes: 2}
 	var tc trace.Capture
 	specs := []RunSpec{{Session: cfg}, {Session: cfg}, {Session: cfg}}
-	for _, r := range Run(specs, Options{Parallel: 1, Trace: &tc}) {
+	for i, r := range Run(specs, Options{Parallel: 1, Trace: &tc}) {
 		if r.Err != nil {
-			t.Fatalf("run %d: %v", r.Index, r.Err)
+			t.Fatalf("run %d: %v", i, r.Err)
 		}
 	}
 	runs := tc.Runs()

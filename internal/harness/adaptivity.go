@@ -48,15 +48,15 @@ func runE12(opts Options) ([]Table, error) {
 		{watree.New(watree.WithFanout(2), watree.WithFastPath()), 16},
 	}
 	// Two specs per case: a solo passage (custom drive stepping only p0)
-	// and a saturated round-robin run.
+	// and a saturated round-robin run. The idle processes' open passage
+	// records cost nothing, so the solo run's MaxRMRCC is p0's passage.
 	var specs []engine.RunSpec
 	for _, tc := range cases {
 		specs = append(specs, engine.RunSpec{
 			Session: mutex.Config{
 				Procs: n, Width: word.Width(tc.w), Model: sim.CC, Algorithm: tc.alg, NoTrace: true,
 			},
-			Drive:   soloDrive,
-			Collect: soloCollect,
+			Drive: soloDrive,
 		}, engine.RunSpec{
 			Session: mutex.Config{
 				Procs: n, Width: word.Width(tc.w), Model: sim.CC, Algorithm: tc.alg, Passes: 2, NoTrace: true,
@@ -79,7 +79,7 @@ func runE12(opts Options) ([]Table, error) {
 		if sat.Err != nil {
 			return nil, fmt.Errorf("E12 %s saturated: %w", tc.alg.Name(), sat.Err)
 		}
-		t.AddRow(tc.alg.Name(), tc.w, depth, solo.Payload.(int), sat.MaxRMRCC)
+		t.AddRow(tc.alg.Name(), tc.w, depth, solo.MaxRMRCC, sat.MaxRMRCC)
 	}
 	return []Table{t}, nil
 }
@@ -97,14 +97,4 @@ func soloDrive(s *mutex.Session) error {
 		}
 	}
 	return nil
-}
-
-// soloCollect reads process 0's passage cost.
-func soloCollect(s *mutex.Session) (interface{}, error) {
-	for _, st := range s.Stats() {
-		if st.Proc == 0 {
-			return st.RMRsCC, nil
-		}
-	}
-	return nil, fmt.Errorf("no passage stats")
 }

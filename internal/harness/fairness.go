@@ -61,7 +61,9 @@ func runE11(opts Options) ([]Table, error) {
 		{tas.New(), 16, "no FCFS (race)"},
 	}
 	// One spec per (algorithm, seed); per-algorithm configs repeat across
-	// seeds, so each engine worker replays them on a recycled machine.
+	// seeds, so each engine worker replays them on a recycled machine. Each
+	// drive computes its run's inversion fraction into fracs.
+	fracs := make([]float64, len(algs)*seeds)
 	var specs []engine.RunSpec
 	for _, a := range algs {
 		// The queue word holds at most 64/ceil(log2(n+1)) entries; cap its
@@ -71,17 +73,19 @@ func runE11(opts Options) ([]Table, error) {
 			an = 12
 		}
 		for seed := 0; seed < seeds; seed++ {
-			an, seed := an, seed
+			i := len(specs)
 			specs = append(specs, engine.RunSpec{
 				Session: mutex.Config{
 					Procs: an, Width: word.Width(a.width), Model: sim.CC, Algorithm: a.alg,
 					Passes: 1, NoTrace: true,
 				},
 				Drive: func(s *mutex.Session) error {
-					return s.RunRandom(int64(seed)+opts.Seed, mutex.RandomRunOptions{})
-				},
-				Collect: func(s *mutex.Session) (interface{}, error) {
-					return inversionFraction(s, an)
+					if err := s.RunRandom(int64(seed)+opts.Seed, mutex.RandomRunOptions{}); err != nil {
+						return err
+					}
+					var err error
+					fracs[i], err = inversionFraction(s, an)
+					return err
 				},
 			})
 		}
@@ -90,11 +94,11 @@ func runE11(opts Options) ([]Table, error) {
 	for ai, a := range algs {
 		sum, maxFrac := 0.0, 0.0
 		for seed := 0; seed < seeds; seed++ {
-			r := results[ai*seeds+seed]
-			if r.Err != nil {
-				return nil, fmt.Errorf("E11 %s seed %d: %w", a.alg.Name(), seed, r.Err)
+			i := ai*seeds + seed
+			if err := results[i].Err; err != nil {
+				return nil, fmt.Errorf("E11 %s seed %d: %w", a.alg.Name(), seed, err)
 			}
-			frac := r.Payload.(float64)
+			frac := fracs[i]
 			sum += frac
 			if frac > maxFrac {
 				maxFrac = frac

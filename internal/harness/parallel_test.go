@@ -22,10 +22,11 @@ func renderAll(t *testing.T, exp Experiment, opts Options) string {
 
 // TestParallelismDoesNotChangeTables is the engine's determinism guarantee
 // at the harness level: the fully rendered experiment tables are
-// byte-identical whether the grid runs on one worker or eight.
+// byte-identical whether the grid runs on one worker or eight. E9–E12 are
+// the grids with a Drive of their own; E10–E12 read what they need beyond
+// the Result through it.
 func TestParallelismDoesNotChangeTables(t *testing.T) {
-	for _, id := range []string{"E2", "E6"} {
-		id := id
+	for _, id := range []string{"E2", "E6", "E9", "E10", "E11", "E12"} {
 		t.Run(id, func(t *testing.T) {
 			exp, ok := Find(id)
 			if !ok {

@@ -187,10 +187,6 @@ func (r *Report) Counters() map[string]int64 {
 	}
 }
 
-// collectOrder is the engine Collect hook: the CS grant order is the only
-// payload the service needs back from a run.
-func collectOrder(s *mutex.Session) (interface{}, error) { return s.CSOrder(), nil }
-
 // latencyBounds buckets the service_latency_steps histogram.
 var latencyBounds = []int64{32, 64, 128, 256, 512, 1024, 4096, 16384, 65536}
 
@@ -263,6 +259,17 @@ func Run(cfg Config) (*Report, error) {
 		Passes:    1,
 		NoTrace:   true,
 	}
+	// One drive per shard, built once: it runs the shard's batch and keeps
+	// the CS grant order, the one thing the fold needs beyond the Result.
+	orders := make([][]int, cfg.Locks)
+	drives := make([]func(*mutex.Session) error, cfg.Locks)
+	for si := range drives {
+		drives[si] = func(s *mutex.Session) error {
+			err := s.RunRoundRobin()
+			orders[si] = s.CSOrder()
+			return err
+		}
+	}
 
 	for passages < cfg.Passages {
 		rounds++
@@ -301,7 +308,7 @@ func Run(cfg Config) (*Report, error) {
 			opsBacking[si] = buf
 			sc := baseCfg
 			sc.Procs = len(buf)
-			specs = append(specs, engine.RunSpec{Session: sc, Collect: collectOrder})
+			specs = append(specs, engine.RunSpec{Session: sc, Drive: drives[si]})
 			batchShards = append(batchShards, si)
 			batchOps = append(batchOps, buf)
 		}
@@ -328,9 +335,8 @@ func Run(cfg Config) (*Report, error) {
 			if len(r.Violations) > 0 {
 				return nil, fmt.Errorf("service: shard %d round %d: safety violation: %s", si, rounds, r.Violations[0])
 			}
-			ops := batchOps[k]
-			order, ok := r.Payload.([]int)
-			if !ok || len(order) != len(ops) {
+			ops, order := batchOps[k], orders[si]
+			if len(order) != len(ops) {
 				return nil, fmt.Errorf("service: shard %d round %d: incomplete CS order (%d of %d)", si, rounds, len(order), len(ops))
 			}
 			b := int64(len(ops))

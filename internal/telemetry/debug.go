@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,8 +19,9 @@ var debugRegistry atomic.Pointer[Registry]
 var publishOnce sync.Once
 
 // DebugServer is an opt-in HTTP server for live inspection of a running
-// tool: /metrics (Prometheus text by default, JSON with ?format=json or an
-// Accept: application/json header), /debug/vars (expvar), and /debug/pprof.
+// tool: /metrics (Prometheus text, histogram buckets included), /debug/vars
+// (expvar, whose rme_telemetry entry is the registry as the flat JSON
+// series of the -metrics stream), and /debug/pprof.
 type DebugServer struct {
 	srv *http.Server
 	ln  net.Listener
@@ -39,15 +39,9 @@ func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 	})
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		snap := debugRegistry.Load().Snapshot()
-		if wantJSON(r) {
-			w.Header().Set("Content-Type", "application/json")
-			WriteJSON(w, snap)
-			return
-		}
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(w, snap)
+		WritePrometheus(w, debugRegistry.Load().Snapshot())
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -66,13 +60,6 @@ func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 	}
 	go d.srv.Serve(ln)
 	return d, nil
-}
-
-func wantJSON(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "json" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "application/json")
 }
 
 // Addr returns the bound listen address (useful with port 0).

@@ -8,16 +8,9 @@ import (
 	"testing"
 )
 
-func get(t *testing.T, url string, header map[string]string) (int, string) {
+func get(t *testing.T, url string) (int, string) {
 	t.Helper()
-	req, err := http.NewRequest("GET", url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range header {
-		req.Header.Set(k, v)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +23,7 @@ func get(t *testing.T, url string, header map[string]string) (int, string) {
 }
 
 // TestServeDebug exercises every endpoint of the opt-in debug server:
-// /metrics in both formats, expvar, and the pprof index.
+// /metrics, expvar's rme_telemetry entry, and the pprof index.
 func TestServeDebug(t *testing.T) {
 	reg := New()
 	reg.Counter("check_states_visited").Add(41)
@@ -44,7 +37,7 @@ func TestServeDebug(t *testing.T) {
 	base := "http://" + d.Addr()
 
 	// Prometheus text by default; the counter moves between scrapes.
-	code, body := get(t, base+"/metrics", nil)
+	code, body := get(t, base+"/metrics")
 	if code != http.StatusOK || !strings.Contains(body, "# TYPE check_states_visited counter") ||
 		!strings.Contains(body, "check_states_visited 41") {
 		t.Fatalf("prometheus /metrics: %d\n%s", code, body)
@@ -53,42 +46,29 @@ func TestServeDebug(t *testing.T) {
 		t.Fatalf("histogram missing from exposition:\n%s", body)
 	}
 	reg.Counter("check_states_visited").Add(1)
-	if _, body := get(t, base+"/metrics", nil); !strings.Contains(body, "check_states_visited 42") {
+	if _, body := get(t, base+"/metrics"); !strings.Contains(body, "check_states_visited 42") {
 		t.Fatalf("scrape not live:\n%s", body)
 	}
 
-	// JSON via ?format=json and via Accept.
-	for _, variant := range []struct {
-		url    string
-		header map[string]string
-	}{
-		{base + "/metrics?format=json", nil},
-		{base + "/metrics", map[string]string{"Accept": "application/json"}},
-	} {
-		_, body := get(t, variant.url, variant.header)
-		var doc struct {
-			Counters map[string]int64 `json:"counters"`
-		}
-		if err := json.Unmarshal([]byte(body), &doc); err != nil {
-			t.Fatalf("JSON /metrics (%s): %v\n%s", variant.url, err, body)
-		}
-		if doc.Counters["check_states_visited"] != 42 {
-			t.Fatalf("JSON /metrics wrong counters: %s", body)
-		}
+	// expvar: rme_telemetry is the registry's flat series, histograms as
+	// _count and _sum.
+	code, body = get(t, base+"/debug/vars")
+	var vars struct {
+		Telemetry map[string]int64 `json:"rme_telemetry"`
 	}
-
-	// expvar: the standard page includes our published registry snapshot.
-	code, body = get(t, base+"/debug/vars", nil)
-	if code != http.StatusOK || !strings.Contains(body, "rme_telemetry") ||
-		!strings.Contains(body, "check_states_visited") {
-		t.Fatalf("expvar: %d\n%s", code, body)
+	if err := json.Unmarshal([]byte(body), &vars); code != http.StatusOK || err != nil {
+		t.Fatalf("expvar: %d %v\n%s", code, err, body)
+	}
+	if vars.Telemetry["check_states_visited"] != 42 || vars.Telemetry["check_restore_replay_len_count"] != 1 ||
+		vars.Telemetry["check_restore_replay_len_sum"] != 3 {
+		t.Fatalf("expvar rme_telemetry = %v", vars.Telemetry)
 	}
 
 	// pprof index and a cheap profile endpoint.
-	if code, body := get(t, base+"/debug/pprof/", nil); code != http.StatusOK || !strings.Contains(body, "goroutine") {
+	if code, body := get(t, base+"/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Fatalf("pprof index: %d\n%s", code, body)
 	}
-	if code, _ := get(t, base+"/debug/pprof/cmdline", nil); code != http.StatusOK {
+	if code, _ := get(t, base+"/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Fatalf("pprof cmdline: %d", code)
 	}
 }
@@ -109,7 +89,7 @@ func TestServeDebugRebind(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer second.Close()
-	_, body := get(t, "http://"+second.Addr()+"/debug/vars", nil)
+	_, body := get(t, "http://"+second.Addr()+"/debug/vars")
 	if !strings.Contains(body, "adversary_rounds") {
 		t.Fatalf("expvar not rebound to the live registry:\n%s", body)
 	}

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -93,48 +92,4 @@ func escapeLabel(v string) string {
 	v = strings.ReplaceAll(v, `"`, `\"`)
 	v = strings.ReplaceAll(v, "\n", `\n`)
 	return v
-}
-
-// jsonHistogram is the /metrics?format=json histogram shape.
-type jsonHistogram struct {
-	Bounds  []int64 `json:"bounds"`
-	Buckets []int64 `json:"buckets"`
-	Count   int64   `json:"count"`
-	Sum     int64   `json:"sum"`
-}
-
-// jsonSnapshot is the /metrics?format=json document. Map keys are sorted by
-// the encoder, so the document is deterministic.
-type jsonSnapshot struct {
-	Counters   map[string]int64         `json:"counters,omitempty"`
-	Gauges     map[string]int64         `json:"gauges,omitempty"`
-	Histograms map[string]jsonHistogram `json:"histograms,omitempty"`
-}
-
-// WriteJSON renders the snapshot as one indented JSON document.
-func WriteJSON(w io.Writer, s Snapshot) error {
-	doc := jsonSnapshot{}
-	if len(s.Counters) > 0 {
-		doc.Counters = make(map[string]int64, len(s.Counters))
-		for _, p := range s.Counters {
-			doc.Counters[p.Name] = p.Value
-		}
-	}
-	if len(s.Gauges) > 0 {
-		doc.Gauges = make(map[string]int64, len(s.Gauges))
-		for _, p := range s.Gauges {
-			doc.Gauges[p.Name] = p.Value
-		}
-	}
-	if len(s.Histograms) > 0 {
-		doc.Histograms = make(map[string]jsonHistogram, len(s.Histograms))
-		for _, h := range s.Histograms {
-			doc.Histograms[h.Name] = jsonHistogram{
-				Bounds: h.Bounds, Buckets: h.Buckets, Count: h.Count, Sum: h.Sum,
-			}
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

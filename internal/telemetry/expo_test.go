@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -73,36 +72,5 @@ func TestSanitizeName(t *testing.T) {
 func TestEscapeLabel(t *testing.T) {
 	if got := escapeLabel("a\"b\\c\nd"); got != `a\"b\\c\nd` {
 		t.Fatalf("escapeLabel = %q", got)
-	}
-}
-
-// TestWriteJSON: the JSON exposition decodes back to the same values and is
-// byte-deterministic (map keys are sorted by the encoder).
-func TestWriteJSON(t *testing.T) {
-	var a, b bytes.Buffer
-	snap := goldenRegistry().Snapshot()
-	if err := WriteJSON(&a, snap); err != nil {
-		t.Fatal(err)
-	}
-	WriteJSON(&b, snap)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("JSON exposition is not deterministic")
-	}
-	var doc struct {
-		Counters   map[string]int64 `json:"counters"`
-		Gauges     map[string]int64 `json:"gauges"`
-		Histograms map[string]struct {
-			Count int64 `json:"count"`
-			Sum   int64 `json:"sum"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal(a.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Counters["check_states_visited"] != 2013 {
-		t.Fatalf("counter lost in JSON: %v", doc.Counters)
-	}
-	if doc.Histograms["check_restore_replay_len"].Count != 6 {
-		t.Fatalf("histogram lost in JSON: %v", doc.Histograms)
 	}
 }

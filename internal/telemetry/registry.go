@@ -2,8 +2,8 @@
 // long-running tools: a low-overhead registry of atomic counters, gauges,
 // and fixed-bucket histograms, a wall-clock heartbeat emitter that renders
 // human progress lines and a machine-readable JSONL stream, and an opt-in
-// HTTP debug server exposing /metrics (JSON and Prometheus text), expvar,
-// and /debug/pprof.
+// HTTP debug server exposing /metrics (Prometheus text), expvar (the
+// registry's JSON view) and /debug/pprof.
 //
 // Telemetry is strictly off the result path. Instrumented code writes
 // counters; nothing ever reads them back into a decision, so every

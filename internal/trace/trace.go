@@ -17,16 +17,12 @@
 // configurations keep none, so a caller that wants the step-level story of
 // such a run replays its schedule on a traced machine (faults.ReplayTraced).
 // Because executions replay byte-identically, traces are byte-identical
-// across -parallel settings and across Machine.Reset reuse; the engine's
-// Capture merges per-run traces in submission order to keep that property
-// across a worker pool.
+// across -parallel settings and across Machine.Reset reuse; a Capture keeps
+// that property across a worker pool by taking each engine batch whole, in
+// submission order.
 package trace
 
-import (
-	"sync"
-
-	"rme/internal/sim"
-)
+import "rme/internal/sim"
 
 // Run is one traced execution: its slot in the submission order, a label for
 // humans (algorithm name, reproducer id, experiment cell), the machine shape,
@@ -43,56 +39,29 @@ type Run struct {
 	Events []sim.Event
 }
 
-// Capture accumulates per-run traces from concurrent workers and hands them
-// back in deterministic submission order. Callers reserve a contiguous block
-// of slots up front (Reserve), then fill each slot from whichever goroutine
-// completes the run (Set); Runs returns the filled slots sorted by index, so
-// the serialized output never depends on completion order. All methods are
-// safe for concurrent use.
+// Capture accumulates the traces of successive engine batches in
+// submission order. The engine fills a batch by position and appends it
+// once every run has finished, so the serialized output never depends on
+// completion order. A Capture is not safe for concurrent use.
 type Capture struct {
-	mu   sync.Mutex
 	runs []Run
-	used []bool
+	next int
 }
 
-// Reserve allocates n submission-order slots and returns the index of the
-// first; slot i of the batch is base+i.
-func (c *Capture) Reserve(n int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	base := len(c.runs)
-	c.runs = append(c.runs, make([]Run, n)...)
-	c.used = append(c.used, make([]bool, n)...)
-	return base
-}
-
-// Set fills a reserved slot. The run's Index is overwritten with the slot.
-func (c *Capture) Set(slot int, r Run) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r.Index = slot
-	c.runs[slot] = r
-	c.used[slot] = true
-}
-
-// Runs returns the filled slots in submission order. A slot stays unfilled
-// only when its run's session failed to build; unfilled slots are omitted
-// and the others keep their indices, so a gap shows as a gap, not a shift.
-func (c *Capture) Runs() []Run {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Run, 0, len(c.runs))
-	for i, r := range c.runs {
-		if c.used[i] {
-			out = append(out, r)
+// Append adds one batch; its slots continue from the previous batch's, and
+// each run's Index is set to its slot. A run with no processes (the engine
+// leaves a run whose session failed to build zero) is not stored but keeps
+// its slot, so a gap shows as a gap, not a shift.
+func (c *Capture) Append(batch []Run) {
+	for i, r := range batch {
+		if r.Procs == 0 {
+			continue
 		}
+		r.Index = c.next + i
+		c.runs = append(c.runs, r)
 	}
-	return out
+	c.next += len(batch)
 }
 
-// Len returns the number of reserved slots.
-func (c *Capture) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.runs)
-}
+// Runs returns the stored runs in submission order.
+func (c *Capture) Runs() []Run { return c.runs }

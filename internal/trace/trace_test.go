@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"rme/internal/memory"
@@ -169,49 +168,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	// Attribution must be computable from a decoded trace.
 	if want, got := Merge(runs), Merge(got); !reflect.DeepEqual(want, got) {
 		t.Errorf("attribution from decoded trace differs:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestCaptureSubmissionOrder fills slots from concurrent goroutines in
-// adversarial order and asserts Runs comes back in submission order.
-func TestCaptureSubmissionOrder(t *testing.T) {
-	var c Capture
-	base := c.Reserve(8)
-	if base != 0 {
-		t.Fatalf("first Reserve base = %d", base)
-	}
-	base2 := c.Reserve(4)
-	if base2 != 8 {
-		t.Fatalf("second Reserve base = %d, want 8", base2)
-	}
-	var wg sync.WaitGroup
-	for i := 11; i >= 0; i-- {
-		if i == 5 { // simulate a session that failed to build: slot 5 never filled
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c.Set(i, Run{Label: string(rune('a' + i))})
-		}(i)
-	}
-	wg.Wait()
-	runs := c.Runs()
-	if len(runs) != 11 {
-		t.Fatalf("got %d runs, want 11 (one unfilled)", len(runs))
-	}
-	prev := -1
-	for _, r := range runs {
-		if r.Index <= prev {
-			t.Fatalf("runs out of order: %d after %d", r.Index, prev)
-		}
-		if r.Index == 5 {
-			t.Fatal("unfilled slot surfaced")
-		}
-		if r.Label != string(rune('a'+r.Index)) {
-			t.Errorf("slot %d holds label %q", r.Index, r.Label)
-		}
-		prev = r.Index
 	}
 }
 
