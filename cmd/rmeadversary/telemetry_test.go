@@ -65,3 +65,37 @@ func TestMetricsStreamFromConstruction(t *testing.T) {
 		t.Fatalf("final record reports no rounds: %v", last.Metrics)
 	}
 }
+
+// TestAuditSplitTelemetry: the final metrics record splits the erasure
+// audits by path. The watree anchor decides audits on the controller-only
+// replay; tournament, whose waits span several cells, also replays bodies.
+func TestAuditSplitTelemetry(t *testing.T) {
+	for _, tc := range []struct{ alg, metric string }{
+		{"watree", "adversary_audits_fast"},
+		{"tournament", "adversary_audits_replayed"},
+	} {
+		path := filepath.Join(t.TempDir(), tc.alg+".jsonl")
+		_, err := captureStdout(t, func() error {
+			return run([]string{"-alg", tc.alg, "-n", "16", "-w", "4", "-metrics", path})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := telemetry.ReadRecords(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := recs[len(recs)-1]
+		if !last.Final {
+			t.Fatalf("%s: stream has no final cumulative record", tc.alg)
+		}
+		if last.Metrics[tc.metric] == 0 {
+			t.Errorf("%s: %s = 0, want > 0 (metrics %v)", tc.alg, tc.metric, last.Metrics)
+		}
+	}
+}

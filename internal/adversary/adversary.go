@@ -230,23 +230,31 @@ type Adversary struct {
 	lastViable viable
 	tm         advTelemetry
 
-	// replay and cacheMask are buildWithout's retained buffers: the
-	// restricted schedule being replayed, and the active processes whose
-	// cache sets the replay must preserve.
+	// replay and cacheMask are the audits' retained buffers: the restricted
+	// schedule buildWithout replays, and the active processes whose cache
+	// sets an erasure must preserve. erasure is fastErasable's scratch.
 	replay    sim.Schedule
 	cacheMask word.Bitset
+	erasure   sim.Erasure
+
+	// auditsFast and auditsReplayed count verifyErasable's decisions by
+	// path, for telemetry only.
+	auditsFast, auditsReplayed int
 }
 
 // advTelemetry holds the construction's live metric handles; all nil-safe
 // no-ops without Config.Telemetry. Per-round deltas come from the Round
 // report, cumulative erasure stats are re-published from the report totals,
-// so the final snapshot matches the Report exactly.
+// so the final snapshot matches the Report exactly. The audit split by path
+// (adversary_audits_fast, adversary_audits_replayed) is telemetry only: it
+// is in neither the Report nor its Counters.
 type advTelemetry struct {
 	rounds, stepped, finished  *telemetry.Counter
 	removed, blocked, hidden   *telemetry.Counter
 	round, active              *telemetry.Gauge
 	replays, rollbacks         *telemetry.Gauge
 	hidingAttempts, hidingWins *telemetry.Gauge
+	auditsFast, auditsReplayed *telemetry.Gauge
 }
 
 func newAdvTelemetry(reg *telemetry.Registry) advTelemetry {
@@ -263,6 +271,8 @@ func newAdvTelemetry(reg *telemetry.Registry) advTelemetry {
 		rollbacks:      reg.Gauge("adversary_removal_rollbacks"),
 		hidingAttempts: reg.Gauge("adversary_hiding_attempts"),
 		hidingWins:     reg.Gauge("adversary_hiding_wins"),
+		auditsFast:     reg.Gauge("adversary_audits_fast"),
+		auditsReplayed: reg.Gauge("adversary_audits_replayed"),
 	}
 }
 
@@ -280,6 +290,8 @@ func (a *Adversary) observeRound(rep *Round) {
 	a.tm.rollbacks.Set(int64(a.report.RemovalRollbacks))
 	a.tm.hidingAttempts.Set(int64(a.report.HidingAttempts))
 	a.tm.hidingWins.Set(int64(a.report.HidingWins))
+	a.tm.auditsFast.Set(int64(a.auditsFast))
+	a.tm.auditsReplayed.Set(int64(a.auditsReplayed))
 }
 
 // New prepares an adversary over a fresh session.

@@ -110,14 +110,13 @@ func oracleErasable(t *testing.T, a *Adversary, w *engine.Worker, p int) bool {
 }
 
 // TestErasureVerdictsMatchStringOracle runs the construction round by round
-// over six algorithms, n ∈ {4, 8, 16}, w ∈ {4, 16}, CC and DSM. After every
-// round each process that has not been removed is audited twice: by
-// verifyErasable (value observables, CachesAgree) and by the string oracle
-// on an independent replay. The verdicts must agree, and both verdicts must
-// occur across the grid so the comparison is not vacuous.
+// over six algorithms, n ∈ {4, 8, 16}, w ∈ {4, 16}, CC and DSM, and audits
+// every process that has not been removed after every round three ways (see
+// auditAgainstOracle). Both verdicts and both audit paths must occur across
+// the grid so the comparison is not vacuous.
 func TestErasureVerdictsMatchStringOracle(t *testing.T) {
 	algs := []mutex.Algorithm{watree.New(), yatree.New(), rspin.New(), mcs.New(), grlock.New(), tournament.New()}
-	verdicts := map[bool]int{}
+	var total auditTally
 	for _, alg := range algs {
 		for _, n := range []int{4, 8, 16} {
 			for _, w := range []word.Width{4, 16} {
@@ -125,23 +124,84 @@ func TestErasureVerdictsMatchStringOracle(t *testing.T) {
 					name := fmt.Sprintf("%s/n=%d/w=%d/%s", alg.Name(), n, w, model)
 					t.Run(name, func(t *testing.T) {
 						cfg := Config{Session: mutex.Config{Procs: n, Width: w, Model: model, Algorithm: alg}}
-						for v, c := range auditAgainstOracle(t, cfg) {
-							verdicts[v] += c
-						}
+						total.add(auditAgainstOracle(t, cfg))
 					})
 				}
 			}
 		}
 	}
-	if verdicts[true] == 0 || verdicts[false] == 0 {
-		t.Errorf("verdicts over the grid: %d erasable, %d not; want both", verdicts[true], verdicts[false])
+	total.require(t)
+}
+
+// TestErasureVerdictsOnExperimentGrids runs the three-way audit over the
+// constructions of experiments E1 (the 15 cells of the E1 and E1b tables),
+// E7 and E8, at their default scale. The n=256 cells are skipped in short
+// mode.
+func TestErasureVerdictsOnExperimentGrids(t *testing.T) {
+	var cfgs []Config
+	add := func(k int, alg mutex.Algorithm, model sim.Model, n int, w word.Width) {
+		cfgs = append(cfgs, Config{K: k, Session: mutex.Config{Procs: n, Width: w, Model: model, Algorithm: alg}})
+	}
+	for _, n := range []int{16, 64, 256} {
+		for _, w := range []word.Width{4, 8, 16, 64} {
+			add(0, watree.New(), sim.CC, n, w) // E1
+		}
+		add(0, yatree.New(), sim.CC, n, 16) // E1b
+	}
+	for _, alg := range []mutex.Algorithm{mcs.New(), rspin.New(), grlock.New(), watree.New(watree.WithFanout(2))} {
+		add(4, alg, sim.CC, 12, 16) // E7
+	}
+	for _, model := range []sim.Model{sim.CC, sim.DSM} {
+		for _, n := range []int{16, 64} {
+			for _, alg := range []mutex.Algorithm{watree.New(), grlock.New()} {
+				add(0, alg, model, n, 8) // E8
+			}
+		}
+	}
+	var total auditTally
+	for _, cfg := range cfgs {
+		s := cfg.Session
+		t.Run(fmt.Sprintf("%s/n=%d/w=%d/%s/K=%d", s.Algorithm.Name(), s.Procs, s.Width, s.Model, cfg.K), func(t *testing.T) {
+			if testing.Short() && s.Procs > 64 {
+				t.Skip("n > 64 in short mode")
+			}
+			total.add(auditAgainstOracle(t, cfg))
+		})
+	}
+	total.require(t)
+}
+
+// auditTally counts the three-way audits' outcomes: verdicts by value, how
+// many the fast path decided, and how many fell back to buildWithout and how
+// many of those were erasable.
+type auditTally struct {
+	erasable, kept, fast, fallback, fallbackErasable int
+}
+
+func (a *auditTally) add(b auditTally) {
+	a.erasable += b.erasable
+	a.kept += b.kept
+	a.fast += b.fast
+	a.fallback += b.fallback
+	a.fallbackErasable += b.fallbackErasable
+}
+
+// require fails t unless both verdicts and both audit paths occurred.
+func (a auditTally) require(t *testing.T) {
+	t.Helper()
+	t.Logf("audits: %d erasable, %d not; %d decided on the fast path, %d fell back (%d of them erasable)",
+		a.erasable, a.kept, a.fast, a.fallback, a.fallbackErasable)
+	if a.erasable == 0 || a.kept == 0 || a.fast == 0 || a.fallback == 0 {
+		t.Errorf("audits: %d erasable, %d not, %d fast, %d fallbacks; want all four nonzero", a.erasable, a.kept, a.fast, a.fallback)
 	}
 }
 
-// auditAgainstOracle drives one construction the way Run does and compares
-// the two verdicts for every non-removed process after every round. It
-// returns how often each verdict occurred.
-func auditAgainstOracle(t *testing.T, cfg Config) map[bool]int {
+// auditAgainstOracle drives one construction the way Run does and, after
+// every round, audits every process that has not been removed three ways:
+// by the fast path (fastErasable) where it decides, by the body replay
+// (buildWithout), and by the string oracle on an independent replay. All
+// verdicts given must agree.
+func auditAgainstOracle(t *testing.T, cfg Config) auditTally {
 	t.Helper()
 	a, err := New(cfg)
 	if err != nil && cfg.Session.Procs >= 1<<cfg.Session.Width {
@@ -153,7 +213,7 @@ func auditAgainstOracle(t *testing.T, cfg Config) map[bool]int {
 	defer a.Close()
 	oracle := engine.NewWorker()
 	defer oracle.Close()
-	verdicts := map[bool]int{}
+	var tally auditTally
 	for round := 1; round <= a.cfg.maxRounds() && len(a.actives()) >= 2; round++ {
 		progressed, err := a.round(round)
 		if err != nil {
@@ -163,17 +223,34 @@ func auditAgainstOracle(t *testing.T, cfg Config) map[bool]int {
 			if st == Removed {
 				continue
 			}
-			got, want := a.verifyErasable(p), oracleErasable(t, a, oracle, p)
+			fast, decided := a.fastErasable(p)
+			got, want := a.replayErasable(p), oracleErasable(t, a, oracle, p)
 			if got != want {
 				t.Fatalf("round %d: p%d (%s) erasable = %v, string oracle says %v", round, p, st, got, want)
 			}
-			verdicts[got]++
+			if decided && fast != got {
+				t.Fatalf("round %d: p%d (%s) erasable = %v on the fast path, %v by buildWithout", round, p, st, fast, got)
+			}
+			if got {
+				tally.erasable++
+			} else {
+				tally.kept++
+			}
+			switch {
+			case decided:
+				tally.fast++
+			case got:
+				tally.fallback++
+				tally.fallbackErasable++
+			default:
+				tally.fallback++
+			}
 		}
 		if !progressed {
 			break
 		}
 	}
-	return verdicts
+	return tally
 }
 
 // TestPendingKeyMatchesOracle checks the pending-operation key field by

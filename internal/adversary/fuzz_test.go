@@ -1,6 +1,7 @@
 package adversary_test
 
 import (
+	"fmt"
 	"testing"
 
 	"rme"
@@ -27,50 +28,89 @@ import (
 // The seed corpus (n <= 32) runs with the ordinary tests; its first entry is
 // the n=16 rmeadversary anchor of the perf ledger.
 func FuzzAdversary(f *testing.F) {
-	// Algorithm selectors index rme.AlgorithmNames().
-	f.Add(uint8(8), uint8(14), uint8(2), false, uint8(0))  // watree n=16 w=4 CC (ledger anchor)
-	f.Add(uint8(8), uint8(14), uint8(2), true, uint8(0))   // watree n=16 w=4 DSM
-	f.Add(uint8(8), uint8(30), uint8(6), false, uint8(6))  // watree n=32 w=8 K=6
-	f.Add(uint8(9), uint8(22), uint8(6), true, uint8(6))   // watree2 n=24 w=8 DSM K=6
-	f.Add(uint8(10), uint8(14), uint8(6), false, uint8(4)) // watree-fast n=16 w=8 K=4
-	f.Add(uint8(6), uint8(22), uint8(6), true, uint8(6))   // grlock n=24 w=8 DSM K=6
-	f.Add(uint8(7), uint8(10), uint8(14), false, uint8(4)) // rspin n=12 w=16 K=4
-	f.Add(uint8(2), uint8(10), uint8(14), false, uint8(4)) // mcs n=12 w=16 K=4
-	f.Add(uint8(5), uint8(22), uint8(6), true, uint8(6))   // yatree n=24 w=8 DSM K=6
-	f.Add(uint8(4), uint8(22), uint8(6), false, uint8(6))  // tournament n=24 w=8 K=6
-	f.Add(uint8(0), uint8(6), uint8(6), false, uint8(0))   // tas n=8 w=8
-	f.Add(uint8(1), uint8(6), uint8(6), true, uint8(0))    // ticket n=8 w=8 DSM
-	f.Add(uint8(3), uint8(6), uint8(6), false, uint8(3))   // clh n=8 w=8 K=3
-	f.Add(uint8(11), uint8(6), uint8(62), false, uint8(0)) // qword n=8 w=64
-	f.Add(uint8(11), uint8(30), uint8(6), false, uint8(0)) // qword n=32 w=8: rejected, skipped
-	f.Add(uint8(6), uint8(10), uint8(34), true, uint8(1))  // grlock n=12 w=36 DSM K=1: owners of read cells (I8)
+	for _, s := range fuzzSeeds {
+		f.Add(s.alg, s.n, s.w, s.dsm, s.k)
+	}
 	f.Fuzz(func(t *testing.T, algSel, nSel, wSel uint8, dsm bool, kSel uint8) {
-		names := rme.AlgorithmNames()
-		n := 2 + int(nSel)%63
-		session := mutex.Config{
-			Procs:     n,
-			Width:     word.Width(2 + int(wSel)%63),
-			Model:     sim.CC,
-			Algorithm: rme.MustAlgorithm(names[int(algSel)%len(names)]),
-		}
-		if dsm {
-			session.Model = sim.DSM
-		}
-		cfg := adversary.Config{Session: session, K: int(kSel) % (n + 1)}
+		cfg := fuzzConfig(algSel, nSel, wSel, dsm, kSel)
+		session := cfg.Session
 		adv, err := adversary.New(cfg)
 		if err != nil {
-			t.Skipf("%s n=%d w=%d: %v", session.Algorithm.Name(), n, session.Width, err)
+			t.Skipf("%s n=%d w=%d: %v", session.Algorithm.Name(), session.Procs, session.Width, err)
 		}
 		defer adv.Close()
 		rep, err := adv.Run()
 		if err != nil {
-			t.Fatalf("%s n=%d w=%d %s K=%d: %v", session.Algorithm.Name(), n, session.Width, session.Model, cfg.K, err)
+			t.Fatalf("%s n=%d w=%d %s K=%d: %v", session.Algorithm.Name(), session.Procs, session.Width, session.Model, cfg.K, err)
 		}
 		checkSoundness(t, rep)
 		if rep.ViableRounds == len(rep.Rounds) {
 			replaySurvivors(t, session, rep)
 		}
 	})
+}
+
+// fuzzSeed is one FuzzAdversary input; the algorithm selector indexes
+// rme.AlgorithmNames().
+type fuzzSeed struct {
+	alg, n, w uint8
+	dsm       bool
+	k         uint8
+}
+
+var fuzzSeeds = []fuzzSeed{
+	{8, 14, 2, false, 0},  // watree n=16 w=4 CC (ledger anchor)
+	{8, 14, 2, true, 0},   // watree n=16 w=4 DSM
+	{8, 30, 6, false, 6},  // watree n=32 w=8 K=6
+	{9, 22, 6, true, 6},   // watree2 n=24 w=8 DSM K=6
+	{10, 14, 6, false, 4}, // watree-fast n=16 w=8 K=4
+	{6, 22, 6, true, 6},   // grlock n=24 w=8 DSM K=6
+	{7, 10, 14, false, 4}, // rspin n=12 w=16 K=4
+	{2, 10, 14, false, 4}, // mcs n=12 w=16 K=4
+	{5, 22, 6, true, 6},   // yatree n=24 w=8 DSM K=6
+	{4, 22, 6, false, 6},  // tournament n=24 w=8 K=6
+	{0, 6, 6, false, 0},   // tas n=8 w=8
+	{1, 6, 6, true, 0},    // ticket n=8 w=8 DSM
+	{3, 6, 6, false, 3},   // clh n=8 w=8 K=3
+	{11, 6, 62, false, 0}, // qword n=8 w=64
+	{11, 30, 6, false, 0}, // qword n=32 w=8: rejected, skipped
+	{6, 10, 34, true, 1},  // grlock n=12 w=36 DSM K=1: owners of read cells (I8)
+}
+
+// fuzzConfig maps a FuzzAdversary input to its construction: any registry
+// algorithm, n from 2 to 64, w from 2 to 64, CC or DSM, and K from 0 (the
+// default) to n.
+func fuzzConfig(algSel, nSel, wSel uint8, dsm bool, kSel uint8) adversary.Config {
+	names := rme.AlgorithmNames()
+	n := 2 + int(nSel)%63
+	session := mutex.Config{
+		Procs:     n,
+		Width:     word.Width(2 + int(wSel)%63),
+		Model:     sim.CC,
+		Algorithm: rme.MustAlgorithm(names[int(algSel)%len(names)]),
+	}
+	if dsm {
+		session.Model = sim.DSM
+	}
+	return adversary.Config{Session: session, K: int(kSel) % (n + 1)}
+}
+
+// TestErasureVerdictsOnFuzzSeeds runs the three-way erasure audit (fast
+// path, buildWithout, string oracle) over FuzzAdversary's seed corpus.
+func TestErasureVerdictsOnFuzzSeeds(t *testing.T) {
+	var total adversary.AuditTally
+	for _, s := range fuzzSeeds {
+		cfg := fuzzConfig(s.alg, s.n, s.w, s.dsm, s.k)
+		t.Run(fmt.Sprintf("%s/n=%d/w=%d/%s/K=%d", cfg.Session.Algorithm.Name(), cfg.Session.Procs, cfg.Session.Width, cfg.Session.Model, cfg.K), func(t *testing.T) {
+			a, err := adversary.New(cfg)
+			if err != nil {
+				t.Skipf("rejected: %v", err)
+			}
+			a.Close()
+			total.Add(adversary.AuditAgainstOracle(t, cfg))
+		})
+	}
+	total.Require(t)
 }
 
 // replaySurvivors replays rep.Schedule on a fresh traced session and checks

@@ -106,8 +106,54 @@ func (a *Adversary) tryErase(p int) bool {
 
 // verifyErasable checks whether p could be erased (identical replay for the
 // others) without adopting the replay — used to validate that a hidden
-// process is genuinely invisible.
+// process is genuinely invisible. It decides on the controller-only replay
+// of the live response log where that can decide, and otherwise replays the
+// bodies (replayErasable); both give the same verdict.
 func (a *Adversary) verifyErasable(p int) bool {
+	if erasable, decided := a.fastErasable(p); decided {
+		a.auditsFast++
+		return erasable
+	}
+	a.auditsReplayed++
+	return a.replayErasable(p)
+}
+
+// fastErasable decides p's erasability without running a body, when it
+// can. sim.Erasure replays the live response log without p; if every
+// response is unchanged, each remaining process's done flag, steps, crashes,
+// tag and pending operation are unchanged too (DESIGN.md decision 4), and
+// its parked flag, RMR counters and cache copies are the Erasure's. The
+// restricted execution's safety monitor then sees a subset of what the live
+// one saw, so a live session without violations vouches for it. A multi-cell
+// wait since the session's Reset, a changed response or a live violation
+// leaves the audit undecided.
+func (a *Adversary) fastErasable(p int) (erasable, decided bool) {
+	live := a.session.Machine()
+	if len(a.session.Violations()) > 0 || !a.erasure.Replay(live, p) {
+		return false, false
+	}
+	a.cacheMask.ClearAll()
+	for q, st := range a.status {
+		if q == p || st == Removed {
+			continue
+		}
+		if live.Parked(q) != a.erasure.Parked(q) {
+			return false, true
+		}
+		if st != Active {
+			continue
+		}
+		a.cacheMask.Set(q)
+		if live.RMRsIn(sim.CC, q) != a.erasure.RMRsIn(sim.CC, q) || live.RMRsIn(sim.DSM, q) != a.erasure.RMRsIn(sim.DSM, q) {
+			return false, true
+		}
+	}
+	return a.erasure.CachesAgree(live, a.cacheMask), true
+}
+
+// replayErasable decides p's erasability by replaying the bodies on a
+// recycled session (buildWithout) and releasing it again.
+func (a *Adversary) replayErasable(p int) bool {
 	replayed, ok := a.buildWithout(p)
 	if ok {
 		a.worker.Release(replayed)

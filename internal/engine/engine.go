@@ -11,8 +11,7 @@
 //     replay-heavy workloads (the checker for every DFS branch and
 //     checkpoint, the adversary for every erasure audit, the service for
 //     every shard batch). A reset keeps each process's body goroutine and
-//     still allocates one algorithm handle per process
-//     (mutex.Session.Reset).
+//     algorithm handle, and allocates nothing (mutex.Session.Reset).
 //
 //   - Parallelism with determinism. Run executes a batch of RunSpecs on a
 //     pool of workers and returns results in submission order regardless of
@@ -282,7 +281,7 @@ func execOne(w *Worker, spec *RunSpec, m *Metrics, tr *trace.Run) Result {
 	}
 	if m != nil {
 		m.Add(1, r.Steps, r.MaxRMR(spec.Session.Model))
-		m.passages.Add(int64(len(s.Stats())))
+		m.passages.Add(int64(s.Passages()))
 	}
 	w.Release(s)
 	return r

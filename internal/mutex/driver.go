@@ -181,8 +181,10 @@ func (s *Session) Machine() *sim.Machine { return s.mach }
 // adversary erasure verification) rely on this to avoid per-run machine
 // construction. The machine's body goroutines survive the Reset, parked at
 // the step gate, so a session that has been Reset must still be Closed.
-// What a Reset still allocates is one algorithm handle per process
-// (Instance.Bind in each body's Run); DESIGN.md §6 gives the counts.
+// Each body keeps its algorithm handle: the Handle contract lets a handle
+// hold only what Bind established (the env, the instance and cells, the
+// id), and a reset session binds the same process to the same instance, so
+// a session binds once, on its first run (DESIGN.md §6).
 func (s *Session) Reset() error {
 	s.mach.Reset()
 	s.csOwner = -1
@@ -449,13 +451,24 @@ func (s *Session) CSOrder() []int {
 	return out
 }
 
-// Stats returns all recorded passage statistics, processes in id order.
+// Stats returns a copy of all recorded passage statistics, processes in id
+// order.
 func (s *Session) Stats() []PassageStat {
 	var out []PassageStat
 	for _, b := range s.bodies {
 		out = append(out, b.stats...)
 	}
 	return out
+}
+
+// Passages returns the number of recorded passages, len(Stats()) without
+// the copy.
+func (s *Session) Passages() int {
+	n := 0
+	for _, b := range s.bodies {
+		n += len(b.stats)
+	}
+	return n
 }
 
 // CompletedPasses returns, per process, the number of passages that were not
@@ -466,9 +479,11 @@ func (s *Session) Stats() []PassageStat {
 // finish its interrupted super-passage, not abandon it.
 func (s *Session) CompletedPasses() []int {
 	completed := make([]int, s.cfg.Procs)
-	for _, st := range s.Stats() {
-		if !st.EndedByCrash {
-			completed[st.Proc]++
+	for _, b := range s.bodies {
+		for i := range b.stats {
+			if !b.stats[i].EndedByCrash {
+				completed[b.id]++
+			}
 		}
 	}
 	return completed
@@ -478,9 +493,9 @@ func (s *Session) CompletedPasses() []int {
 // passage — the paper's RMR complexity measure — under the given model.
 func (s *Session) MaxPassageRMRs(model sim.Model) int {
 	maxRMR := 0
-	for _, st := range s.Stats() {
-		if r := st.RMRs(model); r > maxRMR {
-			maxRMR = r
+	for _, b := range s.bodies {
+		for i := range b.stats {
+			maxRMR = max(maxRMR, b.stats[i].RMRs(model))
 		}
 	}
 	return maxRMR
@@ -519,10 +534,11 @@ type driverBody struct {
 var _ sim.Program = (*driverBody)(nil)
 
 // reset clears the body for a session Reset, keeping the stats buffer's
-// capacity. The handle is re-bound in Run.
+// capacity and the handle: a handle holds only what Bind established (see
+// Handle), and the reset session binds the same process to the same
+// instance.
 func (b *driverBody) reset() {
 	b.p = nil
-	b.handle = nil
 	b.completed = 0
 	b.inSuper = false
 	b.stats = b.stats[:0]
@@ -532,10 +548,13 @@ func (b *driverBody) reset() {
 	b.startSteps = 0
 }
 
-// Run executes the process's super-passages from the initial state.
+// Run executes the process's super-passages from the initial state, binding
+// the handle on the session's first run.
 func (b *driverBody) Run(p *sim.Proc) {
 	b.p = p
-	b.handle = b.s.inst.Bind(p)
+	if b.handle == nil {
+		b.handle = b.s.inst.Bind(p)
+	}
 	b.runRemaining()
 }
 

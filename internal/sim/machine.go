@@ -17,7 +17,7 @@ type Config struct {
 	// Model selects the RMR accounting rule used for scheduling decisions
 	// (WouldRMR, RMRs). Both models' counters are always maintained.
 	Model Model
-	// NoTrace disables trace retention (counters and schedules remain).
+	// NoTrace disables trace retention (counters and the response log remain).
 	NoTrace bool
 	// MaxSteps caps the number of actions; 0 means DefaultMaxSteps.
 	MaxSteps int
@@ -76,14 +76,16 @@ func (f ProgramFuncs) Recover(p *Proc) {
 // (the controller); process bodies run step-gated so that exactly one body
 // executes at a time.
 type Machine struct {
-	cfg      Config
-	cells    []*simCell
-	procs    []*Proc
-	trace    []Event
-	schedule Schedule
-	seq      int
-	started  bool
-	closed   bool
+	cfg   Config
+	cells []*simCell
+	procs []*Proc
+	trace []Event
+	// log is the one per-action record: the executed schedule with each
+	// step's cell, operation and response (see responseLog).
+	log     responseLog
+	seq     int
+	started bool
+	closed  bool
 	// sealed marks that the machine has been through a full construction
 	// (Start or Reset); allocation is closed from then on, so that a reset
 	// machine always replays the exact construction of a fresh one.
@@ -141,16 +143,18 @@ func (m *Machine) NewCell(label string, owner int, init word.Word) memory.Cell {
 		panic(fmt.Sprintf("sim: cell %q initial value %d exceeds %d bits", label, init, m.cfg.Width))
 	}
 	c := &simCell{
+		cellState: cellState{
+			val:      init,
+			cached:   word.NewBitset(m.cfg.Procs),
+			watchers: word.NewBitset(m.cfg.Procs),
+		},
 		m:            m,
 		id:           len(m.cells),
 		owner:        owner,
 		label:        label,
 		init:         init,
-		val:          init,
-		cached:       word.NewBitset(m.cfg.Procs),
 		accessed:     word.NewBitset(m.cfg.Procs),
 		lastAccessor: -1,
-		watchers:     word.NewBitset(m.cfg.Procs),
 	}
 	m.cells = append(m.cells, c)
 	return c
@@ -190,7 +194,7 @@ func (m *Machine) Start(programs []Program) error {
 
 // Reset returns the machine to its post-construction, pre-Start state:
 // every cell reverts to its initial value with empty cache/accessor/watcher
-// sets, the trace and schedule buffers are truncated in place, all counters
+// sets, the trace and response log are truncated in place, all counters
 // clear, and process structures are retained for the next Start. Reset is
 // legal at any point, including mid-run and after Close.
 //
@@ -224,7 +228,7 @@ func (m *Machine) Reset() {
 		c.lastAccessor = -1
 	}
 	m.trace = m.trace[:0]
-	m.schedule = m.schedule[:0]
+	m.log.reset()
 	m.seq = 0
 }
 
@@ -269,6 +273,7 @@ func (m *Machine) waitQuiescent(p *Proc) error {
 // over) or parks the process watching every cell and returns false.
 func (m *Machine) registerWait(p *Proc) ([]word.Word, bool) {
 	req := p.pending
+	m.log.waited = true
 	vals := make([]word.Word, len(req.multi))
 	for i, c := range req.multi {
 		// A real spin loop starts by reading each location once: charge a
@@ -315,7 +320,7 @@ func (m *Machine) checkProc(p int) (*Proc, error) {
 	if pr.done {
 		return nil, fmt.Errorf("step process %d: %w", p, ErrDone)
 	}
-	if len(m.schedule) >= m.cfg.MaxSteps {
+	if len(m.log.acts) >= m.cfg.MaxSteps {
 		return nil, ErrMaxSteps
 	}
 	return pr, nil
@@ -339,9 +344,10 @@ func (m *Machine) Step(p int) (Event, error) {
 	}
 
 	ev := m.applyStep(pr, req)
-	m.schedule = append(m.schedule, Action{Proc: p})
+	parked := req.spin != nil && !req.spin(ev.Ret)
+	m.log.step(p, req, ev.Ret, parked)
 
-	if req.spin != nil && !req.spin(ev.Ret) {
+	if parked {
 		// Park: keep the pending request, wait for the cell to change.
 		pr.parked = true
 		req.cell.watchers.Set(p)
@@ -418,40 +424,16 @@ func (m *Machine) resolveWakes(c *simCell) error {
 // counters, and builds the trace event (not yet recorded).
 func (m *Machine) applyStep(pr *Proc, req *stepReq) Event {
 	c := req.cell
-	op := req.op
-	isRead := op.IsRead()
-
-	rmrDSM := c.owner != pr.id
-	rmrCC := !isRead || !c.cached.Test(pr.id)
-
 	before := c.val
-	next, ret := memory.Apply(op, c.val, m.cfg.Width)
-	c.val = next
-
-	if isRead {
-		c.cached.Set(pr.id)
-	} else {
-		// Any non-read operation invalidates every cache copy (paper §2) and
-		// wakes single-cell spinners parked on this cell (multi-cell waiters
-		// are rechecked by resolveWakes).
-		c.cached.ClearAll()
-		c.watchers.ForEach(func(q int) {
-			if wp := m.procs[q].pending; wp != nil && !wp.isWait() {
-				m.procs[q].parked = false
-			}
-		})
-		// Watcher entries stay until the watcher is next stepped or resumed;
-		// parked=false is what marks it poised.
-	}
+	// A non-read operation wakes the single-cell spinners parked on c;
+	// multi-cell waiters are rechecked by resolveWakes.
+	ret, rmrCC, rmrDSM := c.access(pr.id, c.owner, req.op, m.cfg.Width, &pr.cost, func(q int) {
+		if wp := m.procs[q].pending; wp != nil && !wp.isWait() {
+			m.procs[q].parked = false
+		}
+	})
 	c.lastAccessor = pr.id
 	c.accessed.Set(pr.id)
-
-	if rmrCC {
-		pr.rmrCC++
-	}
-	if rmrDSM {
-		pr.rmrDSM++
-	}
 	pr.steps++
 
 	m.seq++
@@ -461,14 +443,42 @@ func (m *Machine) applyStep(pr *Proc, req *stepReq) Event {
 		Proc:      pr.id,
 		Cell:      c.id,
 		CellLabel: c.label,
-		Op:        op,
+		Op:        req.op,
 		Before:    before,
-		After:     next,
+		After:     c.val,
 		Ret:       ret,
 		RMRCC:     rmrCC,
 		RMRDSM:    rmrDSM,
 		Spin:      req.spin != nil,
 	}
+}
+
+// access performs op by process p on the cell, whose DSM segment belongs to
+// owner, charges the RMRs to cost, and returns the op's response and whether
+// it was an RMR under CC and under DSM. A read leaves p a valid cache copy;
+// any other operation invalidates every copy (paper §2) and calls unpark for
+// each process watching the cell. Watcher entries stay until the watcher is
+// next stepped, resumed or crashed; the unparked flag is what marks it
+// poised. This is the simulator's one copy of the cost model: Step applies
+// it to live cells, Erasure to scratch copies of them.
+func (s *cellState) access(p, owner int, op memory.Op, w word.Width, cost *cost, unpark func(q int)) (ret word.Word, rmrCC, rmrDSM bool) {
+	isRead := op.IsRead()
+	rmrDSM = owner != p
+	rmrCC = !isRead || !s.cached.Test(p)
+	s.val, ret = memory.Apply(op, s.val, w)
+	if isRead {
+		s.cached.Set(p)
+	} else {
+		s.cached.ClearAll()
+		s.watchers.ForEach(unpark)
+	}
+	if rmrCC {
+		cost.rmrCC++
+	}
+	if rmrDSM {
+		cost.rmrDSM++
+	}
+	return ret, rmrCC, rmrDSM
 }
 
 // Crash delivers a crash step to process p: its pending operation is
@@ -496,7 +506,7 @@ func (m *Machine) Crash(p int) (Event, error) {
 	m.seq++
 	ev := Event{Seq: m.seq, Kind: EvCrash, Proc: p}
 	m.record(ev)
-	m.schedule = append(m.schedule, Action{Proc: p, Crash: true})
+	m.log.crash(p)
 	return ev, m.resume(pr, verdict{crash: true})
 }
 
@@ -633,12 +643,7 @@ func (m *Machine) WouldRMR(p int) bool {
 func (m *Machine) RMRs(p int) int { return m.RMRsIn(m.cfg.Model, p) }
 
 // RMRsIn returns p's RMR count under the given model.
-func (m *Machine) RMRsIn(model Model, p int) int {
-	if model == DSM {
-		return m.procs[p].rmrDSM
-	}
-	return m.procs[p].rmrCC
-}
+func (m *Machine) RMRsIn(model Model, p int) int { return m.procs[p].cost.in(model) }
 
 // Crashes returns the number of crash steps delivered to p.
 func (m *Machine) Crashes(p int) int { return m.procs[p].crashes }
@@ -650,10 +655,16 @@ func (m *Machine) ProcSteps(p int) int { return m.procs[p].steps }
 func (m *Machine) Tag(p int) int { return m.procs[p].tag }
 
 // Steps returns the number of actions executed so far.
-func (m *Machine) Steps() int { return len(m.schedule) }
+func (m *Machine) Steps() int { return len(m.log.acts) }
 
 // Schedule returns a copy of the executed schedule.
-func (m *Machine) Schedule() Schedule { return m.schedule.Clone() }
+func (m *Machine) Schedule() Schedule {
+	out := make(Schedule, len(m.log.acts))
+	for i := range m.log.acts {
+		out[i] = m.log.acts[i].action()
+	}
+	return out
+}
 
 // AppendSchedule appends the executed schedule's actions by processes for
 // which keep returns true to buf[:0] and returns the extended slice — the
@@ -661,8 +672,8 @@ func (m *Machine) Schedule() Schedule { return m.schedule.Clone() }
 // restricted schedules in a loop with a retained buffer.
 func (m *Machine) AppendSchedule(buf Schedule, keep func(proc int) bool) Schedule {
 	buf = buf[:0]
-	for _, a := range m.schedule {
-		if keep(a.Proc) {
+	for i := range m.log.acts {
+		if a := m.log.acts[i].action(); keep(a.Proc) {
 			buf = append(buf, a)
 		}
 	}
@@ -722,11 +733,18 @@ func (m *Machine) CachesAgree(o *Machine, procs word.Bitset) bool {
 		return false
 	}
 	for i, c := range m.cells {
-		oc := o.cells[i].cached
-		for wi, w := range c.cached {
-			if (w^oc[wi])&procs[wi] != 0 {
-				return false
-			}
+		if !bitsAgree(c.cached, o.cells[i].cached, procs) {
+			return false
+		}
+	}
+	return true
+}
+
+// bitsAgree reports whether x and y hold the same members of procs.
+func bitsAgree(x, y, procs word.Bitset) bool {
+	for wi, w := range x {
+		if (w^y[wi])&procs[wi] != 0 {
+			return false
 		}
 	}
 	return true
@@ -746,16 +764,23 @@ func (m *Machine) own(c memory.Cell) *simCell {
 // the reset between pooled runs are short memclrs rather than per-process
 // loops, and watcher iteration is deterministic without sorting.
 type simCell struct {
+	cellState
 	m            *Machine
 	id           int
 	owner        int
 	label        string
 	init         word.Word
-	val          word.Word
-	cached       word.Bitset
 	accessed     word.Bitset
 	lastAccessor int
-	watchers     word.Bitset
+}
+
+// cellState is the part of a cell that a step reads and writes besides its
+// accessor history: the value, the processes holding a valid cache copy, and
+// the single-cell spinners watching it.
+type cellState struct {
+	val      word.Word
+	cached   word.Bitset
+	watchers word.Bitset
 }
 
 var _ memory.Cell = (*simCell)(nil)

@@ -39,9 +39,8 @@ type Proc struct {
 	err     error
 	crashes int
 	steps   int
-	rmrCC   int
-	rmrDSM  int
-	tag     int
+	cost
+	tag int
 
 	// Body-side state; only touched by the body goroutine. unwinding is set
 	// while a kill verdict unwinds the running program, and stopping when
@@ -122,8 +121,7 @@ func (p *Proc) reset(program Program) {
 	p.err = nil
 	p.crashes = 0
 	p.steps = 0
-	p.rmrCC = 0
-	p.rmrDSM = 0
+	p.cost = cost{}
 	p.tag = 0
 }
 
@@ -313,12 +311,7 @@ func (p *Proc) SetTag(tag int) { p.tag = tag }
 
 // RMRCount returns the process's RMR count under the given model. It is safe
 // from the body goroutine (between steps) and from the controller.
-func (p *Proc) RMRCount(m Model) int {
-	if m == DSM {
-		return p.rmrDSM
-	}
-	return p.rmrCC
-}
+func (p *Proc) RMRCount(m Model) int { return p.cost.in(m) }
 
 // StepCount returns the number of shared-memory steps the process has
 // executed (crash steps excluded).
