@@ -67,12 +67,16 @@ func TestMetricsStreamFromConstruction(t *testing.T) {
 }
 
 // TestAuditSplitTelemetry: the final metrics record splits the erasure
-// audits by path. The watree anchor decides audits on the controller-only
-// replay; tournament, whose waits span several cells, also replays bodies.
+// audits and the adopted erasures by path. The watree anchor decides audits
+// on the controller-only replay and adopts erasures by patching the live
+// session; tournament, whose waits span several cells, also replays bodies
+// for both.
 func TestAuditSplitTelemetry(t *testing.T) {
 	for _, tc := range []struct{ alg, metric string }{
 		{"watree", "adversary_audits_fast"},
+		{"watree", "adversary_adoptions_fast"},
 		{"tournament", "adversary_audits_replayed"},
+		{"tournament", "adversary_adoptions_replayed"},
 	} {
 		path := filepath.Join(t.TempDir(), tc.alg+".jsonl")
 		_, err := captureStdout(t, func() error {

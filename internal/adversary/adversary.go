@@ -16,7 +16,12 @@
 // its cell's allocation id and the operation's code, arguments and name,
 // and the cache sets of all active processes at once by
 // sim.Machine.CachesAgree, one word operation per cell per 64 processes.
-// A removal that fails verification is rolled back and handled
+// Where every other process's responses stay the same, the column is
+// computed from the live response log without running a body (sim.Erasure)
+// and adopted by patching the live session in place, relaunching only the
+// removed process's body (mutex.Session.AdoptErasure); otherwise the bodies
+// replay the restricted schedule on a second session, which becomes the
+// live one. A removal that fails verification is rolled back and handled
 // conservatively (the process is run to completion instead), so the
 // construction never reports rounds it did not actually force.
 //
@@ -170,7 +175,9 @@ type Report struct {
 	// HidingAttempts/HidingWins count the value-collision searches.
 	HidingAttempts int
 	HidingWins     int
-	// Replays counts verified schedule replays (removals).
+	// Replays counts adopted erasures (removals): erasures verified and
+	// made the live execution, by patching the live session or by replaying
+	// the schedule without the process.
 	Replays int
 	// RemovalRollbacks counts removals rejected by verification.
 	RemovalRollbacks int
@@ -232,47 +239,58 @@ type Adversary struct {
 
 	// replay and cacheMask are the audits' retained buffers: the restricted
 	// schedule buildWithout replays, and the active processes whose cache
-	// sets an erasure must preserve. erasure is fastErasable's scratch.
+	// sets an erasure must preserve. erasure is fastErasable's scratch, which
+	// an erasure adopted by patching copies into the live session.
 	replay    sim.Schedule
 	cacheMask word.Bitset
 	erasure   sim.Erasure
 
 	// auditsFast and auditsReplayed count verifyErasable's decisions by
-	// path, for telemetry only.
-	auditsFast, auditsReplayed int
+	// path, and adoptionsFast and adoptionsReplayed the adopted erasures by
+	// path (patched or body-replayed), for telemetry only.
+	auditsFast, auditsReplayed       int
+	adoptionsFast, adoptionsReplayed int
+
+	// patched, when set, is called after each erasure adopted by patching
+	// the live session; tests compare that session with a body replay.
+	patched func(p int)
 }
 
 // advTelemetry holds the construction's live metric handles; all nil-safe
 // no-ops without Config.Telemetry. Per-round deltas come from the Round
 // report, cumulative erasure stats are re-published from the report totals,
-// so the final snapshot matches the Report exactly. The audit split by path
-// (adversary_audits_fast, adversary_audits_replayed) is telemetry only: it
-// is in neither the Report nor its Counters.
+// so the final snapshot matches the Report exactly. The audit and adoption
+// splits by path (adversary_audits_fast, adversary_audits_replayed,
+// adversary_adoptions_fast, adversary_adoptions_replayed) are telemetry
+// only: they are in neither the Report nor its Counters.
 type advTelemetry struct {
-	rounds, stepped, finished  *telemetry.Counter
-	removed, blocked, hidden   *telemetry.Counter
-	round, active              *telemetry.Gauge
-	replays, rollbacks         *telemetry.Gauge
-	hidingAttempts, hidingWins *telemetry.Gauge
-	auditsFast, auditsReplayed *telemetry.Gauge
+	rounds, stepped, finished        *telemetry.Counter
+	removed, blocked, hidden         *telemetry.Counter
+	round, active                    *telemetry.Gauge
+	replays, rollbacks               *telemetry.Gauge
+	hidingAttempts, hidingWins       *telemetry.Gauge
+	auditsFast, auditsReplayed       *telemetry.Gauge
+	adoptionsFast, adoptionsReplayed *telemetry.Gauge
 }
 
 func newAdvTelemetry(reg *telemetry.Registry) advTelemetry {
 	return advTelemetry{
-		rounds:         reg.Counter("adversary_rounds"),
-		stepped:        reg.Counter("adversary_stepped"),
-		finished:       reg.Counter("adversary_finished"),
-		removed:        reg.Counter("adversary_removed"),
-		blocked:        reg.Counter("adversary_blocked"),
-		hidden:         reg.Counter("adversary_hidden_kept"),
-		round:          reg.Gauge("adversary_round"),
-		active:         reg.Gauge("adversary_active"),
-		replays:        reg.Gauge("adversary_replays"),
-		rollbacks:      reg.Gauge("adversary_removal_rollbacks"),
-		hidingAttempts: reg.Gauge("adversary_hiding_attempts"),
-		hidingWins:     reg.Gauge("adversary_hiding_wins"),
-		auditsFast:     reg.Gauge("adversary_audits_fast"),
-		auditsReplayed: reg.Gauge("adversary_audits_replayed"),
+		rounds:            reg.Counter("adversary_rounds"),
+		stepped:           reg.Counter("adversary_stepped"),
+		finished:          reg.Counter("adversary_finished"),
+		removed:           reg.Counter("adversary_removed"),
+		blocked:           reg.Counter("adversary_blocked"),
+		hidden:            reg.Counter("adversary_hidden_kept"),
+		round:             reg.Gauge("adversary_round"),
+		active:            reg.Gauge("adversary_active"),
+		replays:           reg.Gauge("adversary_replays"),
+		rollbacks:         reg.Gauge("adversary_removal_rollbacks"),
+		hidingAttempts:    reg.Gauge("adversary_hiding_attempts"),
+		hidingWins:        reg.Gauge("adversary_hiding_wins"),
+		auditsFast:        reg.Gauge("adversary_audits_fast"),
+		auditsReplayed:    reg.Gauge("adversary_audits_replayed"),
+		adoptionsFast:     reg.Gauge("adversary_adoptions_fast"),
+		adoptionsReplayed: reg.Gauge("adversary_adoptions_replayed"),
 	}
 }
 
@@ -292,6 +310,8 @@ func (a *Adversary) observeRound(rep *Round) {
 	a.tm.hidingWins.Set(int64(a.report.HidingWins))
 	a.tm.auditsFast.Set(int64(a.auditsFast))
 	a.tm.auditsReplayed.Set(int64(a.auditsReplayed))
+	a.tm.adoptionsFast.Set(int64(a.adoptionsFast))
+	a.tm.adoptionsReplayed.Set(int64(a.adoptionsReplayed))
 }
 
 // New prepares an adversary over a fresh session.

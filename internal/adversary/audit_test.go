@@ -11,6 +11,7 @@ import (
 	"rme/internal/algorithms/tournament"
 	"rme/internal/algorithms/watree"
 	"rme/internal/algorithms/yatree"
+	"rme/internal/algtest"
 	"rme/internal/engine"
 	"rme/internal/memory"
 	"rme/internal/mutex"
@@ -173,9 +174,10 @@ func TestErasureVerdictsOnExperimentGrids(t *testing.T) {
 
 // auditTally counts the three-way audits' outcomes: verdicts by value, how
 // many the fast path decided, and how many fell back to buildWithout and how
-// many of those were erasable.
+// many of those were erasable; and the erasures adopted by patching, each
+// checked against buildWithout (checkPatches).
 type auditTally struct {
-	erasable, kept, fast, fallback, fallbackErasable int
+	erasable, kept, fast, fallback, fallbackErasable, patched int
 }
 
 func (a *auditTally) add(b auditTally) {
@@ -184,15 +186,36 @@ func (a *auditTally) add(b auditTally) {
 	a.fast += b.fast
 	a.fallback += b.fallback
 	a.fallbackErasable += b.fallbackErasable
+	a.patched += b.patched
 }
 
-// require fails t unless both verdicts and both audit paths occurred.
+// require fails t unless both verdicts, both audit paths and adoptions by
+// patching occurred.
 func (a auditTally) require(t *testing.T) {
 	t.Helper()
-	t.Logf("audits: %d erasable, %d not; %d decided on the fast path, %d fell back (%d of them erasable)",
-		a.erasable, a.kept, a.fast, a.fallback, a.fallbackErasable)
-	if a.erasable == 0 || a.kept == 0 || a.fast == 0 || a.fallback == 0 {
-		t.Errorf("audits: %d erasable, %d not, %d fast, %d fallbacks; want all four nonzero", a.erasable, a.kept, a.fast, a.fallback)
+	t.Logf("audits: %d erasable, %d not; %d decided on the fast path, %d fell back (%d of them erasable); %d erasures adopted by patching",
+		a.erasable, a.kept, a.fast, a.fallback, a.fallbackErasable, a.patched)
+	if a.erasable == 0 || a.kept == 0 || a.fast == 0 || a.fallback == 0 || a.patched == 0 {
+		t.Errorf("audits: %d erasable, %d not, %d fast, %d fallbacks, %d patched; want all five nonzero", a.erasable, a.kept, a.fast, a.fallback, a.patched)
+	}
+}
+
+// checkPatches makes every erasure a adopts by patching its live session
+// count itself in *patched and compare the patched session, in everything
+// algtest.SessionDiff compares, with the session buildWithout replays the
+// same restricted schedule on.
+func checkPatches(t *testing.T, a *Adversary, patched *int) {
+	a.patched = func(p int) {
+		t.Helper()
+		*patched++
+		replayed, ok := a.buildWithout(p)
+		if !ok {
+			t.Fatalf("p%d erased by patching the live session, but buildWithout rejects the erasure", p)
+		}
+		defer a.worker.Release(replayed)
+		if d := algtest.SessionDiff(a.session, replayed); d != "" {
+			t.Fatalf("p%d erased by patching the live session, compared with buildWithout's session: %s", p, d)
+		}
 	}
 }
 
@@ -200,7 +223,8 @@ func (a auditTally) require(t *testing.T) {
 // every round, audits every process that has not been removed three ways:
 // by the fast path (fastErasable) where it decides, by the body replay
 // (buildWithout), and by the string oracle on an independent replay. All
-// verdicts given must agree.
+// verdicts given must agree. Every erasure adopted by patching is checked
+// against buildWithout (checkPatches).
 func auditAgainstOracle(t *testing.T, cfg Config) auditTally {
 	t.Helper()
 	a, err := New(cfg)
@@ -214,6 +238,7 @@ func auditAgainstOracle(t *testing.T, cfg Config) auditTally {
 	oracle := engine.NewWorker()
 	defer oracle.Close()
 	var tally auditTally
+	checkPatches(t, a, &tally.patched)
 	for round := 1; round <= a.cfg.maxRounds() && len(a.actives()) >= 2; round++ {
 		progressed, err := a.round(round)
 		if err != nil {

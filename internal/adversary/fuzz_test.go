@@ -23,7 +23,9 @@ import (
 //     of that one clean run each survivor has exactly its reported RMR
 //     count, has never crashed or finished, and at no point reached the CS.
 //     That checks the construction's thousands of Reset replays against a
-//     machine that never saw one.
+//     machine that never saw one;
+//   - every erasure adopted by patching the live session leaves it equal to
+//     the session buildWithout replays (adversary.CheckPatches).
 //
 // The seed corpus (n <= 32) runs with the ordinary tests; its first entry is
 // the n=16 rmeadversary anchor of the perf ledger.
@@ -39,6 +41,7 @@ func FuzzAdversary(f *testing.F) {
 			t.Skipf("%s n=%d w=%d: %v", session.Algorithm.Name(), session.Procs, session.Width, err)
 		}
 		defer adv.Close()
+		adversary.CheckPatches(t, adv)
 		rep, err := adv.Run()
 		if err != nil {
 			t.Fatalf("%s n=%d w=%d %s K=%d: %v", session.Algorithm.Name(), session.Procs, session.Width, session.Model, cfg.K, err)

@@ -75,47 +75,76 @@ func observe(m *sim.Machine, p int, active bool) procObservables {
 // verifiably invisible to everyone else (a table-column switch in the
 // proof's terms); otherwise p is merely blocked. Only non-finished
 // processes can be erased.
-func (a *Adversary) removeOrBlock(p int, rep *Round) {
+func (a *Adversary) removeOrBlock(p int, rep *Round) error {
 	if a.status[p] == Finished || a.status[p] == Removed {
-		return
+		return nil
 	}
-	if a.tryErase(p) {
+	erased, err := a.erase(p, true)
+	if err != nil {
+		return err
+	}
+	if erased {
 		a.status[p] = Removed
 		rep.Removed++
-		return
+		return nil
 	}
 	a.status[p] = Blocked
 	rep.Blocked++
 	a.report.RemovalRollbacks++
-}
-
-// tryErase replays the schedule without p's actions on a recycled machine
-// and adopts the replay iff every remaining process's observables are
-// unchanged. On adoption the superseded session goes back to the worker as
-// the spare for the next replay. It reports whether the erasure was adopted.
-func (a *Adversary) tryErase(p int) bool {
-	replayed, ok := a.buildWithout(p)
-	if !ok {
-		return false
-	}
-	a.worker.Release(a.session)
-	a.session = replayed
-	a.report.Replays++
-	return true
+	return nil
 }
 
 // verifyErasable checks whether p could be erased (identical replay for the
-// others) without adopting the replay — used to validate that a hidden
-// process is genuinely invisible. It decides on the controller-only replay
-// of the live response log where that can decide, and otherwise replays the
-// bodies (replayErasable); both give the same verdict.
+// others) without erasing it — used to validate that a hidden process is
+// genuinely invisible.
 func (a *Adversary) verifyErasable(p int) bool {
-	if erasable, decided := a.fastErasable(p); decided {
+	erasable, _ := a.erase(p, false) // only adopting can fail
+	return erasable
+}
+
+// erase decides whether p is erasable and, with adopt set, makes the
+// erasure the live execution. It decides on the controller-only replay of
+// the live response log where that can decide (fastErasable), and adopts
+// such an erasure by patching the live session in place
+// (mutex.Session.AdoptErasure), which relaunches p's body alone. Where the
+// controller-only replay cannot decide, or the session declines the patch,
+// the bodies replay the restricted schedule on a recycled session
+// (buildWithout), which gives the same verdict; an erasure adopted that way
+// replaces the live session, which goes back to the worker as the spare for
+// the next replay. Only adopting can fail, when p's relaunch does.
+func (a *Adversary) erase(p int, adopt bool) (bool, error) {
+	erasable, decided := a.fastErasable(p)
+	switch {
+	case decided && !adopt:
 		a.auditsFast++
-		return erasable
+		return erasable, nil
+	case decided && !erasable:
+		return false, nil
+	case decided:
+		patched, err := a.session.AdoptErasure(&a.erasure, p)
+		if err != nil {
+			return false, err
+		}
+		if patched {
+			a.adoptionsFast++
+			a.report.Replays++
+			if a.patched != nil {
+				a.patched(p)
+			}
+			return true, nil
+		}
+	case !adopt:
+		a.auditsReplayed++
+		return a.replayErasable(p), nil
 	}
-	a.auditsReplayed++
-	return a.replayErasable(p)
+	replayed, ok := a.buildWithout(p)
+	if ok {
+		a.worker.Release(a.session)
+		a.session = replayed
+		a.adoptionsReplayed++
+		a.report.Replays++
+	}
+	return ok, nil
 }
 
 // fastErasable decides p's erasability without running a body, when it

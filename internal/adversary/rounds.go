@@ -49,14 +49,16 @@ func (a *Adversary) lowRound(rep *Round, groups []group) error {
 		return nil
 	}
 
-	// Remove the actives that were not kept (verified replay; fallback to
-	// blocking them). Removal replays replace the session, so the machine
-	// handle must be re-fetched afterwards.
+	// Remove the actives that were not kept (verified erasure; fallback to
+	// blocking them). A removal may replace the session (see erase), so the
+	// machine handle must be re-fetched afterwards.
 	for _, p := range a.actives() {
 		if keepSet[p] {
 			continue
 		}
-		a.removeOrBlock(p, rep)
+		if err := a.removeOrBlock(p, rep); err != nil {
+			return err
+		}
 	}
 	m = a.session.Machine()
 
@@ -103,7 +105,9 @@ func (a *Adversary) highRound(rep *Round, high, low []group) error {
 	}
 	for _, p := range a.actives() {
 		if !inHigh[p] && a.status[p] == Active {
-			a.removeOrBlock(p, rep)
+			if err := a.removeOrBlock(p, rep); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -111,16 +115,20 @@ func (a *Adversary) highRound(rep *Round, high, low []group) error {
 	// discovered by the group's steps) — the proof's pre-filter — and, in
 	// the DSM model, the active owner of a group cell, whose segment the
 	// group's steps would touch (invariant I8; the owner's own steps there
-	// are local, so it is never a member). Removal replays replace the
+	// are local, so it is never a member). A removal may replace the
 	// session; re-fetch the machine each iteration.
 	for _, g := range high {
 		m := a.session.Machine()
 		c := g.cell(m)
 		if last := m.LastAccessor(c); last != -1 && a.status[last] == Active && !inHigh[last] {
-			a.removeOrBlock(last, rep)
+			if err := a.removeOrBlock(last, rep); err != nil {
+				return err
+			}
 		}
 		if owner := c.Owner(); a.cfg.Session.Model == sim.DSM && owner != memory.Shared && a.status[owner] == Active {
-			a.removeOrBlock(owner, rep)
+			if err := a.removeOrBlock(owner, rep); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -166,7 +174,9 @@ func (a *Adversary) handleHighGroup(rep *Round, g group) error {
 	}
 	if len(readers) > 0 {
 		for _, p := range writers {
-			a.removeOrBlock(p, rep)
+			if err := a.removeOrBlock(p, rep); err != nil {
+				return err
+			}
 		}
 		m = a.session.Machine()
 		// A read may still discover the last writer; the pre-filter removed

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"rme/internal/memory"
 	"rme/internal/sim"
@@ -159,13 +160,18 @@ func (s *Session) start() error {
 	s.csTagged.ClearAll()
 	s.inCS = 0
 	for p := range s.lastTags {
-		s.lastTags[p] = s.mach.Tag(p)
-		if s.lastTags[p] == TagCS {
-			s.csTagged.Set(p)
-			s.inCS++
-		}
+		s.baseline(p)
 	}
 	return nil
+}
+
+// baseline takes p's current tag as the monitor's starting point for p.
+func (s *Session) baseline(p int) {
+	s.lastTags[p] = s.mach.Tag(p)
+	if s.lastTags[p] == TagCS {
+		s.csTagged.Set(p)
+		s.inCS++
+	}
 }
 
 // Machine exposes the underlying simulator (for adversaries and checkers).
@@ -190,9 +196,6 @@ func (s *Session) Reset() error {
 	s.csOwner = -1
 	s.csOrder = s.csOrder[:0]
 	s.errs = nil
-	for _, b := range s.bodies {
-		b.reset()
-	}
 	return s.start()
 }
 
@@ -266,6 +269,39 @@ func (s *Session) Replay(sched sim.Schedule) error {
 		}
 	}
 	return nil
+}
+
+// AdoptErasure makes the execution e's last Replay computed, the session's
+// schedule without p's actions, the live one (sim.Machine.AdoptErasure):
+// only p's body runs again, restarted poised at its first entry step. e's
+// last Replay must have run on this session's machine, as it is now,
+// without p, and returned true; the session must have been built with
+// NoTrace. A failed relaunch leaves the session to be Closed, as a failed
+// Reset does.
+//
+// It declines, returning false and changing nothing, when p has entered the
+// critical section or a violation has been recorded, since the monitor's
+// state would differ, and when any other process's RMR counters differ from
+// the Erasure's. Passage records hold snapshots of those counters. Erasing
+// p can only spare another process cache misses (p's writes no longer
+// invalidate its copies), never add one, so a process whose final counts
+// are unchanged was charged the same by every passage boundary, and its
+// records stand as they are.
+func (s *Session) AdoptErasure(e *sim.Erasure, p int) (bool, error) {
+	if slices.Contains(s.csOrder, p) || len(s.errs) > 0 {
+		return false, nil
+	}
+	for q := range s.cfg.Procs {
+		if q != p && (s.mach.RMRsIn(sim.CC, q) != e.RMRsIn(sim.CC, q) || s.mach.RMRsIn(sim.DSM, q) != e.RMRsIn(sim.DSM, q)) {
+			return false, nil
+		}
+	}
+	if err := s.mach.AdoptErasure(e, p, s.bodies[p]); err != nil {
+		return false, err
+	}
+	s.tagDirty.Clear(p)
+	s.baseline(p)
+	return true, nil
 }
 
 // CrashAllProcs delivers a crash step to every live process at once — the
@@ -533,10 +569,10 @@ type driverBody struct {
 
 var _ sim.Program = (*driverBody)(nil)
 
-// reset clears the body for a session Reset, keeping the stats buffer's
-// capacity and the handle: a handle holds only what Bind established (see
-// Handle), and the reset session binds the same process to the same
-// instance.
+// reset clears the body's bookkeeping for a new run, keeping the stats
+// buffer's capacity and the handle: a handle holds only what Bind
+// established (see Handle), and a reset session binds the same process to
+// the same instance.
 func (b *driverBody) reset() {
 	b.p = nil
 	b.completed = 0
@@ -548,9 +584,11 @@ func (b *driverBody) reset() {
 	b.startSteps = 0
 }
 
-// Run executes the process's super-passages from the initial state, binding
-// the handle on the session's first run.
+// Run executes the process's super-passages from the initial state: the
+// bookkeeping starts over, and the handle is bound on the session's first
+// run. A relaunch reaches Run only after the abandoned program has unwound.
 func (b *driverBody) Run(p *sim.Proc) {
+	b.reset()
 	b.p = p
 	if b.handle == nil {
 		b.handle = b.s.inst.Bind(p)

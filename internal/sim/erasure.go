@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
+
 	"rme/internal/memory"
 	"rme/internal/word"
 )
@@ -37,8 +40,9 @@ func (r *response) action() Action { return Action{Proc: int(r.proc), Crash: r.c
 
 // responseLog is the machine's one per-action record: the executed schedule,
 // each step with its response. It is kept under NoTrace; Steps, Schedule,
-// AppendSchedule and the MaxSteps check read it, Reset truncates it, and
-// Erasure replays it.
+// AppendSchedule and the MaxSteps check read it, Reset truncates it,
+// Erasure replays it, and AdoptErasure deletes the erased process's actions
+// from it.
 type responseLog struct {
 	acts []response
 	// fns holds the transitions of the custom operations in acts, in order.
@@ -74,6 +78,28 @@ func (l *responseLog) crash(p int) {
 	l.acts = append(l.acts, response{proc: int32(p), crash: true})
 }
 
+// drop deletes p's actions in place, with the transitions of p's custom
+// operations, renumbers the remaining custom operations' transitions, and
+// returns how many actions it deleted.
+func (l *responseLog) drop(p int) int {
+	kept, fns := l.acts[:0], 0
+	for _, r := range l.acts {
+		if int(r.proc) == p {
+			continue
+		}
+		if !r.crash && memory.OpCode(r.code) == memory.OpCustom {
+			l.fns[fns], r.fn = l.fns[r.fn], int32(fns)
+			fns++
+		}
+		kept = append(kept, r)
+	}
+	clear(l.fns[fns:])
+	l.fns = l.fns[:fns]
+	dropped := len(l.acts) - len(kept)
+	l.acts = kept
+	return dropped
+}
+
 // op returns the operation of the logged step r.
 func (l *responseLog) op(r *response) memory.Op {
 	op := memory.Op{Code: memory.OpCode(r.code), Arg: r.arg, Arg2: r.arg2}
@@ -91,18 +117,33 @@ func (l *responseLog) op(r *response) memory.Op {
 // replay equals the logged one, each remaining body would announce exactly
 // the logged operations and finish, crash and tag exactly as it did, and
 // only what the replay computes itself can differ: cell values, cache
-// copies, watchers, parked flags and RMR counters. The replay computes them
-// with the machine's own cost model (cellState.access) and the parking rules
-// of Step and Crash, so when it reports equal responses it agrees with a
-// mutex.Session.Replay of the restricted schedule on all of them.
+// copies, watchers, last accessors, parked flags and RMR counters. The replay
+// computes them with the machine's own cost model (cellState.access) and the
+// parking rules of Step and Crash, so when it reports equal responses it
+// agrees with a mutex.Session.Replay of the restricted schedule on all of
+// them, and Machine.AdoptErasure can make it the live execution.
 //
-// An Erasure holds only scratch buffers, reused across replays.
+// A replay touches only the cells its log names: a cell the log never names
+// holds its initial value and no cache copy or watcher, on the machine as on
+// the scratch copy. An Erasure holds only scratch buffers, reused across
+// replays; the next replay on the same machine resets just the cells the
+// last one named.
 type Erasure struct {
 	cells    []cellState
 	bits     []word.Word // backing of every scratch cell's two bitsets
 	costs    []cost
 	parked   word.Bitset
 	parkedOn []int32 // the cell each parked process's last probe read
+	// named lists, once each, the cells the last replay's log named, the
+	// left-out process's entries included; seen marks them.
+	named []int32
+	seen  word.Bitset
+	// m is the machine the scratch state was built for. The last replay
+	// left out p from a log of acts actions and returned ok.
+	m    *Machine
+	p    int
+	acts int
+	ok   bool
 }
 
 // Replay replays m's response log without p's actions and reports whether
@@ -111,14 +152,20 @@ type Erasure struct {
 // true result RMRsIn, Parked and CachesAgree describe the state the
 // restricted execution ends in; after false they mean nothing.
 func (e *Erasure) Replay(m *Machine, p int) bool {
+	e.ok = false
 	if m.log.waited {
 		return false
 	}
 	e.reset(m)
+	e.p, e.acts = p, len(m.log.acts)
 	unpark := func(q int) { e.parked.Clear(q) }
 	for i := range m.log.acts {
 		r := &m.log.acts[i]
 		q := int(r.proc)
+		if !r.crash && !e.seen.Test(int(r.cell)) {
+			e.seen.Set(int(r.cell))
+			e.named = append(e.named, r.cell)
+		}
 		if q == p {
 			continue
 		}
@@ -145,33 +192,49 @@ func (e *Erasure) Replay(m *Machine, p int) bool {
 			c.watchers.Clear(q)
 		}
 	}
+	e.ok = true
 	return true
 }
 
-// reset sizes the scratch state for m and sets it as Machine.Reset leaves
-// m's: initial values, no cache copies or watchers, no RMRs, nobody parked.
+// reset sets the scratch state as Machine.Reset leaves m's: initial values,
+// no cache copies, watchers or last accessors, no RMRs, nobody parked. On
+// the machine of the last replay only the cells that replay named can differ
+// from that; on another machine every cell is reset, and the buffers are
+// allocated again only when the machine's shape differs.
 func (e *Erasure) reset(m *Machine) {
 	n := m.cfg.Procs
-	words := (n + word.MaxBits - 1) / word.MaxBits
 	if len(e.cells) != len(m.cells) || len(e.costs) != n {
+		words := (n + word.MaxBits - 1) / word.MaxBits
 		e.cells = make([]cellState, len(m.cells))
 		e.bits = make([]word.Word, 2*words*len(m.cells))
 		for i := range e.cells {
 			b := e.bits[2*words*i : 2*words*(i+1)]
-			e.cells[i].cached = word.Bitset(b[:words:words])
-			e.cells[i].watchers = word.Bitset(b[words:])
+			e.cells[i].cached, e.cells[i].watchers = b[:words:words], b[words:]
 		}
 		e.costs = make([]cost, n)
 		e.parked = word.NewBitset(n)
 		e.parkedOn = make([]int32, n)
+		e.seen = word.NewBitset(len(m.cells))
+		e.m = nil
+	}
+	if e.m == m {
+		for _, id := range e.named {
+			c := &e.cells[id]
+			c.val, c.lastAccessor = m.cells[id].init, -1
+			c.cached.ClearAll()
+			c.watchers.ClearAll()
+		}
 	} else {
 		clear(e.bits)
-		clear(e.costs)
-		e.parked.ClearAll()
+		for i, c := range m.cells {
+			e.cells[i].val, e.cells[i].lastAccessor = c.init, -1
+		}
+		e.m = m
 	}
-	for i, c := range m.cells {
-		e.cells[i].val = c.init
-	}
+	e.named = e.named[:0]
+	e.seen.ClearAll()
+	clear(e.costs)
+	e.parked.ClearAll()
 }
 
 // RMRsIn returns q's RMR count under model at the end of the replay.
@@ -182,16 +245,61 @@ func (e *Erasure) Parked(q int) bool { return e.parked.Test(q) }
 
 // CachesAgree reports whether every process in procs holds valid cache
 // copies of exactly the same cells at the end of the replay as on m, the way
-// Machine.CachesAgree compares two machines. Every cell is compared,
-// including those the replay never touched.
+// Machine.CachesAgree compares two machines. Only the cells the replayed log
+// names are compared: no step leaves a cache copy of any other cell, on the
+// replayed machine or on one that ran a restriction of its log.
 func (e *Erasure) CachesAgree(m *Machine, procs word.Bitset) bool {
 	if len(e.cells) != len(m.cells) {
 		return false
 	}
-	for i, c := range m.cells {
-		if !bitsAgree(e.cells[i].cached, c.cached, procs) {
+	for _, id := range e.named {
+		if !bitsAgree(e.cells[id].cached, m.cells[id].cached, procs) {
 			return false
 		}
 	}
 	return true
+}
+
+// AdoptErasure makes the execution e's last Replay computed the live one:
+// the machine is patched in place into the execution of its log without p,
+// and p alone is relaunched with prog, poised at its first operation as
+// after Start. No other body runs: with every response equal, each stands
+// where the restricted execution would leave it.
+//
+// e's last Replay must have run on m, as it is now, without p, and returned
+// true. m must keep no trace, because the events recorded after p's first
+// action would need new Before and After values and new numbers. The patch
+// copies the values, cache copies, watchers and last accessors of the cells
+// the log names from e, and removes p from their accessor sets; copies every
+// other process's RMR counters and parked flag from e; deletes p's actions
+// from the response log; and takes p's actions and Marks off the event
+// counter, so the next event is numbered as on a replay of the restricted
+// schedule.
+func (m *Machine) AdoptErasure(e *Erasure, p int, prog Program) error {
+	switch {
+	case !m.started:
+		return ErrNotStarted
+	case m.closed:
+		return ErrClosed
+	case !m.cfg.NoTrace:
+		return errors.New("sim: cannot adopt an erasure on a machine that keeps a trace")
+	case !e.ok || e.m != m || e.p != p || e.acts != len(m.log.acts):
+		return fmt.Errorf("sim: the erasure's last replay did not leave out process %d from this machine's log", p)
+	}
+	for _, id := range e.named {
+		c, s := m.cells[id], &e.cells[id]
+		c.val, c.lastAccessor = s.val, s.lastAccessor
+		copy(c.cached, s.cached)
+		copy(c.watchers, s.watchers)
+		c.accessed.Clear(p)
+	}
+	for q, pr := range m.procs {
+		if q != p {
+			pr.cost, pr.parked = e.costs[q], e.parked.Test(q)
+		}
+	}
+	pr := m.procs[p]
+	m.seq -= m.log.drop(p) + pr.marks
+	e.ok = false
+	return m.relaunch(pr, prog)
 }

@@ -144,17 +144,17 @@ func (m *Machine) NewCell(label string, owner int, init word.Word) memory.Cell {
 	}
 	c := &simCell{
 		cellState: cellState{
-			val:      init,
-			cached:   word.NewBitset(m.cfg.Procs),
-			watchers: word.NewBitset(m.cfg.Procs),
+			val:          init,
+			cached:       word.NewBitset(m.cfg.Procs),
+			watchers:     word.NewBitset(m.cfg.Procs),
+			lastAccessor: -1,
 		},
-		m:            m,
-		id:           len(m.cells),
-		owner:        owner,
-		label:        label,
-		init:         init,
-		accessed:     word.NewBitset(m.cfg.Procs),
-		lastAccessor: -1,
+		m:        m,
+		id:       len(m.cells),
+		owner:    owner,
+		label:    label,
+		init:     init,
+		accessed: word.NewBitset(m.cfg.Procs),
 	}
 	m.cells = append(m.cells, c)
 	return c
@@ -182,14 +182,20 @@ func (m *Machine) Start(programs []Program) error {
 		}
 	}
 	for i, prog := range programs {
-		p := m.procs[i]
-		p.reset(prog)
-		p.launch()
-		if err := m.waitQuiescent(p); err != nil {
+		if err := m.relaunch(m.procs[i], prog); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// relaunch installs prog as p's program, clears p's controller-side state
+// and runs the program up to its first announcement (see Proc.launch). Start
+// launches every process through it, and AdoptErasure the erased one alone.
+func (m *Machine) relaunch(p *Proc, prog Program) error {
+	p.reset(prog)
+	p.launch()
+	return m.waitQuiescent(p)
 }
 
 // Reset returns the machine to its post-construction, pre-Start state:
@@ -432,7 +438,6 @@ func (m *Machine) applyStep(pr *Proc, req *stepReq) Event {
 			m.procs[q].parked = false
 		}
 	})
-	c.lastAccessor = pr.id
 	c.accessed.Set(pr.id)
 	pr.steps++
 
@@ -455,17 +460,19 @@ func (m *Machine) applyStep(pr *Proc, req *stepReq) Event {
 
 // access performs op by process p on the cell, whose DSM segment belongs to
 // owner, charges the RMRs to cost, and returns the op's response and whether
-// it was an RMR under CC and under DSM. A read leaves p a valid cache copy;
-// any other operation invalidates every copy (paper §2) and calls unpark for
-// each process watching the cell. Watcher entries stay until the watcher is
-// next stepped, resumed or crashed; the unparked flag is what marks it
-// poised. This is the simulator's one copy of the cost model: Step applies
-// it to live cells, Erasure to scratch copies of them.
+// it was an RMR under CC and under DSM, and makes p the cell's last accessor.
+// A read leaves p a valid cache copy; any other operation invalidates every
+// copy (paper §2) and calls unpark for each process watching the cell.
+// Watcher entries stay until the watcher is next stepped, resumed or
+// crashed; the unparked flag is what marks it poised. This is the
+// simulator's one copy of the cost model: Step applies it to live cells,
+// Erasure to scratch copies of them.
 func (s *cellState) access(p, owner int, op memory.Op, w word.Width, cost *cost, unpark func(q int)) (ret word.Word, rmrCC, rmrDSM bool) {
 	isRead := op.IsRead()
 	rmrDSM = owner != p
 	rmrCC = !isRead || !s.cached.Test(p)
 	s.val, ret = memory.Apply(op, s.val, w)
+	s.lastAccessor = p
 	if isRead {
 		s.cached.Set(p)
 	} else {
@@ -765,22 +772,23 @@ func (m *Machine) own(c memory.Cell) *simCell {
 // loops, and watcher iteration is deterministic without sorting.
 type simCell struct {
 	cellState
-	m            *Machine
-	id           int
-	owner        int
-	label        string
-	init         word.Word
-	accessed     word.Bitset
-	lastAccessor int
+	m        *Machine
+	id       int
+	owner    int
+	label    string
+	init     word.Word
+	accessed word.Bitset
 }
 
 // cellState is the part of a cell that a step reads and writes besides its
-// accessor history: the value, the processes holding a valid cache copy, and
-// the single-cell spinners watching it.
+// accessor set: the value, the processes holding a valid cache copy, the
+// single-cell spinners watching it, and the process that last accessed it
+// (-1 if none has).
 type cellState struct {
-	val      word.Word
-	cached   word.Bitset
-	watchers word.Bitset
+	val          word.Word
+	cached       word.Bitset
+	watchers     word.Bitset
+	lastAccessor int
 }
 
 var _ memory.Cell = (*simCell)(nil)

@@ -41,6 +41,8 @@ type Proc struct {
 	steps   int
 	cost
 	tag int
+	// marks counts the program's Mark calls since its launch.
+	marks int
 
 	// Body-side state; only touched by the body goroutine. unwinding is set
 	// while a kill verdict unwinds the running program, and stopping when
@@ -123,6 +125,7 @@ func (p *Proc) reset(program Program) {
 	p.steps = 0
 	p.cost = cost{}
 	p.tag = 0
+	p.marks = 0
 }
 
 // launch runs the installed program up to its first announcement. The
@@ -137,10 +140,10 @@ func (p *Proc) launch() {
 		go p.serve()
 		return
 	}
-	// The abandoned program unwinds now, after p.reset and after
-	// mutex.Session.Reset has cleared the driver bodies. No body or
-	// algorithm defer reads that state or annotates the new run (SetTag,
-	// Mark); a deferred step is reported as errSwallowed.
+	// The abandoned program unwinds now, after p.reset and before the new
+	// program starts. No body or algorithm defer reads that state or
+	// annotates the new run (SetTag, Mark); a deferred step is reported as
+	// errSwallowed.
 	p.resumeCh <- verdict{kill: true}
 }
 
@@ -300,6 +303,7 @@ func (p *Proc) SpinUntilMulti(cells []memory.Cell, pred func([]word.Word) bool) 
 // Mark appends an annotation event to the trace. It is not a step: it does
 // not consume a scheduling action and is invisible to the algorithm.
 func (p *Proc) Mark(note string) {
+	p.marks++
 	p.m.seq++
 	p.m.record(Event{Seq: p.m.seq, Kind: EvMark, Proc: p.id, Note: note})
 }

@@ -7,6 +7,7 @@ import (
 
 	"rme"
 	"rme/internal/service"
+	"rme/internal/telemetry"
 )
 
 // TestNoGoroutineLeaks checks that every simulated process body is gone once
@@ -17,7 +18,9 @@ import (
 //   - a service run, whose pool workers each hold a session per batch size;
 //   - Worker.Close on a worker holding several sessions released mid-run;
 //   - Close on a session Reset mid-run, whose bodies stay parked across the
-//     Reset.
+//     Reset;
+//   - an adversary construction that adopts erasures by patching its live
+//     session, each relaunching one body mid-run, and then closes.
 func TestNoGoroutineLeaks(t *testing.T) {
 	cases := []struct {
 		name string
@@ -93,6 +96,23 @@ func TestNoGoroutineLeaks(t *testing.T) {
 				t.Fatalf("%d goroutines after Reset; want at least %d", runtime.NumGoroutine(), start+3)
 			}
 			s.Close()
+		}},
+		{"AdversaryPatchedErasures", func(t *testing.T, _ int) {
+			reg := telemetry.New()
+			adv, err := rme.NewAdversary(rme.AdversaryConfig{
+				Session:   rme.Config{Procs: 64, Width: 4, Model: rme.CC, Algorithm: rme.MustAlgorithm("watree")},
+				Telemetry: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer adv.Close()
+			if _, err := adv.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if reg.Gauge("adversary_adoptions_fast").Load() == 0 {
+				t.Fatal("no erasure was adopted by patching; the test needs some")
+			}
 		}},
 	}
 	for _, c := range cases {
