@@ -185,6 +185,22 @@ func advManifest(alg string, rep *adversary.Report) *perflog.Manifest {
 	return m
 }
 
+// sweepK renders the thresholds the sweep's constructions ran with
+// (Report.K) for its header: one value when every row agrees, and otherwise
+// each row's in row order.
+func sweepK(reps []*adversary.Report) string {
+	ks := make([]string, len(reps))
+	agree := true
+	for i, rep := range reps {
+		ks[i] = strconv.Itoa(rep.K)
+		agree = agree && rep.K == reps[0].K
+	}
+	if agree {
+		return ks[0]
+	}
+	return strings.Join(ks, ",")
+}
+
 // runSweep runs one adversary construction per listed n in parallel and
 // prints summary rows in list order. The shared registry accumulates round
 // statistics across all constructions (atomics make that safe); the printed
@@ -213,7 +229,7 @@ func runSweep(alg mutex.Algorithm, sweep string, w int, model sim.Model, k, para
 		return nil, err
 	}
 
-	fmt.Printf("adversary sweep vs %s: w=%d model=%s k=%d\n\n", alg.Name(), w, model, k)
+	fmt.Printf("adversary sweep vs %s: w=%d model=%s k=%s\n\n", alg.Name(), w, model, sweepK(reps))
 	fmt.Printf("%-8s %-8s %-12s %-10s %-10s %-10s %-14s %s\n",
 		"n", "rounds", "forced RMRs", "survivors", "replays", "rollbacks", "ceil(log_w n)", "violations")
 	violations := 0

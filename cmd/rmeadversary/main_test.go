@@ -44,7 +44,8 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 
 // TestStdoutParityAcrossParallelism locks in byte-identical sweep output at
 // any -parallel value: constructions land by index, so row order never
-// depends on completion order.
+// depends on completion order. The header names the threshold each row ran
+// with, since the default k grows with n.
 func TestStdoutParityAcrossParallelism(t *testing.T) {
 	args := []string{"-alg", "watree", "-w", "8", "-sweep", "4,8,16"}
 	one, err := captureStdout(t, func() error { return run(append([]string{"-parallel", "1"}, args...)) })
@@ -60,6 +61,9 @@ func TestStdoutParityAcrossParallelism(t *testing.T) {
 	}
 	if len(one) == 0 {
 		t.Fatal("no output captured")
+	}
+	if header := strings.SplitN(one, "\n", 2)[0]; header != "adversary sweep vs watree: w=8 model=CC k=4,8,16" {
+		t.Fatalf("sweep header %q; want the rows' thresholds k=4,8,16", header)
 	}
 }
 

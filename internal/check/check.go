@@ -7,11 +7,12 @@
 // search. Unlike a stateless schedule-prefix search, the explorer is
 // incremental: it steps a live machine forward along the current branch and
 // restores on backtrack from a trailing checkpoint session, replaying
-// prefixes only across snapshot gaps. With Memo it fingerprints every
-// canonical state (sim.Machine.Fingerprint mixed with the monitor's CS
-// ownership) and prunes interleavings that converge on a visited state; with
-// POR it additionally skips sleep-set branches whose effect is covered by a
-// commuting sibling explored earlier. The search is exact up to its caps: if
+// prefixes only across snapshot gaps, or by rewinding the live session in
+// place, re-running only the bodies that moved. With Memo it fingerprints
+// every canonical state (sim.Machine.Fingerprint mixed with the monitor's
+// CS ownership) and prunes interleavings that converge on a visited state;
+// with POR it additionally skips sleep-set branches whose effect is covered
+// by a commuting sibling explored earlier. The search is exact up to its caps: if
 // it finishes without truncation, every reachable canonical state of the
 // configuration was explored.
 package check
@@ -182,7 +183,11 @@ type Result struct {
 	// explorer is benchmarked on against the seed's stateless replay.
 	MachineSteps int64
 	// ReplaySteps is the subset of MachineSteps spent restoring states on
-	// backtrack (checkpoint advance and prefix replay).
+	// backtrack: the prefix actions re-applied to a machine by checkpoint
+	// builds and advances and by full-prefix restores. A full-prefix restore
+	// that rewinds the live session in place re-applies every action of the
+	// prefix to its memory but re-runs only the bodies that acted below the
+	// node, and counts as many steps as a replay from the root.
 	ReplaySteps int64
 }
 

@@ -22,8 +22,10 @@ const maskProcs = 64
 // positioned at the current search node, stepping forward into each first
 // child for free; backtracking restores the node from the checkpoint (a
 // trailing session left at a shallower prefix) or, failing that, by
-// replaying the prefix from the root — rebuilding the checkpoint en route so
-// later siblings backtrack cheaply.
+// rewinding the live session in place to the node's point of its own
+// execution, which re-applies the prefix's actions to the machine's memory
+// and re-runs only the bodies that moved since (mutex.Session.Rewind). The
+// checkpoint is rebuilt en route so later siblings backtrack cheaply.
 type explorer struct {
 	cfg         Config
 	res         *Result
@@ -78,6 +80,9 @@ type explorer struct {
 // checkTelemetry holds the explorer's live metric handles. The counters
 // track their Result counterparts exactly (same increment sites), so the
 // final cumulative snapshot agrees with the merged Result field for field.
+//
+// The rewind counters have no Result counterpart: they describe how restores
+// were carried out, not what the search found, and are published only here.
 type checkTelemetry struct {
 	visited, pruned, slept    *telemetry.Counter
 	sharedPruned              *telemetry.Counter
@@ -85,6 +90,11 @@ type checkTelemetry struct {
 	machineSteps, replaySteps *telemetry.Counter
 	depth                     *telemetry.Gauge
 	restoreLen                *telemetry.Histogram
+	// rewinds counts full-prefix restores done by rewinding the live session,
+	// relaunches and fed the bodies those rewinds relaunched and the logged
+	// steps they fed them, and declines the restores that fell back to a
+	// Reset and replay because the session declined to rewind.
+	rewinds, relaunches, fed, declines *telemetry.Counter
 }
 
 // restoreLenBounds buckets restore replay lengths: a fresh checkpoint bounds
@@ -104,6 +114,10 @@ func newCheckTelemetry(reg *telemetry.Registry) checkTelemetry {
 		replaySteps:  reg.Counter("check_replay_steps"),
 		depth:        reg.Gauge("check_frontier_depth"),
 		restoreLen:   reg.Histogram("check_restore_replay_len", restoreLenBounds),
+		rewinds:      reg.Counter("check_rewinds"),
+		relaunches:   reg.Counter("check_rewind_relaunches"),
+		fed:          reg.Counter("check_rewind_fed_steps"),
+		declines:     reg.Counter("check_rewind_declines"),
 	}
 }
 
@@ -176,22 +190,28 @@ func (e *explorer) replay(s *mutex.Session, from, to int) error {
 	if err := s.Replay(e.path[from:to]); err != nil {
 		return fmt.Errorf("check: replaying prefix %v: %w", e.path[:to], err)
 	}
-	n := int64(to - from)
-	e.res.MachineSteps += n
-	e.res.ReplaySteps += n
-	e.tm.machineSteps.Add(n)
-	e.tm.replaySteps.Add(n)
+	e.countReplay(to - from)
 	return nil
 }
 
+// countReplay counts n prefix actions re-applied to a machine.
+func (e *explorer) countReplay(n int) {
+	e.res.MachineSteps += int64(n)
+	e.res.ReplaySteps += int64(n)
+	e.tm.machineSteps.Add(int64(n))
+	e.tm.replaySteps.Add(int64(n))
+}
+
 // restore repositions the live session at the current path (length target),
-// abandoning whatever subtree state it holds. A checkpoint deeper than the
-// target belongs to the abandoned subtree and is recycled first; a surviving
-// checkpoint is consumed and advanced the remaining distance. Otherwise the
-// live session replays the full prefix, and the checkpoint is rebuilt at the
-// last snapshotInterval boundary below the target so the next backtrack to
-// this neighborhood is cheap again.
-func (e *explorer) restore(target int) error {
+// whose node's rewind point is pt, abandoning whatever subtree state it
+// holds. A checkpoint deeper than the target belongs to the abandoned
+// subtree and is recycled first; a surviving checkpoint is consumed and
+// advanced the remaining distance. Otherwise the live session is rewound to
+// pt, which re-applies the full prefix's actions and re-runs only the bodies
+// that acted below the node, and the checkpoint is rebuilt at the last
+// snapshotInterval boundary below the target so the next backtrack to this
+// neighborhood is cheap again.
+func (e *explorer) restore(target int, pt mutex.RewindPoint) error {
 	if e.tm.restoreLen != nil {
 		before := e.res.ReplaySteps
 		defer func() { e.tm.restoreLen.Observe(e.res.ReplaySteps - before) }()
@@ -221,10 +241,33 @@ func (e *explorer) restore(target int) error {
 		}
 		e.cp = checkpoint{depth: c, sess: cs}
 	}
-	if err := e.live.Reset(); err != nil {
-		return err
+	return e.rewind(target, pt)
+}
+
+// rewind returns the live session to pt, the point of the node at depth
+// target of its own execution, and counts the target prefix actions it
+// re-applies as replayed, as a replay from the root would. Where the session
+// declines, it is Reset and the prefix replayed.
+func (e *explorer) rewind(target int, pt mutex.RewindPoint) error {
+	ok, err := e.live.Rewind(pt)
+	if err != nil {
+		return fmt.Errorf("check: rewinding to prefix %v: %w", e.path[:target], err)
 	}
-	return e.replay(e.live, 0, target)
+	if !ok {
+		e.tm.declines.Inc()
+		if err := e.live.Reset(); err != nil {
+			return err
+		}
+		return e.replay(e.live, 0, target)
+	}
+	e.countReplay(target)
+	if e.tm.rewinds != nil {
+		relaunched, fed := e.live.Machine().RewindWork()
+		e.tm.rewinds.Inc()
+		e.tm.relaunches.Add(int64(relaunched))
+		e.tm.fed.Add(int64(fed))
+	}
+	return nil
 }
 
 // explore examines the node the live session is positioned at (the state
@@ -331,10 +374,11 @@ func (e *explorer) explore(sleep uint64) error {
 	e.res.SleepPruned += slept
 	e.tm.slept.Add(int64(slept))
 
+	pt := s.RewindPoint()
 	var taken uint64
 	for i, act := range branches {
 		if i > 0 {
-			if err := e.restore(depth); err != nil {
+			if err := e.restore(depth, pt); err != nil {
 				return err
 			}
 		}

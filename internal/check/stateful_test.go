@@ -12,11 +12,14 @@ import (
 	"testing"
 	"time"
 
+	"rme/internal/algorithms/rspin"
 	"rme/internal/algorithms/ticket"
+	"rme/internal/algorithms/tournament"
 	"rme/internal/algorithms/watree"
 	"rme/internal/algorithms/yatree"
 	"rme/internal/mutex"
 	"rme/internal/sim"
+	"rme/internal/telemetry"
 )
 
 func yatreeCrashConfig() Config {
@@ -124,7 +127,7 @@ func TestRestoreReleasesFailedCheckpoint(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		e.path = append(e.path, sim.Action{Proc: 99})
 	}
-	if err := e.restore(len(e.path)); err == nil {
+	if err := e.restore(len(e.path), mutex.RewindPoint{}); err == nil {
 		t.Fatal("restore replayed a path of invalid actions")
 	}
 	e.close()
@@ -134,6 +137,49 @@ func TestRestoreReleasesFailedCheckpoint(t *testing.T) {
 			t.Fatalf("%d goroutines, want %d: checkpoint session bodies leaked", runtime.NumGoroutine(), start)
 		}
 		runtime.Gosched()
+	}
+}
+
+// TestRewindTelemetry: the rewind counters are published where restores
+// rewind and where they fall back, and publishing them changes nothing in
+// the Result. rspin n=3 rewinds, relaunching bodies and feeding them steps,
+// and never declines; tournament n=2 registers a multi-cell wait, so its
+// sessions decline and its restores replay from a Reset.
+func TestRewindTelemetry(t *testing.T) {
+	for _, tc := range []struct {
+		alg     mutex.Algorithm
+		n       int
+		nonzero []string
+		zero    []string
+	}{
+		{rspin.New(), 3, []string{"check_rewinds", "check_rewind_relaunches", "check_rewind_fed_steps"}, []string{"check_rewind_declines"}},
+		{tournament.New(), 2, []string{"check_rewind_declines"}, []string{"check_rewinds"}},
+	} {
+		cfg := Config{Session: mutex.Config{Procs: tc.n, Width: 8, Model: sim.CC, Algorithm: tc.alg}, Memo: true, POR: true}
+		plain, err := Exhaustive(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.New()
+		cfg.Telemetry = reg
+		traced, err := Exhaustive(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, traced) {
+			t.Fatalf("%s n=%d: Result with telemetry %+v, without %+v", tc.alg.Name(), tc.n, traced, plain)
+		}
+		flat := reg.Snapshot().Flat()
+		for _, name := range tc.nonzero {
+			if flat[name] == 0 {
+				t.Errorf("%s n=%d: %s is 0", tc.alg.Name(), tc.n, name)
+			}
+		}
+		for _, name := range tc.zero {
+			if v, ok := flat[name]; !ok || v != 0 {
+				t.Errorf("%s n=%d: %s = %d (published %v), want a published 0", tc.alg.Name(), tc.n, name, v, ok)
+			}
+		}
 	}
 }
 

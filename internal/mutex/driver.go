@@ -156,13 +156,19 @@ func (s *Session) start() error {
 	if err := s.mach.Start(s.programs); err != nil {
 		return err
 	}
+	s.rebaseline()
+	return nil
+}
+
+// rebaseline takes every process's current tag as the monitor's starting
+// point.
+func (s *Session) rebaseline() {
 	s.tagDirty.ClearAll()
 	s.csTagged.ClearAll()
 	s.inCS = 0
 	for p := range s.lastTags {
 		s.baseline(p)
 	}
-	return nil
 }
 
 // baseline takes p's current tag as the monitor's starting point for p.
@@ -301,6 +307,44 @@ func (s *Session) AdoptErasure(e *sim.Erasure, p int) (bool, error) {
 	}
 	s.tagDirty.Clear(p)
 	s.baseline(p)
+	return true, nil
+}
+
+// RewindPoint is a point of a session's execution that Rewind can return
+// to: its step count and the monitor state the steps left. It describes the
+// execution, not the session it was taken on, so it stays valid for any
+// session of the same construction that has executed the same prefix.
+type RewindPoint struct {
+	steps, csOwner, csOrder, errs int
+}
+
+// RewindPoint returns the point the session's execution stands at.
+func (s *Session) RewindPoint() RewindPoint {
+	return RewindPoint{steps: s.mach.Steps(), csOwner: s.csOwner, csOrder: len(s.csOrder), errs: len(s.errs)}
+}
+
+// Rewind returns the session to pt, which must be a point of its current
+// execution: the machine becomes the execution of the first pt's steps of
+// its schedule (sim.Machine.Rewind), and only the bodies that acted since
+// pt run again, relaunched and fed their logged responses. The result is
+// the session a Reset and a Replay of that prefix would give. The monitor's
+// CS owner, CS order and violations return to pt's; its tag baseline is
+// taken from the current tags, which after every action it has observed
+// in full; and the bodies that did not act since pt keep their passage
+// records, which are already right, while relaunched ones rebuild theirs.
+//
+// It declines, returning false and changing nothing, where the machine
+// declines: when the session keeps a trace, or a multi-cell wait was
+// registered since Reset. A failed rewind leaves the session to be Reset or
+// Closed.
+func (s *Session) Rewind(pt RewindPoint) (bool, error) {
+	if ok, err := s.mach.Rewind(pt.steps); !ok || err != nil {
+		return false, err
+	}
+	s.csOwner = pt.csOwner
+	s.csOrder = s.csOrder[:pt.csOrder]
+	s.errs = s.errs[:pt.errs]
+	s.rebaseline()
 	return true, nil
 }
 

@@ -19,6 +19,43 @@ func (c cost) in(model Model) int {
 	return c.rmrCC
 }
 
+// parking is what the parking rules of Step and Crash need to replay a
+// response log without running a body: the processes the replay leaves
+// parked, and the cell each parked process's last probe read. Erasure.Replay
+// and Machine.Rewind keep it, so both apply the rules through this one copy.
+type parking struct {
+	parked   word.Bitset
+	parkedOn []int32
+}
+
+func newParking(n int) parking {
+	return parking{parked: word.NewBitset(n), parkedOn: make([]int32, n)}
+}
+
+// stepped applies Step's rule to q's logged step on c, the state of cell id:
+// a spin probe that parked watches c, and any other step stops watching it.
+func (k *parking) stepped(q int, c *cellState, id int32, parked bool) {
+	if parked {
+		k.parked.Set(q)
+		c.watchers.Set(q)
+		k.parkedOn[q] = id
+	} else {
+		k.parked.Clear(q)
+		c.watchers.Clear(q)
+	}
+}
+
+// crashed applies Crash's rule to a logged crash of q: a parked q stops
+// watching its probe's cell, whose id crashed returns with true, and the
+// caller clears the watcher bit.
+func (k *parking) crashed(q int) (int32, bool) {
+	if !k.parked.Test(q) {
+		return 0, false
+	}
+	k.parked.Clear(q)
+	return k.parkedOn[q], true
+}
+
 // response is one logged action: a crash, or a step with its cell, its
 // operation and what the operation returned, and whether the step was a spin
 // probe that parked. It holds no pointers, so the garbage collector never
@@ -41,8 +78,8 @@ func (r *response) action() Action { return Action{Proc: int(r.proc), Crash: r.c
 // responseLog is the machine's one per-action record: the executed schedule,
 // each step with its response. It is kept under NoTrace; Steps, Schedule,
 // AppendSchedule and the MaxSteps check read it, Reset truncates it,
-// Erasure replays it, and AdoptErasure deletes the erased process's actions
-// from it.
+// Erasure replays it, AdoptErasure deletes the erased process's actions
+// from it, and Rewind truncates it to a prefix and re-applies that.
 type responseLog struct {
 	acts []response
 	// fns holds the transitions of the custom operations in acts, in order.
@@ -129,11 +166,10 @@ func (l *responseLog) op(r *response) memory.Op {
 // replays; the next replay on the same machine resets just the cells the
 // last one named.
 type Erasure struct {
-	cells    []cellState
-	bits     []word.Word // backing of every scratch cell's two bitsets
-	costs    []cost
-	parked   word.Bitset
-	parkedOn []int32 // the cell each parked process's last probe read
+	cells []cellState
+	bits  []word.Word // backing of every scratch cell's two bitsets
+	costs []cost
+	parking
 	// named lists, once each, the cells the last replay's log named, the
 	// left-out process's entries included; seen marks them.
 	named []int32
@@ -170,10 +206,8 @@ func (e *Erasure) Replay(m *Machine, p int) bool {
 			continue
 		}
 		if r.crash {
-			// As in Crash: a parked process stops watching its probe's cell.
-			if e.parked.Test(q) {
-				e.cells[e.parkedOn[q]].watchers.Clear(q)
-				e.parked.Clear(q)
+			if id, ok := e.crashed(q); ok {
+				e.cells[id].watchers.Clear(q)
 			}
 			continue
 		}
@@ -181,16 +215,9 @@ func (e *Erasure) Replay(m *Machine, p int) bool {
 		if ret, _, _ := c.access(q, m.cells[r.cell].owner, m.log.op(r), m.cfg.Width, &e.costs[q], unpark); ret != r.ret {
 			return false
 		}
-		// As in Step. The response is the logged one, so a spin probe's
-		// predicate decides as it did.
-		if r.parked {
-			e.parked.Set(q)
-			c.watchers.Set(q)
-			e.parkedOn[q] = r.cell
-		} else {
-			e.parked.Clear(q)
-			c.watchers.Clear(q)
-		}
+		// The response is the logged one, so a spin probe's predicate
+		// decides as it did.
+		e.stepped(q, c, r.cell, r.parked)
 	}
 	e.ok = true
 	return true
@@ -212,8 +239,7 @@ func (e *Erasure) reset(m *Machine) {
 			e.cells[i].cached, e.cells[i].watchers = b[:words:words], b[words:]
 		}
 		e.costs = make([]cost, n)
-		e.parked = word.NewBitset(n)
-		e.parkedOn = make([]int32, n)
+		e.parking = newParking(n)
 		e.seen = word.NewBitset(len(m.cells))
 		e.m = nil
 	}

@@ -98,6 +98,8 @@ type Machine struct {
 	// symPerms); the cell layout is sealed, so compilation never goes stale.
 	symFor   *Symmetry
 	symCache []symPerm
+	// rewind is Rewind's scratch state, nil until the first Rewind.
+	rewind *rewinder
 }
 
 var _ memory.Allocator = (*Machine)(nil)

@@ -14,7 +14,8 @@ import (
 // the engine's session pool is done with it:
 //   - a truncated checker search, whose explorers stop with live bodies in
 //     their live and checkpoint sessions and in the sessions released to
-//     their workers;
+//     their workers, after restores that rewound their live sessions and
+//     relaunched bodies mid-run;
 //   - a service run, whose pool workers each hold a session per batch size;
 //   - Worker.Close on a worker holding several sessions released mid-run;
 //   - Close on a session Reset mid-run, whose bodies stay parked across the
@@ -30,6 +31,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			// The budget lets the search restore nodes deeper than the
 			// 32-step checkpoint stride, so checkpoint sessions are built
 			// before the cut.
+			reg := telemetry.New()
 			res, err := rme.Exhaustive(rme.CheckConfig{
 				Session:        rme.Config{Procs: 3, Width: 8, Model: rme.CC, Algorithm: rme.MustAlgorithm("rspin")},
 				CrashesPerProc: 1,
@@ -38,12 +40,16 @@ func TestNoGoroutineLeaks(t *testing.T) {
 				MaxSchedules:   4000,
 				MaxStates:      70000,
 				Parallel:       2,
+				Telemetry:      reg,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.Truncated {
 				t.Fatal("search finished; the test needs a budget cut")
+			}
+			if reg.Counter("check_rewinds").Load() == 0 || reg.Counter("check_rewind_relaunches").Load() == 0 {
+				t.Fatal("no restore rewound a live session and relaunched bodies; the test needs some")
 			}
 		}},
 		{"ServiceRun", func(t *testing.T, _ int) {
