@@ -145,6 +145,9 @@ func runSingle(alg mutex.Algorithm, n, w int, model sim.Model, k int, tr *cliuti
 	fmt.Printf("survivors:          %d %v (RMRs %v)\n", len(rep.Survivors), rep.Survivors, rep.SurvivorRMRs)
 	fmt.Printf("hiding:             %d/%d searches succeeded\n", rep.HidingWins, rep.HidingAttempts)
 	fmt.Printf("verified replays:   %d (rollbacks %d)\n", rep.Replays, rep.RemovalRollbacks)
+	if rep.RoundCapped {
+		fmt.Printf("round cap:          %s\n", roundCap(rep))
+	}
 	fmt.Printf("theory bound:       ceil(log_w n) = %d, min(log_w n, ln n/ln ln n) = %.2f\n",
 		word.CeilLog(w, n), word.TheoreticalLowerBound(word.Width(w), n))
 	if len(rep.InvariantViolations) > 0 {
@@ -240,6 +243,11 @@ func runSweep(alg mutex.Algorithm, sweep string, w int, model sim.Model, k, para
 			rep.Replays, rep.RemovalRollbacks, word.CeilLog(w, n), len(rep.InvariantViolations))
 		violations += len(rep.InvariantViolations)
 	}
+	for i, n := range ns {
+		if reps[i].RoundCapped {
+			fmt.Printf("\nround cap at n=%d: %s\n", n, roundCap(reps[i]))
+		}
+	}
 	if violations > 0 {
 		return nil, fmt.Errorf("%d invariant violations across sweep", violations)
 	}
@@ -249,4 +257,10 @@ func runSweep(alg mutex.Algorithm, sweep string, w int, model sim.Model, k, para
 		ms[i] = advManifest(alg.Name(), rep)
 	}
 	return ms, nil
+}
+
+// roundCap describes a construction that stopped at its round cap.
+func roundCap(rep *adversary.Report) string {
+	return fmt.Sprintf("reached after %d rounds with %d actives left; the forced RMRs are the cap's, not the algorithm's",
+		len(rep.Rounds), rep.Rounds[len(rep.Rounds)-1].ActiveAfter)
 }

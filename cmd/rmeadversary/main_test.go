@@ -122,3 +122,31 @@ func TestDefaultKRecordedAsUsed(t *testing.T) {
 		t.Fatalf("-k 0 and -k 16 recorded different manifests:\n%s\n%s", got[0], got[1])
 	}
 }
+
+// TestRoundCapPrintedOnlyWhenSet: a construction that stops at its round cap
+// with two or more actives says so, in a single run and in a sweep row, and
+// one that ends before the cap prints nothing about it, so pinned outputs
+// keep their bytes. watree at n=64 and w=2 runs all 16 rounds and keeps 4
+// actives; at n=16 and w=4 it ends before its 32.
+func TestRoundCapPrintedOnlyWhenSet(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "64", "-w", "2"}, "round cap:          reached after 16 rounds with 4 actives left"},
+		{[]string{"-sweep", "64", "-w", "2"}, "round cap at n=64: reached after 16 rounds with 4 actives left"},
+		{[]string{"-n", "16", "-w", "4"}, ""},
+		{[]string{"-sweep", "16", "-w", "4"}, ""},
+	} {
+		out, err := captureStdout(t, func() error { return run(append([]string{"-alg", "watree"}, tc.args...)) })
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		switch {
+		case tc.want == "" && strings.Contains(out, "round cap"):
+			t.Errorf("%v: a run that ended before its round cap printed one:\n%s", tc.args, out)
+		case tc.want != "" && !strings.Contains(out, tc.want):
+			t.Errorf("%v: stdout lacks %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}

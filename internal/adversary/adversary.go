@@ -112,7 +112,10 @@ type Config struct {
 }
 
 // maxRounds caps the construction at 8·w rounds, comfortably above any
-// passage bound by assumption A1.
+// passage bound by assumption A1. A run that completes the last round with
+// at least two processes still active stops there all the same, and reports
+// Report.RoundCapped: its viable rounds and forced RMRs are then set by the
+// cap, not by the algorithm, and bound the algorithm's from below.
 func (c Config) maxRounds() int { return 8 * int(c.Session.Width) }
 
 func (c Config) withDefaults() Config {
@@ -195,6 +198,9 @@ type Report struct {
 	// InvariantViolations lists operational invariant-audit failures
 	// (empty in a sound construction).
 	InvariantViolations []string
+	// RoundCapped records that the construction stopped at its round cap
+	// (see Config.maxRounds) with at least two processes still active.
+	RoundCapped bool
 }
 
 // ForcedRMRs returns the maximum RMR count over surviving active processes
@@ -366,12 +372,13 @@ func (a *Adversary) Close() {
 // still i-compliant.
 func (a *Adversary) Run() (*Report, error) {
 	a.snapshotViable(0)
+	progressed := false
 	for round := 1; round <= a.cfg.maxRounds(); round++ {
 		if len(a.actives()) < 2 {
 			break
 		}
-		progressed, err := a.round(round)
-		if err != nil {
+		var err error
+		if progressed, err = a.round(round); err != nil {
 			return nil, fmt.Errorf("round %d: %w", round, err)
 		}
 		if len(a.actives()) > 0 {
@@ -381,6 +388,9 @@ func (a *Adversary) Run() (*Report, error) {
 			break
 		}
 	}
+	// The loop ran out of rounds if its last round progressed and left two
+	// or more actives.
+	a.report.RoundCapped = progressed && len(a.actives()) >= 2
 	a.finishReport()
 	return &a.report, nil
 }

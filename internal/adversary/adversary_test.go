@@ -274,11 +274,20 @@ func TestLemma6DecayRate(t *testing.T) {
 	// Ω(log_w n) rounds possible. Check the operational analogue on the
 	// watree constructions: every round retains at least a 1/(64·w²)
 	// fraction of the actives (minus the additive slack), for every (n, w).
+	//
+	// At the first four points n < 64·w², so every bound is negative and the
+	// check cannot fail there. At (1024, 2) the first round's bound is
+	// 1024/256 − 2 = 2, so it can; that point must have a positive bound,
+	// and its construction is the one that stops at the round cap (16
+	// rounds, 64 actives left), which it must report.
 	for _, tc := range []struct {
-		n int
-		w word.Width
+		n      int
+		w      word.Width
+		binds  bool
+		capped bool
 	}{
-		{64, 4}, {256, 4}, {256, 8}, {128, 16},
+		{64, 4, false, false}, {256, 4, false, false}, {256, 8, false, false}, {128, 16, false, false},
+		{1024, 2, true, true},
 	} {
 		rep := run(t, adversary.Config{
 			Session: mutex.Config{
@@ -287,12 +296,20 @@ func TestLemma6DecayRate(t *testing.T) {
 		})
 		checkSoundness(t, rep)
 		bound := 64 * int(tc.w) * int(tc.w)
+		positive := false
 		for _, r := range rep.Rounds {
 			min := r.ActiveBefore/bound - 2
+			positive = positive || min > 0
 			if r.ActiveAfter < min {
 				t.Errorf("n=%d w=%d round %d: active %d -> %d, below the Lemma 6 analogue %d",
 					tc.n, tc.w, r.Index, r.ActiveBefore, r.ActiveAfter, min)
 			}
+		}
+		if positive != tc.binds {
+			t.Errorf("n=%d w=%d: a positive bound in some round: %v, want %v", tc.n, tc.w, positive, tc.binds)
+		}
+		if rep.RoundCapped != tc.capped {
+			t.Errorf("n=%d w=%d: RoundCapped %v after %d rounds, want %v", tc.n, tc.w, rep.RoundCapped, len(rep.Rounds), tc.capped)
 		}
 	}
 }

@@ -92,9 +92,10 @@ type checkTelemetry struct {
 	restoreLen                *telemetry.Histogram
 	// rewinds counts full-prefix restores done by rewinding the live session,
 	// relaunches and fed the bodies those rewinds relaunched and the logged
-	// steps they fed them, and declines the restores that fell back to a
-	// Reset and replay because the session declined to rewind.
-	rewinds, relaunches, fed, declines *telemetry.Counter
+	// steps they fed them, gateFed those of the steps fed at the step gate
+	// rather than through a feeding Env, and declines the restores that fell
+	// back to a Reset and replay because the session declined to rewind.
+	rewinds, relaunches, fed, gateFed, declines *telemetry.Counter
 }
 
 // restoreLenBounds buckets restore replay lengths: a fresh checkpoint bounds
@@ -117,6 +118,7 @@ func newCheckTelemetry(reg *telemetry.Registry) checkTelemetry {
 		rewinds:      reg.Counter("check_rewinds"),
 		relaunches:   reg.Counter("check_rewind_relaunches"),
 		fed:          reg.Counter("check_rewind_fed_steps"),
+		gateFed:      reg.Counter("check_rewind_gate_fed_steps"),
 		declines:     reg.Counter("check_rewind_declines"),
 	}
 }
@@ -262,10 +264,11 @@ func (e *explorer) rewind(target int, pt mutex.RewindPoint) error {
 	}
 	e.countReplay(target)
 	if e.tm.rewinds != nil {
-		relaunched, fed := e.live.Machine().RewindWork()
+		relaunched, fed, gateFed := e.live.Machine().RewindWork()
 		e.tm.rewinds.Inc()
 		e.tm.relaunches.Add(int64(relaunched))
 		e.tm.fed.Add(int64(fed))
+		e.tm.gateFed.Add(int64(gateFed))
 	}
 	return nil
 }

@@ -143,8 +143,9 @@ func TestRestoreReleasesFailedCheckpoint(t *testing.T) {
 // TestRewindTelemetry: the rewind counters are published where restores
 // rewind and where they fall back, and publishing them changes nothing in
 // the Result. rspin n=3 rewinds, relaunching bodies and feeding them steps,
-// and never declines; tournament n=2 registers a multi-cell wait, so its
-// sessions decline and its restores replay from a Reset.
+// never at the step gate, since the driver binds every handle to its Proc's
+// feeding Env, and never declines; tournament n=2 registers a multi-cell
+// wait, so its sessions decline and its restores replay from a Reset.
 func TestRewindTelemetry(t *testing.T) {
 	for _, tc := range []struct {
 		alg     mutex.Algorithm
@@ -152,7 +153,7 @@ func TestRewindTelemetry(t *testing.T) {
 		nonzero []string
 		zero    []string
 	}{
-		{rspin.New(), 3, []string{"check_rewinds", "check_rewind_relaunches", "check_rewind_fed_steps"}, []string{"check_rewind_declines"}},
+		{rspin.New(), 3, []string{"check_rewinds", "check_rewind_relaunches", "check_rewind_fed_steps"}, []string{"check_rewind_gate_fed_steps", "check_rewind_declines"}},
 		{tournament.New(), 2, []string{"check_rewind_declines"}, []string{"check_rewinds"}},
 	} {
 		cfg := Config{Session: mutex.Config{Procs: tc.n, Width: 8, Model: sim.CC, Algorithm: tc.alg}, Memo: true, POR: true}

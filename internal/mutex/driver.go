@@ -102,6 +102,10 @@ type Session struct {
 	// RunRoundRobin/RunRandom (sim.Machine.AppendPoised), so driving a session
 	// allocates nothing per scheduling round.
 	poised []int
+	// envs holds the Env each process's handle is bound to, from the
+	// session's first Rewind on; nil before, when every handle is bound to
+	// its Proc (see driverBody.Run).
+	envs []memory.Env
 }
 
 // NewSession builds the machine, instantiates the algorithm, and starts the
@@ -196,7 +200,8 @@ func (s *Session) Machine() *sim.Machine { return s.mach }
 // Each body keeps its algorithm handle: the Handle contract lets a handle
 // hold only what Bind established (the env, the instance and cells, the
 // id), and a reset session binds the same process to the same instance, so
-// a session binds once, on its first run (DESIGN.md §6).
+// a session binds once, on its first run (DESIGN.md §6), and once more after
+// its first Rewind (see driverBody.Run).
 func (s *Session) Reset() error {
 	s.mach.Reset()
 	s.csOwner = -1
@@ -326,7 +331,10 @@ func (s *Session) RewindPoint() RewindPoint {
 // Rewind returns the session to pt, which must be a point of its current
 // execution: the machine becomes the execution of the first pt's steps of
 // its schedule (sim.Machine.Rewind), and only the bodies that acted since
-// pt run again, relaunched and fed their logged responses. The result is
+// pt run again, relaunched and fed their logged responses. A body takes its
+// responses on its own goroutine once its handle is bound to its Proc's
+// feeding Env, which driverBody.Run does on the body's first run after the
+// session's first rewind; until then it is fed at the step gate. The result is
 // the session a Reset and a Replay of that prefix would give. The monitor's
 // CS owner, CS order and violations return to pt's; its tag baseline is
 // taken from the current tags, which after every action it has observed
@@ -338,6 +346,12 @@ func (s *Session) RewindPoint() RewindPoint {
 // registered since Reset. A failed rewind leaves the session to be Reset or
 // Closed.
 func (s *Session) Rewind(pt RewindPoint) (bool, error) {
+	if s.envs == nil {
+		s.envs = make([]memory.Env, len(s.bodies))
+		for i, b := range s.bodies {
+			s.envs[i] = b.p
+		}
+	}
 	if ok, err := s.mach.Rewind(pt.steps); !ok || err != nil {
 		return false, err
 	}
@@ -629,13 +643,20 @@ func (b *driverBody) reset() {
 }
 
 // Run executes the process's super-passages from the initial state: the
-// bookkeeping starts over, and the handle is bound on the session's first
-// run. A relaunch reaches Run only after the abandoned program has unwound.
+// bookkeeping starts over, and the handle is bound to p.Env() on the
+// session's first run. p.Env() is p until the machine first rewinds and its
+// feeding Env from then on, so the handle is bound once more, on the
+// process's first run after the session's first Rewind, and Session.envs
+// records to which. A relaunch reaches Run only after the abandoned program
+// has unwound.
 func (b *driverBody) Run(p *sim.Proc) {
 	b.reset()
 	b.p = p
-	if b.handle == nil {
-		b.handle = b.s.inst.Bind(p)
+	if env := p.Env(); b.handle == nil || b.s.envs != nil && b.s.envs[b.id] != env {
+		b.handle = b.s.inst.Bind(env)
+		if b.s.envs != nil {
+			b.s.envs[b.id] = env
+		}
 	}
 	b.runRemaining()
 }
@@ -703,7 +724,7 @@ func (b *driverBody) runSuper() {
 // the super-passage.
 func (b *driverBody) criticalSectionThenExit() {
 	b.setTag(TagCS)
-	b.p.Write(b.s.csCell, word.Word(b.id+1))
+	b.p.Env().Write(b.s.csCell, word.Word(b.id+1))
 	b.setTag(TagExit)
 	b.handle.Unlock()
 	b.finishSuper()

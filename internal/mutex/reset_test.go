@@ -54,6 +54,16 @@ func record(s *mutex.Session) runRecord {
 // fields as Bind set them (the Handle contract bind-once relies on), Reset
 // keeps the same handles, and the reset session replays a seed to the same
 // trace, passage records, RMR counters and CS order as a fresh session.
+//
+// A session that rewinds binds each handle once more, to its Proc's feeding
+// Env, on the process's first run after the session's first rewind. The
+// first rewind of a session without a trace, back to its start, relaunches
+// every process and so rebinds every handle, and the relaunched bodies take
+// every logged step on their own goroutines, none at the step gate. From
+// then on rewinds to the middle of a crashy schedule and Resets keep the
+// handles, no step is fed at the gate, and the session still runs a seed as
+// a fresh one does. Only tournament registers multi-cell waits, so only its
+// sessions may decline to rewind, and then they keep their handles.
 func TestResetKeepsHandles(t *testing.T) {
 	for _, alg := range rme.Algorithms() {
 		t.Run(alg.Name(), func(t *testing.T) {
@@ -92,6 +102,88 @@ func TestResetKeepsHandles(t *testing.T) {
 			}
 			if got, want := record(s), record(fresh); !reflect.DeepEqual(got, want) {
 				t.Fatalf("reset session with kept handles diverges from a fresh one:\nreset %+v\nfresh %+v", got, want)
+			}
+
+			cfg.NoTrace = true
+			full := randomSchedule(t, cfg, 3)
+			r := newSession(t, cfg)
+			first := mutex.Handles(r)
+			start := r.RewindPoint()
+			if err := r.Replay(full); err != nil {
+				t.Fatal(err)
+			}
+			rewind := func(pt mutex.RewindPoint, what string, feeds bool) bool {
+				t.Helper()
+				ok, err := r.Rewind(pt)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if !ok {
+					if alg.Name() != "tournament" {
+						t.Fatalf("%s declined", what)
+					}
+					return false
+				}
+				if _, fed, gateFed := r.Machine().RewindWork(); (fed > 0) != feeds || gateFed != 0 {
+					t.Fatalf("%s fed %d logged steps, %d of them at the step gate; want steps fed: %v, none at the gate", what, fed, gateFed, feeds)
+				}
+				return true
+			}
+			if !rewind(start, "the first rewind", false) {
+				for p, h := range mutex.Handles(r) {
+					if h != first[p] {
+						t.Fatalf("p%d: a declined rewind rebound the handle", p)
+					}
+				}
+				return
+			}
+			rebound := mutex.Handles(r)
+			for p, h := range rebound {
+				if h == first[p] {
+					t.Fatalf("p%d: the session's first rewind relaunched the body without binding its handle to the feeding Env", p)
+				}
+			}
+			fields = handleFields(rebound)
+			keeps := func(when string) {
+				t.Helper()
+				hs := mutex.Handles(r)
+				for p, h := range hs {
+					if h != rebound[p] {
+						t.Fatalf("p%d: the handle changed %s", p, when)
+					}
+				}
+				if after := handleFields(hs); !reflect.DeepEqual(fields, after) {
+					t.Fatalf("handle fields changed %s:\nbefore %+v\nafter  %+v", when, fields, after)
+				}
+			}
+			mid := len(full) / 2
+			for round := 0; round < 2; round++ {
+				if err := r.Replay(full[:mid]); err != nil {
+					t.Fatal(err)
+				}
+				pt := r.RewindPoint()
+				if err := r.Replay(full[mid:]); err != nil {
+					t.Fatal(err)
+				}
+				keeps("during a run")
+				if !rewind(pt, "a later rewind", true) {
+					return
+				}
+				keeps("in a later rewind")
+				if err := r.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				keeps("in a Reset after a rewind")
+			}
+			if err := r.RunRandom(2, crashy); err != nil {
+				t.Fatal(err)
+			}
+			fresh = newSession(t, cfg)
+			if err := fresh.RunRandom(2, crashy); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := record(r), record(fresh); !reflect.DeepEqual(got, want) {
+				t.Fatalf("rewound session with rebound handles diverges from a fresh one:\nrewound %+v\nfresh   %+v", got, want)
 			}
 		})
 	}

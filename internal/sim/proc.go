@@ -10,7 +10,9 @@ import (
 
 // Proc is one simulated process. It implements memory.Env for the algorithm
 // code running on its body goroutine; every Env call blocks at the step gate
-// until the controller grants the step (or delivers a crash).
+// until the controller grants the step (or delivers a crash). A program that
+// takes its steps through Env() instead also lets Machine.Rewind feed it its
+// logged responses without a round trip through the gate.
 //
 // Proc methods fall into two groups:
 //

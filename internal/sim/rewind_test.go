@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -11,11 +12,35 @@ import (
 	"rme/internal/word"
 )
 
+// binding names how rewindFixture's programs take their steps: through the
+// Proc itself, through Proc.Env, or alternately through Proc.Env and the
+// Proc, starting with Proc.Env on every run.
+type binding int
+
+const (
+	onProc binding = iota
+	onEnv
+	mixed
+)
+
+func (b binding) String() string { return [...]string{"on Proc", "on Proc.Env", "mixed"}[b] }
+
+// envs returns the two Envs a program on p alternates between.
+func (b binding) envs(p *Proc) (memory.Env, memory.Env) {
+	switch b {
+	case onEnv:
+		return p.Env(), p.Env()
+	case mixed:
+		return p.Env(), p
+	}
+	return p, p
+}
+
 // rewindFixture builds a two-process machine whose programs read, write,
-// spin and apply custom operations, and returns it with its programs
-// unstarted. The operations are built once, so running the programs
-// allocates nothing.
-func rewindFixture(t *testing.T, noTrace bool) (*Machine, []Program) {
+// spin and apply custom operations, taking their steps as b says, and
+// returns it with its programs unstarted. The operations are built once, so
+// running the programs allocates nothing.
+func rewindFixture(t *testing.T, noTrace bool, b binding) (*Machine, []Program) {
 	t.Helper()
 	m, err := New(Config{Procs: 2, Width: 8, Model: CC, NoTrace: noTrace})
 	if err != nil {
@@ -29,19 +54,21 @@ func rewindFixture(t *testing.T, noTrace bool) (*Machine, []Program) {
 	isOne := func(v word.Word) bool { return v == 1 }
 	return m, []Program{
 		ProgramFuncs{RunFunc: func(p *Proc) {
+			x, y := b.envs(p)
 			p.Mark("p0")
-			p.Read(c)
-			p.Apply(c, put1)
-			p.SpinUntil(flag, isOne)
-			p.Read(c)
+			x.Read(c)
+			y.Apply(c, put1)
+			x.SpinUntil(flag, isOne)
+			y.Read(c)
 		}},
 		ProgramFuncs{RunFunc: func(p *Proc) {
+			x, y := b.envs(p)
 			p.Mark("p1")
-			p.Apply(c, put2)
-			p.Read(c)
-			p.Write(flag, 1)
-			p.Read(flag)
-			p.Read(c)
+			x.Apply(c, put2)
+			y.Read(c)
+			x.Write(flag, 1)
+			y.Read(flag)
+			x.Read(c)
 		}},
 	}
 }
@@ -121,25 +148,30 @@ func pendingString(p *Proc) string {
 //     machine not started or closed, k out of range, a kept trace, a
 //     multi-cell wait registered since Reset.
 //   - A program that announces another operation than the logged one when
-//     it runs again makes it fail, naming the action.
+//     it runs again makes it fail, naming the action, whether it takes its
+//     steps through its Proc or through Proc.Env. The machine then Resets,
+//     Starts and Closes, and leaves no body goroutine behind.
 //   - For every k of rewindFixture's schedule, a machine run to the end, to
 //     where p0 is parked, or to p0's crash, and rewound to k equals a fresh
-//     machine run to k in every process's counters, flags, tag, Marks and pending
-//     operation, in every cell's value, cache copies, watchers, accessors
-//     and last accessor, and in the log, its custom-op transitions and the
-//     event counter; the two then return the same Events, Seq included, on
-//     their way back to where the first stood. Rewinding the rewound
-//     machine again must hold too.
+//     machine run to k in every process's counters, flags, tag, Marks and
+//     pending operation, in every cell's value, cache copies, watchers,
+//     accessors and last accessor, and in the log, its custom-op transitions
+//     and the event counter; the two then return the same Events, Seq
+//     included, on their way back to where the first stood. Rewinding the
+//     rewound machine again must hold too. This holds for programs on the
+//     Proc, on Proc.Env and on both: programs on Proc.Env are fed their
+//     logged steps on the body goroutine, programs on the Proc at the step
+//     gate.
 //   - Once a machine has rewound, stepping it forward and rewinding it again
 //     allocates nothing.
 func TestRewindChecksItsInput(t *testing.T) {
-	unstarted, _ := rewindFixture(t, true)
+	unstarted, _ := rewindFixture(t, true, onProc)
 	if ok, err := unstarted.Rewind(0); ok || !errors.Is(err, ErrNotStarted) {
 		t.Fatalf("Rewind before Start: %v, %v; want ErrNotStarted", ok, err)
 	}
 
 	for _, noTrace := range []bool{true, false} {
-		m, progs := rewindFixture(t, noTrace)
+		m, progs := rewindFixture(t, noTrace, onProc)
 		if err := m.Start(progs); err != nil {
 			t.Fatal(err)
 		}
@@ -189,84 +221,109 @@ func TestRewindChecksItsInput(t *testing.T) {
 	}
 
 	// A program whose steps depend on more than its responses announces,
-	// once relaunched, another operation than the logged one.
-	md, err := New(Config{Procs: 1, Width: 8, Model: CC, NoTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(md.Close)
-	a, b = md.NewCell("a", memory.Shared, 0), md.NewCell("b", memory.Shared, 0)
-	first := a
-	if err := md.Start([]Program{ProgramFuncs{RunFunc: func(p *Proc) {
-		p.Read(first)
-		p.Read(b)
-	}}}); err != nil {
-		t.Fatal(err)
-	}
-	runActions(t, md, Schedule{{Proc: 0}, {Proc: 0}})
-	first = b
-	if _, err := md.Rewind(1); err == nil || !strings.Contains(err.Error(), "logged action 0") {
-		t.Fatalf("Rewind relaunching a program that reads another cell first: %v; want an error naming logged action 0", err)
+	// once relaunched, another operation than the logged one. On Proc.Env
+	// it is the feeding Env that passes the operation to the gate.
+	for _, bind := range []binding{onProc, onEnv} {
+		start := runtime.NumGoroutine()
+		md, err := New(Config{Procs: 1, Width: 8, Model: CC, NoTrace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := md.NewCell("a", memory.Shared, 0), md.NewCell("b", memory.Shared, 0)
+		first := a
+		progs := []Program{ProgramFuncs{RunFunc: func(p *Proc) {
+			x, _ := bind.envs(p)
+			x.Read(first)
+			x.Read(b)
+		}}}
+		if err := md.Start(progs); err != nil {
+			t.Fatal(err)
+		}
+		runActions(t, md, Schedule{{Proc: 0}, {Proc: 0}})
+		first = b
+		if _, err := md.Rewind(1); err == nil || !strings.Contains(err.Error(), "logged action 0") {
+			t.Fatalf("%s: Rewind relaunching a program that reads another cell first: %v; want an error naming logged action 0", bind, err)
+		}
+		md.Reset()
+		if err := md.Start(progs); err != nil {
+			t.Fatalf("%s: Start after the failed rewind and a Reset: %v", bind, err)
+		}
+		if po, ok := md.Pending(0); !ok || po.Cell != b || md.ProcSteps(0) != 0 {
+			t.Fatalf("%s: after the failed rewind, a Reset and a Start: pending %+v, %d steps; want the first read of b, none taken", bind, po, md.ProcSteps(0))
+		}
+		md.Close()
+		waitGoroutines(t, start)
 	}
 
 	// The machine is rewound from d to k, for d = 4, where p0 stands parked
 	// on flag, d = 5, one crash of p0 later, and d at the end of the
 	// schedule.
-	for k := 0; k <= len(rewindSchedule); k++ {
-		for _, d := range []int{4, 5, len(rewindSchedule)} {
-			if d < k {
-				continue
-			}
-			m, progs := rewindFixture(t, true)
-			ref, refProgs := rewindFixture(t, true)
-			if err := m.Start(progs); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.Start(refProgs); err != nil {
-				t.Fatal(err)
-			}
-			runActions(t, m, rewindSchedule[:d])
-			runActions(t, ref, rewindSchedule[:k])
-			for round := 0; round < 2; round++ {
-				if ok, err := m.Rewind(k); !ok || err != nil {
-					t.Fatalf("%d to %d, round %d: Rewind: %v, %v", d, k, round, ok, err)
+	for _, bind := range []binding{onProc, onEnv, mixed} {
+		var fed, gateFed int
+		for k := 0; k <= len(rewindSchedule); k++ {
+			for _, d := range []int{4, 5, len(rewindSchedule)} {
+				if d < k {
+					continue
 				}
-				if diff := machineDiff(m, ref); diff != "" {
-					t.Fatalf("%d to %d, round %d: rewound machine differs from one run to k: %s", d, k, round, diff)
+				m, progs := rewindFixture(t, true, bind)
+				ref, refProgs := rewindFixture(t, true, bind)
+				if err := m.Start(progs); err != nil {
+					t.Fatal(err)
 				}
-				for i, a := range rewindSchedule[k:d] {
-					got, errG := doAction(m, a)
-					want, errW := doAction(ref, a)
-					got.Op.F, want.Op.F = nil, nil
-					if fmt.Sprintf("%+v %v", got, errG) != fmt.Sprintf("%+v %v", want, errW) {
-						t.Fatalf("%d to %d, round %d: action %d (%s) after the rewind: %+v, %v; want %+v, %v",
-							d, k, round, k+i, a, got, errG, want, errW)
-					}
-				}
-				// Both stand at d again: take ref back to k the slow way for
-				// the next round.
-				ref.Reset()
 				if err := ref.Start(refProgs); err != nil {
 					t.Fatal(err)
 				}
+				runActions(t, m, rewindSchedule[:d])
 				runActions(t, ref, rewindSchedule[:k])
-			}
-			if k != 5 || d != len(rewindSchedule) {
-				continue
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				if ok, err := m.Rewind(k); !ok || err != nil {
-					panic(fmt.Sprint(ok, err))
-				}
-				for _, a := range rewindSchedule[k:d] {
-					if _, err := doAction(m, a); err != nil {
-						panic(err)
+				for round := 0; round < 2; round++ {
+					if ok, err := m.Rewind(k); !ok || err != nil {
+						t.Fatalf("%s, %d to %d, round %d: Rewind: %v, %v", bind, d, k, round, ok, err)
 					}
+					if diff := machineDiff(m, ref); diff != "" {
+						t.Fatalf("%s, %d to %d, round %d: rewound machine differs from one run to k: %s", bind, d, k, round, diff)
+					}
+					_, f, g := m.RewindWork()
+					if bind == onProc && g != f || bind == onEnv && g != 0 || g > f {
+						t.Fatalf("%s, %d to %d, round %d: %d logged steps fed, %d of them at the gate", bind, d, k, round, f, g)
+					}
+					fed, gateFed = fed+f, gateFed+g
+					for i, a := range rewindSchedule[k:d] {
+						got, errG := doAction(m, a)
+						want, errW := doAction(ref, a)
+						got.Op.F, want.Op.F = nil, nil
+						if fmt.Sprintf("%+v %v", got, errG) != fmt.Sprintf("%+v %v", want, errW) {
+							t.Fatalf("%s, %d to %d, round %d: action %d (%s) after the rewind: %+v, %v; want %+v, %v",
+								bind, d, k, round, k+i, a, got, errG, want, errW)
+						}
+					}
+					// Both stand at d again: take ref back to k the slow way for
+					// the next round.
+					ref.Reset()
+					if err := ref.Start(refProgs); err != nil {
+						t.Fatal(err)
+					}
+					runActions(t, ref, rewindSchedule[:k])
 				}
-			})
-			if allocs != 0 {
-				t.Fatalf("stepping forward and rewinding to %d: %.1f allocations, want 0", k, allocs)
+				if k != 5 || d != len(rewindSchedule) {
+					continue
+				}
+				allocs := testing.AllocsPerRun(20, func() {
+					if ok, err := m.Rewind(k); !ok || err != nil {
+						panic(fmt.Sprint(ok, err))
+					}
+					for _, a := range rewindSchedule[k:d] {
+						if _, err := doAction(m, a); err != nil {
+							panic(err)
+						}
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("%s: stepping forward and rewinding to %d: %.1f allocations, want 0", bind, k, allocs)
+				}
 			}
+		}
+		if fed == 0 || bind == mixed && (gateFed == 0 || gateFed == fed) {
+			t.Fatalf("%s: %d logged steps fed in all, %d of them at the gate; want some, and for mixed programs some of each kind", bind, fed, gateFed)
 		}
 	}
 }
